@@ -36,7 +36,7 @@ from .groebner import (
     kernel_of_map,
     normal_form,
     poly_to_vec,
-    syzygy_basis,
+    relations,
     vec_component,
 )
 from .localcoh import (

@@ -345,3 +345,7 @@ def _dispatch(args):
             _emit(connections_check(X, box, ring).to_json(), fmt)
             return
     raise InputError(f"unhandled command {args.command!r}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,4 +1,4 @@
-"""Buchberger Groebner bases for submodules of free modules, with syzygies.
+"""Buchberger Groebner bases for submodules of free modules, with relations.
 
 Module elements are flat dicts mapping (component, exponent tuple) to a
 nonzero field element.  The module order is position-over-term: earlier
@@ -6,9 +6,9 @@ declared components dominate, ties are broken by the coarse weight order of
 the ambient ring.  All inputs must be homogeneous in the fine Z^r-grading;
 S-pairs are scheduled by increasing coarse degree, FIFO within a degree.
 
-Syzygies are lifted from the tracked basis back to the caller's generators,
-so kernels of maps between free modules come out over the generators that
-were actually supplied (after an optional minimal-generator pruning pass).
+One primitive, `relations`, serves kernels of maps between free modules,
+the cohomology presentations of the Ext route and ideal intersections: it
+reads the relations off one Groebner basis of augmented generators.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .errors import HomogeneityError, InputError, ResourceLimitError
 from .grading import find_positive_coarsening_vector
 from .poly import (
-    EliminationOrder,
     Mono,
     Multidegree,
     MultigradedRing,
@@ -60,10 +59,6 @@ class ModuleCtx:
     def mkey(self, t):
         comp, mono = t
         return (-comp, self.order.key(mono))
-
-    def term_degree(self, t) -> int:
-        comp, mono = t
-        return self.order.selection_degree(mono) + self.shift_wdegs[comp]
 
     def vec_degree(self, f: Vec) -> Multidegree:
         """Fine multidegree of a nonzero homogeneous element."""
@@ -138,16 +133,14 @@ def leading_term(ctx: ModuleCtx, f: Vec):
 
 # -- reduction -----------------------------------------------------------------
 
-def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], track: bool = False):
+def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
     """Full normal form of f modulo basis.
 
-    Returns (nf, quotients): quotients[i] is a PolyDict with
-    f = sum_i quotients[i] * basis[i] + nf.  Reducers are tried in list
-    order, which keeps the division deterministic.
+    `lts` are the basis elements' leading terms as returned by leading_term,
+    cached by the caller.  Reducers are tried in list order, which keeps the
+    division deterministic.
     """
     K = ctx.ring.field
-    lts = [leading_term(ctx, g) for g in basis]
-    quots = [dict() for _ in basis] if track else None
     work = dict(f)
     out: Vec = {}
     while work:
@@ -156,20 +149,12 @@ def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], track: bool = False):
         comp, mono = t
         for i, ((lcomp, lmono), lc) in enumerate(lts):
             if lcomp == comp and mono_divides(lmono, mono):
-                q_mono = mono_div(mono, lmono)
-                q_coeff = K.div(c, lc)
-                work = vsub_term_mul(work, basis[i], q_mono, q_coeff, K)
-                if track:
-                    cur = K.add(quots[i].get(q_mono, K.zero), q_coeff)
-                    if cur:
-                        quots[i][q_mono] = cur
-                    else:
-                        quots[i].pop(q_mono, None)
+                work = vsub_term_mul(work, basis[i], mono_div(mono, lmono), K.div(c, lc), K)
                 break
         else:
             out[t] = c
             del work[t]
-    return out, quots
+    return out
 
 
 def normal_form(f: Vec, G: "GroebnerBasis") -> Vec:
@@ -180,8 +165,7 @@ def normal_form(f: Vec, G: "GroebnerBasis") -> Vec:
             raise InputError(f"element lives outside the ambient module (component {bad[0]})")
     if f:
         G.ctx.vec_degree(f)
-    nf, _ = reduce_vec(G.ctx, f, G.elements)
-    return nf
+    return reduce_vec(G.ctx, f, G.elements, G.leading_terms)
 
 
 # -- Buchberger ----------------------------------------------------------------
@@ -192,7 +176,7 @@ class GroebnerBasis:
 
     ctx: ModuleCtx
     elements: list[Vec]
-    representations: list[Vec] | None = field(default=None, repr=False)
+    leading_terms: list = field(repr=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -200,33 +184,31 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def element_degrees(self) -> tuple[Multidegree, ...]:
-        return tuple(self.ctx.vec_degree(g) for g in self.elements)
-
 
 def _single_component(f: Vec):
     comps = {c for (c, _) in f}
     return comps.pop() if len(comps) == 1 else None
 
 
-def buchberger(ctx: ModuleCtx, gens, track: bool = False, degree_cap: int | None = None):
-    """Compute the reduced Groebner basis of the given homogeneous generators.
+def buchberger(ctx: ModuleCtx, gens, degree_cap: int | None = None):
+    """Reduced Groebner basis of the given homogeneous generators.
 
-    With track=True every basis element carries a representation over the
-    input generators, and the reduced basis stays tracked through
-    autoreduction.
+    Returns (basis, leading_terms): each leading term is computed once, when
+    its element enters the basis, and is reused by every later reduction.
     """
     K = ctx.ring.field
     basis: list[Vec] = []
-    reps: list[Vec] | None = [] if track else None
-    for idx, g in enumerate(gens):
-        if not g:
-            continue
-        ctx.vec_degree(g)  # homogeneity check
-        _, lc = leading_term(ctx, g)
+    lts: list = []
+
+    def add(g):
+        t, lc = leading_term(ctx, g)
         basis.append(vscale(g, K.inv(lc), K))
-        if track:
-            reps.append({(idx, (0,) * ctx.ring.n): K.inv(lc)})
+        lts.append((t, K.one))
+
+    for g in gens:
+        if g:
+            ctx.vec_degree(g)  # homogeneity check
+            add(g)
 
     done: set[tuple[int, int]] = set()
     heap: list = []
@@ -234,21 +216,20 @@ def buchberger(ctx: ModuleCtx, gens, track: bool = False, degree_cap: int | None
 
     def push_pairs(j):
         nonlocal seq
-        tj, _ = leading_term(ctx, basis[j])
+        tj = lts[j][0]
         for i in range(j):
-            ti, _ = leading_term(ctx, basis[i])
+            ti = lts[i][0]
             if ti[0] != tj[0]:
                 done.add((i, j))
                 continue
             lcm = mono_lcm(ti[1], tj[1])
-            deg = ctx.order.selection_degree(lcm) + ctx.shift_wdegs[ti[0]]
+            deg = ctx.order.wdeg(lcm) + ctx.shift_wdegs[ti[0]]
             heapq.heappush(heap, (deg, seq, i, j))
             seq += 1
 
     for j in range(len(basis)):
         push_pairs(j)
 
-    lts = lambda i: leading_term(ctx, basis[i])[0]
     while heap:
         deg, _, i, j = heapq.heappop(heap)
         if (i, j) in done:
@@ -257,22 +238,19 @@ def buchberger(ctx: ModuleCtx, gens, track: bool = False, degree_cap: int | None
             raise ResourceLimitError(
                 f"S-pair of coarse degree {deg} exceeds the degree cap {degree_cap}"
             )
-        (ci, mi), (cj, mj) = lts(i), lts(j)
-        if ci != cj:
-            done.add((i, j))
-            continue
+        (ci, mi), (cj, mj) = lts[i][0], lts[j][0]
         lcm = mono_lcm(mi, mj)
+        done.add((i, j))
         # product criterion, valid when both elements live in one component
         si, sj = _single_component(basis[i]), _single_component(basis[j])
         if si is not None and si == sj and mono_coprime(mi, mj):
-            done.add((i, j))
             continue
         # chain criterion
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            (ck, mk) = lts(k)
+            (ck, mk) = lts[k][0]
             if ck == ci and mono_divides(mk, lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
@@ -280,9 +258,7 @@ def buchberger(ctx: ModuleCtx, gens, track: bool = False, degree_cap: int | None
                     skip = True
                     break
         if skip:
-            done.add((i, j))
             continue
-        done.add((i, j))
         s = vsub_term_mul(
             vterm_mul(basis[i], mono_div(lcm, mi), K.one, K),
             basis[j],
@@ -290,107 +266,83 @@ def buchberger(ctx: ModuleCtx, gens, track: bool = False, degree_cap: int | None
             K.one,
             K,
         )
-        nf, quots = reduce_vec(ctx, s, basis, track=track)
-        if not nf:
-            continue
-        _, lc = leading_term(ctx, nf)
-        inv = K.inv(lc)
-        basis.append(vscale(nf, inv, K))
-        if track:
-            rep = vterm_mul(reps[i], mono_div(lcm, mi), K.one, K)
-            rep = vadd(rep, vterm_mul(reps[j], mono_div(lcm, mj), K.neg(K.one), K), K)
-            for q_idx, q in enumerate(quots):
-                for m, c in q.items():
-                    rep = vadd(rep, vterm_mul(reps[q_idx], m, K.neg(c), K), K)
-            reps.append(vscale(rep, inv, K))
-        push_pairs(len(basis) - 1)
+        nf = reduce_vec(ctx, s, basis, lts)
+        if nf:
+            add(nf)
+            push_pairs(len(basis) - 1)
 
-    return _autoreduce(ctx, basis, reps)
+    return _autoreduce(ctx, basis, lts)
 
 
-def _autoreduce(ctx: ModuleCtx, basis: list[Vec], reps):
-    """Keep minimal leading terms, tail-reduce, sort canonically."""
-    K = ctx.ring.field
-    order_idx = sorted(range(len(basis)), key=lambda i: ctx.mkey(leading_term(ctx, basis[i])[0]))
+def _autoreduce(ctx: ModuleCtx, basis: list[Vec], lts):
+    """Keep minimal leading terms, tail-reduce, sort canonically.
+
+    Tail reduction never touches a leading term, so the given leading terms
+    stay valid and are returned alongside the reduced elements.
+    """
+    order_idx = sorted(range(len(basis)), key=lambda i: ctx.mkey(lts[i][0]))
     kept: list[Vec] = []
-    kept_reps: list[Vec] = []
+    kept_lts: list = []
     for i in order_idx:
-        lt_i = leading_term(ctx, basis[i])[0]
-        if any(
-            lt_i[0] == leading_term(ctx, h)[0][0]
-            and mono_divides(leading_term(ctx, h)[0][1], lt_i[1])
-            for h in kept
-        ):
+        comp, mono = lts[i][0]
+        if any(c == comp and mono_divides(m, mono) for (c, m), _ in kept_lts):
             continue
         kept.append(basis[i])
-        if reps is not None:
-            kept_reps.append(reps[i])
+        kept_lts.append(lts[i])
     for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1 :]
-        nf, quots = reduce_vec(ctx, kept[i], others, track=reps is not None)
-        if reps is not None:
-            rep = kept_reps[i]
-            other_reps = kept_reps[:i] + kept_reps[i + 1 :]
-            for q_idx, q in enumerate(quots):
-                for m, c in q.items():
-                    rep = vadd(rep, vterm_mul(other_reps[q_idx], m, K.neg(c), K), K)
-            kept_reps[i] = rep
-        kept[i] = nf
-    return kept, kept_reps if reps is not None else None
+        kept[i] = reduce_vec(ctx, kept[i], kept[:i] + kept[i + 1 :],
+                             kept_lts[:i] + kept_lts[i + 1 :])
+    return kept, kept_lts
 
 
-def groebner_basis(ctx: ModuleCtx, gens, track: bool = False,
-                   degree_cap: int | None = None) -> GroebnerBasis:
-    basis, reps = buchberger(ctx, gens, track=track, degree_cap=degree_cap)
-    return GroebnerBasis(ctx, basis, reps)
+def groebner_basis(ctx: ModuleCtx, gens, degree_cap: int | None = None) -> GroebnerBasis:
+    basis, lts = buchberger(ctx, gens, degree_cap=degree_cap)
+    return GroebnerBasis(ctx, basis, lts)
 
 
-# -- syzygies ------------------------------------------------------------------
+# -- relations -----------------------------------------------------------------
 
-def syzygy_basis(G: GroebnerBasis) -> list[Vec]:
-    """Generators of the syzygy module of G's elements.
+def relations(ctx: ModuleCtx, cols, modulo=(), degree_cap: int | None = None) -> list[Vec]:
+    """Generators of {a : sum_j a_j cols[j] in span(modulo)}.
 
-    Schreyer construction: each same-component S-pair reduces to zero and
-    contributes u_i e_i - u_j e_j - sum q_k e_k.  The ambient free module has
-    one generator per basis element, shifted by that element's multidegree.
+    One Groebner basis of the augmented generators [cols[j] ; e_j] and
+    [g ; 0], in the free module extended by one trailing component per
+    column (shifted by that column's degree).  Position-over-term makes the
+    original components dominate, so the basis elements whose leading
+    component is a trailing one are free of the original components and
+    their trailing parts generate the relation module (the elimination
+    property of a position-over-term order).  The columns must be nonzero;
+    the relations live in the free module whose j-th generator maps to
+    cols[j], and each is verified to map into span(modulo).
     """
-    ctx, K = G.ctx, G.ctx.ring.field
-    basis = G.elements
-    out: list[Vec] = []
-    lts = [leading_term(ctx, g) for g in basis]
-    for j in range(len(basis)):
-        for i in range(j):
-            (ci, mi), lci = lts[i]
-            (cj, mj), lcj = lts[j]
-            if ci != cj:
-                continue
-            lcm = mono_lcm(mi, mj)
-            ui, uj = mono_div(lcm, mi), mono_div(lcm, mj)
-            s = vsub_term_mul(
-                vterm_mul(basis[i], ui, K.inv(lci), K), basis[j], uj, K.inv(lcj), K
-            )
-            nf, quots = reduce_vec(ctx, s, basis, track=True)
-            if nf:
-                raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
-            syz: Vec = {(i, ui): K.inv(lci)}
-            syz = vadd(syz, {(j, uj): K.neg(K.inv(lcj))}, K)
-            for k, q in enumerate(quots):
-                for m, c in q.items():
-                    syz = vadd(syz, {(k, m): K.neg(c)}, K)
-            if syz:
-                out.append(syz)
-    return out
+    cols = list(cols)
+    if not cols:
+        return []
+    K = ctx.ring.field
+    rank, zero = ctx.rank, (0,) * ctx.ring.n
+    modulo = [g for g in modulo if g]
+    aug = ModuleCtx(
+        ctx.ring,
+        ctx.shifts + tuple(ctx.vec_degree(c) for c in cols),
+        ctx.order,
+        ctx.shift_wdegs + tuple(_coarse_degree(ctx, c) for c in cols),
+    )
+    gens = [{**c, (rank + j, zero): K.one} for j, c in enumerate(cols)] + modulo
+    basis, lts = buchberger(aug, gens, degree_cap=degree_cap)
+    out = [
+        {(comp - rank, m): c for (comp, m), c in g.items()}
+        for g, ((lcomp, _), _) in zip(basis, lts)
+        if lcomp >= rank
+    ]
 
-
-def syzygy_ambient(G: GroebnerBasis) -> tuple[Multidegree, ...]:
-    return G.element_degrees()
-
-
-def _apply_matrix(sy: Vec, rows: list[Vec], K) -> Vec:
-    """Compose a syzygy over basis components with representation rows."""
-    out: Vec = {}
-    for (q, m), c in sy.items():
-        out = vadd(out, vterm_mul(rows[q], m, c, K), K)
+    # exactness check: each relation maps into span(modulo)
+    mod_basis, mod_lts = buchberger(ctx, modulo, degree_cap=degree_cap)
+    for a in out:
+        image: Vec = {}
+        for (j, m), c in a.items():
+            image = vadd(image, vterm_mul(cols[j], m, c, K), K)
+        if reduce_vec(ctx, image, mod_basis, mod_lts):
+            raise ArithmeticError("relation does not map into the span of the modulo elements")
     return out
 
 
@@ -410,20 +362,19 @@ def prune_to_minimal_generators(ctx: ModuleCtx, cols, degree_cap=None):
     kept_idx: list[int] = []
     kept: list[Vec] = []
     gb: list[Vec] = []
+    gb_lts: list = []
     for _, i in wd:
-        if kept:
-            nf, _ = reduce_vec(ctx, cols[i], gb)
-            if not nf:
-                continue
+        if kept and not reduce_vec(ctx, cols[i], gb, gb_lts):
+            continue
         kept_idx.append(i)
         kept.append(cols[i])
-        gb, _ = buchberger(ctx, kept, degree_cap=degree_cap)
+        gb, gb_lts = buchberger(ctx, kept, degree_cap=degree_cap)
     return kept_idx
 
 
 def _coarse_degree(ctx: ModuleCtx, f: Vec) -> int:
     (comp, mono), _ = leading_term(ctx, f)
-    return ctx.order.selection_degree(mono) + ctx.shift_wdegs[comp]
+    return ctx.order.wdeg(mono) + ctx.shift_wdegs[comp]
 
 
 def kernel_generators(ctx: ModuleCtx, cols, minimal: bool = True,
@@ -432,53 +383,16 @@ def kernel_generators(ctx: ModuleCtx, cols, minimal: bool = True,
 
     Returns (kept_indices, syzygies): syzygies live in the free module whose
     components match kept_indices, with shifts the degrees of those columns.
-    Every returned syzygy is verified to annihilate the columns exactly.
-
-    The lift combines Schreyer syzygies of the tracked Groebner basis with
-    the correction rows I - W U, where U expresses the basis over the kept
-    columns and W the kept columns over the basis.
+    With minimal=True the columns are first pruned to a minimal generating
+    subset; otherwise only the zero columns are dropped.
     """
-    K = ctx.ring.field
     cols = list(cols)
     if minimal:
         kept_idx = prune_to_minimal_generators(ctx, cols, degree_cap=degree_cap)
     else:
         kept_idx = [i for i, c in enumerate(cols) if c]
     kept = [cols[i] for i in kept_idx]
-    if not kept:
-        return kept_idx, []
-    G = groebner_basis(ctx, kept, track=True, degree_cap=degree_cap)
-    U = G.representations  # basis element q = sum_j U[q][(j, m)] x^m kept[j]
-    W: list[list[PolyDict]] = []
-    for c in kept:
-        nf, quots = reduce_vec(ctx, c, G.elements, track=True)
-        if nf:
-            raise ArithmeticError("generator does not reduce to zero against its own basis")
-        W.append(quots)
-
-    syzygies: list[Vec] = []
-    for sy in syzygy_basis(G):
-        lifted = _apply_matrix(sy, U, K)
-        if lifted:
-            syzygies.append(lifted)
-    # correction rows: e_j - sum_q W[j][q] U[q]
-    for j in range(len(kept)):
-        row: Vec = {(j, (0,) * ctx.ring.n): K.one}
-        for q, quot in enumerate(W[j]):
-            for m, c in quot.items():
-                row = vadd(row, vterm_mul(U[q], m, K.neg(c), K), K)
-        if row:
-            syzygies.append(row)
-
-    # exactness check: each syzygy annihilates the kept columns
-    for s in syzygies:
-        total: Vec = {}
-        for (j, m), c in s.items():
-            total = vadd(total, vterm_mul(kept[j], m, c, K), K)
-        if total:
-            raise ArithmeticError("lifted syzygy fails to annihilate the generators")
-    syzygies = _dedupe_vecs(syzygies)
-    return kept_idx, syzygies
+    return kept_idx, relations(ctx, kept, degree_cap=degree_cap)
 
 
 def kernel_of_map(ctx_target: ModuleCtx, cols, degree_cap: int | None = None) -> list[Vec]:
@@ -501,28 +415,15 @@ def kernel_of_map(ctx_target: ModuleCtx, cols, degree_cap: int | None = None) ->
     return out
 
 
-def _dedupe_vecs(vecs: list[Vec]) -> list[Vec]:
-    seen = set()
-    out = []
-    for f in vecs:
-        key = tuple(sorted(f.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return out
-
-
 # -- ideal intersection ---------------------------------------------------------
 
 def ideal_intersection(I, J, ring: MultigradedRing, v=None,
                        degree_cap: int | None = None) -> list[PolyDict]:
-    """Homogeneous generators of I  intersect  J.
+    """Reduced Groebner basis of I  intersect  J, sorted by leading term.
 
-    Classic single-auxiliary-variable elimination: compute a Groebner basis
-    of t*I + (1-t)*J with t dominating the order, keep the t-free elements.
-    The auxiliary variable gets multidegree 0, so the intermediate ideal is
-    still multigraded and the output needs no re-homogenization; it is
-    filtered and re-verified anyway.
+    I intersect J is the relation module of the single column (1, 1) of S^2
+    modulo I e_0 and J e_1: a (1, 1) lies in I e_0 + J e_1 exactly when a
+    lies in both I and J.
     """
     if v is None:
         v = find_positive_coarsening_vector(ring.degrees)
@@ -530,59 +431,11 @@ def ideal_intersection(I, J, ring: MultigradedRing, v=None,
     J = [g for g in J if g]
     if not I or not J:
         return []
-    for f in I + J:
-        ring.multidegree_of(f)
-    inner = ring.order(tuple(v))
-    elim = EliminationOrder(inner)
-    ext_ctx = ModuleCtx(
-        ring=MultigradedRing(
-            ring.variables + (_fresh_name(ring),),
-            ring.degrees + ((0,) * ring.r,),
-            ring.field,
-        ),
-        shifts=((0,) * ring.r,),
-        order=elim,
-        shift_wdegs=(0,),
-    )
-    K = ring.field
-    gens: list[Vec] = []
-    for f in I:
-        gens.append({(0, m + (1,)): c for m, c in f.items()})
-    for g in J:
-        vec: Vec = {}
-        for m, c in g.items():
-            vec[(0, m + (0,))] = c
-            vec[(0, m + (1,))] = K.neg(c)
-        gens.append(vec)
-    basis, _ = buchberger(ext_ctx, gens, degree_cap=degree_cap)
-
-    kept: list[PolyDict] = []
-    for f in basis:
-        if all(m[-1] == 0 for (_, m) in f):
-            kept.append({m[:-1]: c for (_, m), c in f.items()})
-    # split any non-homogeneous strays (cannot occur with a degree-0
-    # auxiliary, but the output contract demands homogeneity)
-    out: list[PolyDict] = []
-    resplit = False
-    for f in kept:
-        comps = ring.homogeneous_components(f)
-        resplit = resplit or len(comps) > 1
-        out.extend(comps)
-    base_ctx = ModuleCtx(ring=ring, shifts=((0,) * ring.r,), order=inner, shift_wdegs=(0,))
-    vecs = [poly_to_vec(f) for f in out]
-    if resplit:
-        reduced, _ = buchberger(base_ctx, vecs, degree_cap=degree_cap)
-    else:
-        reduced, _ = _autoreduce(base_ctx, vecs, None)
-    reduced.sort(key=lambda g: base_ctx.mkey(leading_term(base_ctx, g)[0]))
-    return [vec_component(g, 0) for g in reduced]
-
-
-def _fresh_name(ring: MultigradedRing) -> str:
-    name = "t_aux"
-    while name in ring.variables:
-        name += "_"
-    return name
+    zero, one = (0,) * ring.n, ring.field.one
+    ctx = ModuleCtx.for_vector(ring, ((0,) * ring.r,) * 2, v)
+    modulo = [poly_to_vec(f, 0) for f in I] + [poly_to_vec(g, 1) for g in J]
+    rels = relations(ctx, [{(0, zero): one, (1, zero): one}], modulo, degree_cap=degree_cap)
+    return [vec_component(g, 0) for g in rels]
 
 
 # -- graded pieces ---------------------------------------------------------------
@@ -597,10 +450,9 @@ def graded_piece_dimension(P, v, m: int, degree_cap: int | None = None) -> int:
     v = tuple(v)
     ctx = ModuleCtx.for_vector(ring, P.shifts, v)
     cols = [P.column_vec(j) for j in range(len(P.relations))]
-    basis, _ = buchberger(ctx, cols, degree_cap=degree_cap)
+    _, lts = buchberger(ctx, cols, degree_cap=degree_cap)
     lt_by_comp: dict[int, list[Mono]] = {}
-    for g in basis:
-        (comp, mono), _ = leading_term(ctx, g)
+    for (comp, mono), _ in lts:
         lt_by_comp.setdefault(comp, []).append(mono)
     weights = ring.vdegs(v)
     count = 0

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .grading import find_positive_coarsening_vector
-from .groebner import ModuleCtx, Vec, kernel_of_map, graded_piece_dimension
+from .groebner import (
+    ModuleCtx,
+    Vec,
+    graded_piece_dimension,
+    kernel_of_map,
+    relations,
+    vec_to_columns,
+)
 from .linalg import matrix_rank
 from .poly import FieldDescriptor, MultigradedRing
 from .errors import ZeroModuleError
@@ -114,19 +121,9 @@ def ext_modules(P: ModulePresentation, v=None) -> list[ModulePresentation | None
         if not kernel:
             out.append(None)
             continue
-        image: list[Vec] = transpose_columns(j) if j > 0 else []
-        gens = kernel + image
-        relations = kernel_of_map(ctx_j, gens)
-        t = len(kernel)
+        image = transpose_columns(j) if j > 0 else []
         shifts = tuple(ctx_j.vec_degree(k) for k in kernel)
-        cols = []
-        for s in relations:
-            proj = {(q, m): c for (q, m), c in s.items() if q < t}
-            if proj:
-                col = [dict() for _ in range(t)]
-                for (q, m), c in proj.items():
-                    col[q][m] = c
-                cols.append(tuple(col))
+        cols = [vec_to_columns(s, len(kernel)) for s in relations(ctx_j, kernel, image)]
         pres = ModulePresentation(ring, shifts, tuple(cols))
         try:
             out.append(minimalize_presentation(pres))

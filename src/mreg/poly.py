@@ -79,9 +79,6 @@ class FieldDescriptor:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def descriptor_json(self) -> object:
-        return "q" if self.kind == "rational" else f"p:{self.p}"
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -147,28 +144,6 @@ class TermOrder:
     def key(self, e: Mono):
         return (self.wdeg(e), sum(e), tuple(-x for x in reversed(e)))
 
-    # degree used for S-pair scheduling; equals wdeg for plain orders
-    selection_degree = wdeg
-
-
-@dataclass(frozen=True)
-class EliminationOrder:
-    """Block order eliminating the last variable, refined by an inner order.
-
-    Used for ideal intersections: the auxiliary variable dominates, so the
-    intersection is read off the basis elements free of it.
-    """
-
-    inner: TermOrder
-
-    def wdeg(self, e: Mono) -> int:
-        return self.inner.wdeg(e[:-1])
-
-    def key(self, e: Mono):
-        return (e[-1], self.inner.key(e[:-1]))
-
-    selection_degree = wdeg
-
 
 def compare_monomials(order, m1: Mono, m2: Mono) -> int:
     """Return LT, EQ or GT comparing m1 against m2 under the order."""
@@ -199,21 +174,10 @@ def pneg(f: PolyDict, K: FieldDescriptor) -> PolyDict:
     return {m: K.neg(c) for m, c in f.items()}
 
 
-def psub(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
-    return padd(f, pneg(g, K), K)
-
-
 def pscale(f: PolyDict, c, K: FieldDescriptor) -> PolyDict:
     if not c:
         return {}
     return {m: K.mul(v, c) for m, v in f.items()}
-
-
-def term_mul(f: PolyDict, mono: Mono, c, K: FieldDescriptor) -> PolyDict:
-    """Multiply f by the single term c*x^mono."""
-    if not c:
-        return {}
-    return {mono_mul(m, mono): K.mul(v, c) for m, v in f.items()}
 
 
 def pmul(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
@@ -227,12 +191,6 @@ def pmul(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
             else:
                 out.pop(mm, None)
     return out
-
-
-def pconst(c, n: int, K: FieldDescriptor) -> PolyDict:
-    """The constant polynomial c in n variables."""
-    c = K.of(c)
-    return {(0,) * n: c} if c else {}
 
 
 def is_constant(f: PolyDict) -> bool:
@@ -410,22 +368,6 @@ class MultigradedRing:
         if len(degs) > 1:
             raise HomogeneityError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
         return next(iter(degs))
-
-    def is_homogeneous(self, f: PolyDict) -> bool:
-        return len({self.mono_degree(m) for m in f}) <= 1
-
-    def homogeneous_components(self, f: PolyDict) -> list[PolyDict]:
-        """Split f into its multihomogeneous components (sorted by degree)."""
-        comps: dict[Multidegree, PolyDict] = {}
-        for m, c in f.items():
-            comps.setdefault(self.mono_degree(m), {})[m] = c
-        return [comps[d] for d in sorted(comps)]
-
-
-def GradingErrorFor(v, w):
-    from .errors import GradingError
-
-    return GradingError(f"vector {v} is not a positive coarsening (vdegs {w})")
 
 
 @lru_cache(maxsize=None)

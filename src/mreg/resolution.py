@@ -2,16 +2,16 @@
 
 A resolution is built step by step: the presentation is first reduced so
 its target generators are minimal (constant entries pivoted away), then each
-kernel is computed with lifted syzygies and pruned to a minimal generating
-set before becoming the next differential.  Every differential therefore has
-all entries in the irrelevant ideal, the complex is minimal by construction,
-and the length is bounded by the number of variables; both facts are
-asserted after the fact rather than trusted.
+kernel is computed as the relation module of the current columns and pruned
+to a minimal generating set before becoming the next differential.  Every
+differential therefore has all entries in the irrelevant ideal, the complex
+is minimal by construction, and the length is bounded by the number of
+variables; both facts are asserted after the fact rather than trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     HomogeneityError,
@@ -25,7 +25,6 @@ from .groebner import (
     ModuleCtx,
     Vec,
     kernel_generators,
-    poly_to_vec,
     vec_to_columns,
 )
 from .poly import (
@@ -155,9 +154,6 @@ class BettiTable:
             out[i] = out.get(i, 0) + b
         return out
 
-    def max_index(self) -> int:
-        return max(i for (i, _), _ in self.entries)
-
     def positions(self):
         return [(i, a, b) for (i, a), b in self.entries]
 
@@ -172,52 +168,17 @@ class BettiTable:
 def minimalize_presentation(P: ModulePresentation) -> ModulePresentation:
     """Pivot away nonzero-constant entries until the presentation is minimal.
 
-    Each pivot removes one redundant ambient generator and one relation; the
-    cokernel is unchanged.  Degree reason: an entry can only be a nonzero
-    constant when the source and target shifts agree.
+    The length-one case of minimalize_complex: each pivot removes one
+    redundant ambient generator and one relation, the cokernel is unchanged,
+    and relations that become zero are dropped.
     """
-    K = P.ring.field
-    shifts = list(P.shifts)
-    cols = [list(col) for col in P.relations]
-    while True:
-        pivot = None
-        for p, col in enumerate(cols):
-            for q, entry in enumerate(col):
-                if is_constant(entry):
-                    pivot = (q, p)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        q, p = pivot
-        c = next(iter(cols[p][q].values()))
-        inv = K.inv(c)
-        pivot_col = cols[p]
-        for s, col in enumerate(cols):
-            if s == p:
-                continue
-            factor = pscale(col[q], inv, K)
-            if factor:
-                for rr in range(len(shifts)):
-                    col[rr] = padd(col[rr], pneg(pmul(factor, pivot_col[rr], K), K), K)
-        del cols[p]
-        del shifts[q]
-        for col in cols:
-            del col[q]
-    cols = [col for col in cols if any(entry for entry in col)]
-    if not shifts:
+    cols = [col for col in P.relations if any(col)]
+    F = FreeResolution(P.ring, [P.shifts, tuple(P.column_degree(c) for c in cols)], [cols])
+    M = minimalize_complex(F)
+    if not M.shifts[0]:
         raise ZeroModuleError("presentation minimalized to the zero module")
-    return ModulePresentation(P.ring, tuple(shifts), tuple(tuple(c) for c in cols))
-
-
-def presentation_is_zero_module(P: ModulePresentation) -> bool:
-    """True iff coker(P) = 0, i.e. every generator is pivoted away."""
-    try:
-        minimalize_presentation(P)
-        return False
-    except ZeroModuleError:
-        return True
+    rels = M.differentials[0] if M.differentials else ()
+    return ModulePresentation(P.ring, M.shifts[0], tuple(c for c in rels if any(c)))
 
 
 _RES_CACHE: dict = {}

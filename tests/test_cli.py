@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -195,3 +198,40 @@ def test_huge_integers_serialize_as_strings():
     assert out["v"] == [1, f"-{big}"]
     assert out["ok"] is True and out["small"] == 2**53 - 1
     assert json.dumps(out)  # round-trips through the serializer
+
+
+# -- entry points ------------------------------------------------------------
+
+CONSOLE_SCRIPT = "import sys; from mreg.cli import main; sys.argv[0] = 'mreg'; main()"
+ENTRY_POINTS = {
+    "mreg": ["-c", CONSOLE_SCRIPT],
+    "python -m mreg": ["-m", "mreg"],
+    "python -m mreg.cli": ["-m", "mreg.cli"],
+}
+
+
+def run_process(form, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *ENTRY_POINTS[form], *argv], cwd=ROOT, env=env, capture_output=True
+    )
+
+
+def test_module_entry_points_match_the_console_script():
+    argv = ["regnum", "--v", "1,1", "problems/ex1-four-points.json"]
+    ref = run_process("mreg", argv)
+    assert ref.returncode == 0 and json.loads(ref.stdout)["regnum"] == 2
+    for form in ("python -m mreg", "python -m mreg.cli"):
+        proc = run_process(form, argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ref.stdout
+
+
+@pytest.mark.parametrize("form", sorted(ENTRY_POINTS))
+def test_entry_points_exit_5_on_degree_cap(form):
+    proc = run_process(form, ["resolve", "--max-degree", "1", "problems/eight-points.json"])
+    assert proc.returncode == 5
+    assert proc.stdout == b""

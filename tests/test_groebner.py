@@ -3,6 +3,9 @@
 The naive fixpoint basis below shares no code with the engine's Buchberger
 loop (no criteria, no heap, list-driven reduction), and ideal membership is
 double-checked by degree-bounded linear algebra over the coefficient field.
+Reduced bases are compared with sympy's (when it is installed), and the
+relation modules behind kernels, Ext and intersections are measured degree
+by degree against ranks of coefficient matrices.
 """
 
 import itertools
@@ -15,13 +18,15 @@ from mreg import (
     ModuleCtx,
     ModulePresentation,
     MultigradedRing,
+    PointSet,
     graded_piece_dimension,
     groebner_basis,
     ideal_intersection,
     kernel_generators,
     normal_form,
+    point_ideal,
     poly_to_vec,
-    syzygy_basis,
+    relations,
     vec_component,
 )
 from mreg.groebner import vadd, vterm_mul
@@ -257,55 +262,48 @@ def test_membership_matches_linear_algebra():
 
 # -- syzygies --------------------------------------------------------------------
 
-def test_syzygy_examples(p1p1):
-    ctx = ideal_ctx(p1p1, (1, 1))
-    G = groebner_basis(ctx, [poly_to_vec(p1p1.parse("x0*x1")), poly_to_vec(p1p1.parse("y0*y1"))])
-    syz = syzygy_basis(G)
-    assert len(syz) == 1
-    comps = {c for (c, _) in syz[0]}
-    assert comps == {0, 1}
-
-    G1 = groebner_basis(ctx, [poly_to_vec(p1p1.parse("x0*y0 - x1*y1"))])
-    assert syzygy_basis(G1) == []
-
-    Gk = groebner_basis(ctx, [poly_to_vec(p1p1.parse("x0")), poly_to_vec(p1p1.parse("x1"))])
-    syzk = syzygy_basis(Gk)
-    assert len(syzk) == 1
-
-
-def test_syzygies_annihilate(p1p1, koszul_module):
-    ctx = ideal_ctx(p1p1, (1, 1))
-    gens = [
-        poly_to_vec(p1p1.parse("x0*y0 - x1*y1")),
-        poly_to_vec(p1p1.parse("x0*y1")),
-        poly_to_vec(p1p1.parse("x1*y0")),
-    ]
-    G = groebner_basis(ctx, gens, track=True)
-    K = p1p1.field
-    for s in syzygy_basis(G):
-        total = {}
-        for (q, m), c in s.items():
-            total = vadd(total, vterm_mul(G.elements[q], m, c, K), K)
-        assert total == {}
-
-
-def test_kernel_generators_lift(p1p1):
-    # kernel over the ORIGINAL generators, not the basis
-    ctx = ideal_ctx(p1p1, (1, 1))
-    cols = [
-        poly_to_vec(p1p1.parse("x0*y0")),
-        poly_to_vec(p1p1.parse("x0*y1")),
-        poly_to_vec(p1p1.parse("x0*y0 + x0*y1")),
-    ]
+def kernel_over(ring, gens):
+    ctx = ideal_ctx(ring, (1, 1))
+    cols = [poly_to_vec(ring.parse(g)) for g in gens]
     kept, syz = kernel_generators(ctx, cols, minimal=False)
-    assert kept == [0, 1, 2]
-    K = p1p1.field
-    assert syz  # the third column is the sum of the first two
+    assert kept == list(range(len(cols)))
+    return cols, syz
+
+
+def assert_annihilates(ring, cols, syz):
+    K = ring.field
     for s in syz:
         total = {}
         for (j, m), c in s.items():
-            total = vadd(total, vterm_mul(cols[kept[j]], m, c, K), K)
+            total = vadd(total, vterm_mul(cols[j], m, c, K), K)
         assert total == {}
+
+
+def test_syzygy_examples(p1p1):
+    cols, syz = kernel_over(p1p1, ["x0*x1", "y0*y1"])
+    assert len(syz) == 1
+    assert {c for (c, _) in syz[0]} == {0, 1}
+    assert_annihilates(p1p1, cols, syz)
+
+    _, syz1 = kernel_over(p1p1, ["x0*y0 - x1*y1"])
+    assert syz1 == []
+
+    colsk, syzk = kernel_over(p1p1, ["x0", "x1"])
+    assert len(syzk) == 1
+    assert_annihilates(p1p1, colsk, syzk)
+
+
+def test_syzygies_annihilate(p1p1, koszul_module):
+    cols, syz = kernel_over(p1p1, ["x0*y0 - x1*y1", "x0*y1", "x1*y0"])
+    assert syz
+    assert_annihilates(p1p1, cols, syz)
+
+
+def test_kernel_generators_lift(p1p1):
+    # kernels come out over the ORIGINAL generators, not a Groebner basis
+    cols, syz = kernel_over(p1p1, ["x0*y0", "x0*y1", "x0*y0 + x0*y1"])
+    assert syz  # the third column is the sum of the first two
+    assert_annihilates(p1p1, cols, syz)
 
 
 # -- ideal intersection ------------------------------------------------------------
@@ -380,3 +378,124 @@ def test_graded_piece_against_exhaustive(monomial_corpus):
         v = find_positive_coarsening_vector(P.ring.degrees)
         for m in range(0, 13):
             assert graded_piece_dimension(P, v, m) == exhaustive_monomial_count(P, v, m)
+
+
+# -- independent oracle: sympy's reduced grevlex basis ----------------------------
+
+def sympy_reduced_basis(ring, polys):
+    sympy = pytest.importorskip("sympy")
+    K = ring.field
+    syms = sympy.symbols(ring.variables)
+    exprs = [
+        sum(int(c) * sympy.Mul(*(x**e for x, e in zip(syms, m))) for m, c in f.items())
+        for f in polys
+    ]
+    G = sympy.groebner(exprs, *syms, order="grevlex", modulus=K.p)
+    out = []
+    for g in G.polys:
+        terms = {m: K.of(int(c)) for m, c in g.terms()}
+        inv = K.inv(terms[max(terms, key=lambda e: (sum(e), tuple(-x for x in reversed(e))))])
+        out.append({m: K.mul(c, inv) for m, c in terms.items() if c})
+    return out
+
+
+def seeded_point_ideals(ring, rng):
+    for count in (3, 4, 5):
+        pts = set()
+        while len(pts) < count:
+            pts.add(((1, rng.randint(1, 31000)), (1, rng.randint(1, 31000))))
+        yield point_ideal(PointSet((1, 1), tuple(sorted(pts))), ring)
+
+
+def random_homogeneous_ideals(ring, rng, count):
+    K = ring.field
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            deg = rng.randint(2, 3)
+            f = {m: K.of(rng.randint(1, K.p - 1))
+                 for m in monomials_of_weight((1,) * ring.n, deg) if rng.random() < 0.4}
+            if f:
+                gens.append(f)
+        if gens:
+            yield gens
+
+
+def test_gb_matches_sympy_grevlex(p1p1):
+    rng = random.Random(32003)
+    R3 = MultigradedRing(("x", "y", "z"), ((1,), (1,), (1,)))
+    cases = [(p1p1, I) for I in seeded_point_ideals(p1p1, rng)]
+    cases += [(R3, I) for I in random_homogeneous_ideals(R3, rng, 6)]
+    for ring, gens in cases:
+        ctx = ideal_ctx(ring, (1,) * ring.r)
+        G = groebner_basis(ctx, [poly_to_vec(f) for f in gens])
+        assert canonical([vec_component(e, 0) for e in G.elements]) == canonical(
+            sympy_reduced_basis(ring, gens)
+        )
+
+
+# -- independent oracle: relation modules by linear algebra, degree by degree -------
+
+def span_dim(ctx, vecs, d):
+    """dim_k of the coarse degree-d piece of the submodule spanned by vecs."""
+    K = ctx.ring.field
+    weights = ctx.ring.vdegs((1,) * ctx.ring.r)
+    rows = []
+    for g in vecs:
+        (comp, mono) = next(iter(g))
+        gdeg = sum(w * e for w, e in zip(weights, mono)) + ctx.shift_wdegs[comp]
+        rows += [vterm_mul(g, m, K.one, K) for m in monomials_of_weight(weights, d - gdeg)]
+    keys = sorted({t for r in rows for t in r})
+    return matrix_rank([[r.get(t, K.zero) for t in keys] for r in rows], K)
+
+
+def assert_relation_dims(ctx, cols, modulo):
+    """dim {a : sum a_j cols_j in span(modulo)}_d = dim F_d - rank[cols|modulo] + rank modulo."""
+    K = ctx.ring.field
+    zero = (0,) * ctx.ring.n
+    src = ModuleCtx.for_vector(ctx.ring, [ctx.vec_degree(c) for c in cols], (1,) * ctx.ring.r)
+    units = [{(j, zero): K.one} for j in range(len(cols))]
+    rels = relations(ctx, cols, modulo)
+    for d in range(5):
+        expected = (span_dim(src, units, d) - span_dim(ctx, cols + modulo, d)
+                    + span_dim(ctx, modulo, d))
+        assert span_dim(src, rels, d) == expected, d
+
+
+def test_relations_dimension_kernel(p1p1):
+    ctx = ideal_ctx(p1p1, (1, 1))
+    gens = ["x0*y0 - x1*y1", "x0*y1", "x1*y0", "x0^2*y1 + x1^2*y0"]
+    assert_relation_dims(ctx, [poly_to_vec(p1p1.parse(g)) for g in gens], [])
+
+
+def test_relations_dimension_modulo(p1p1):
+    ctx = ModuleCtx.for_vector(p1p1, ((0, 0), (0, 0)), (1, 1))
+    P = p1p1.parse
+
+    def vec(a, b):
+        return {**poly_to_vec(P(a), 0), **poly_to_vec(P(b), 1)}
+
+    cols = [vec("x0", "x1"), vec("y0", "y1"), vec("x0*y1", "x1*y0")]
+    modulo = [vec("x0*y0", "0"), vec("x1", "x0"), vec("0", "y1^2")]
+    assert_relation_dims(ctx, cols, modulo)
+
+
+def test_relations_dimension_intersection(p1p1):
+    ctx1 = ideal_ctx(p1p1, (1, 1))
+    ctx2 = ModuleCtx.for_vector(p1p1, ((0, 0), (0, 0)), (1, 1))
+    zero, one = (0,) * p1p1.n, p1p1.field.one
+    for I, J in (
+        (["x0*y0 - x1*y1", "x0^2"], ["x0", "y0*y1"]),
+        (["x0", "y1"], ["x1", "y0"]),
+        (["x0*x1", "y0^2"], ["x0^2*y1", "x1*y0"]),
+    ):
+        I = [poly_to_vec(p1p1.parse(f)) for f in I]
+        J = [poly_to_vec(p1p1.parse(g)) for g in J]
+        rels = relations(ctx2, [{(0, zero): one, (1, zero): one}],
+                         I + [{(1, m): c for (_, m), c in g.items()} for g in J])
+        inter = [poly_to_vec(h) for h in ideal_intersection(
+            [vec_component(f, 0) for f in I], [vec_component(g, 0) for g in J], p1p1)]
+        for d in range(5):
+            expected = span_dim(ctx1, I, d) + span_dim(ctx1, J, d) - span_dim(ctx1, I + J, d)
+            assert span_dim(ctx1, rels, d) == expected
+            assert span_dim(ctx1, inter, d) == expected
