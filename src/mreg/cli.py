@@ -241,7 +241,10 @@ def _dispatch(args):
     if args.command == "regnum":
         v = _require_v(args, ring)
         P = problem.presentation()
-        report = regularity_report(P, v, i_max=args.imax, route=args.route)
+        report = regularity_report(
+            P, v, i_max=args.imax, route=args.route,
+            degree_cap=args.max_degree, max_length=args.max_length,
+        )
         _emit(report.to_json(), fmt)
         return
 

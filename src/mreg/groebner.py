@@ -3,8 +3,13 @@
 Module elements are flat dicts mapping (component, exponent tuple) to a
 nonzero field element.  The module order is position-over-term: earlier
 declared components dominate, ties are broken by the coarse weight order of
-the ambient ring.  All inputs must be homogeneous in the fine Z^r-grading;
-S-pairs are scheduled by increasing coarse degree, FIFO within a degree.
+the ambient ring.  Each term's order key is computed once per ModuleCtx and
+memoized on it; normal forms pop the pending terms of a heap in descending
+order.  All inputs must be homogeneous in the fine Z^r-grading.  Input
+generators and S-pairs share one queue ordered by coarse degree: within a
+degree the S-pairs (FIFO) come before the generators (in input order), and
+a generator enters the basis only if its normal form is nonzero, so the
+generators that enter form a minimal generating set.
 
 One primitive, `relations`, serves kernels of maps between free modules,
 the cohomology presentations of the Ext route and ideal intersections: it
@@ -38,12 +43,18 @@ Vec = dict  # (component, Mono) -> coefficient
 
 @dataclass(frozen=True)
 class ModuleCtx:
-    """A free module over a ring together with the order used for bases."""
+    """A free module over a ring together with the order used for bases.
+
+    `term_keys` memoizes term_key, so a context computes each term's key
+    once and the memo lives exactly as long as the context.
+    """
 
     ring: MultigradedRing
     shifts: tuple[Multidegree, ...]
     order: object
     shift_wdegs: tuple[int, ...]
+    term_keys: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False, hash=False)
 
     @classmethod
     def for_vector(cls, ring: MultigradedRing, shifts, v) -> "ModuleCtx":
@@ -56,9 +67,21 @@ class ModuleCtx:
     def rank(self) -> int:
         return len(self.shifts)
 
-    def mkey(self, t):
+    def term_key(self, t):
+        """Sort key of a term: ascending keys list terms in descending order.
+
+        The component comes first (position-over-term), then the negated
+        TermOrder.key of the monomial, flattened into one tuple of ints.
+        """
+        key = self.term_keys.get(t)
+        if key is None:
+            key = self.term_keys[t] = self._build_term_key(t)
+        return key
+
+    def _build_term_key(self, t):
         comp, mono = t
-        return (-comp, self.order.key(mono))
+        wdeg, deg, revlex = self.order.key(mono)
+        return (comp, -wdeg, -deg, *(-x for x in revlex))
 
     def vec_degree(self, f: Vec) -> Multidegree:
         """Fine multidegree of a nonzero homogeneous element."""
@@ -127,7 +150,7 @@ def vec_to_columns(f: Vec, rank: int) -> tuple[PolyDict, ...]:
 
 
 def leading_term(ctx: ModuleCtx, f: Vec):
-    t = max(f, key=ctx.mkey)
+    t = min(f, key=ctx.term_key)
     return t, f[t]
 
 
@@ -138,18 +161,43 @@ def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
 
     `lts` are the basis elements' leading terms as returned by leading_term,
     cached by the caller.  Reducers are tried in list order, which keeps the
-    division deterministic.
+    division deterministic.  The pending terms sit in a heap keyed by
+    term_key and pop in descending order.  A subtraction updates them in
+    place and pushes only the terms it creates.  A cancelled term keeps its
+    entry, which is skipped when it surfaces with the term gone; a term
+    cancelled and re-created has two entries, and the second to surface is
+    skipped.
     """
     K = ctx.ring.field
+    keys, key = ctx.term_keys, ctx.term_key
+    reducers: dict[int, list] = {}
+    for g, ((lcomp, lmono), lc) in zip(basis, lts):
+        reducers.setdefault(lcomp, []).append((lmono, g, lc))
     work = dict(f)
+    heap = [(keys.get(t) or key(t), t) for t in work]
+    heapq.heapify(heap)
     out: Vec = {}
-    while work:
-        t = max(work, key=ctx.mkey)
-        c = work[t]
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue
         comp, mono = t
-        for i, ((lcomp, lmono), lc) in enumerate(lts):
-            if lcomp == comp and mono_divides(lmono, mono):
-                work = vsub_term_mul(work, basis[i], mono_div(mono, lmono), K.div(c, lc), K)
+        for lmono, g, lc in reducers.get(comp, ()):
+            if mono_divides(lmono, mono):
+                q, a = mono_div(mono, lmono), K.div(c, lc)
+                for (gcomp, gmono), v in g.items():
+                    nt = (gcomp, mono_mul(gmono, q))
+                    old = work.get(nt)
+                    if old is None:
+                        work[nt] = K.neg(K.mul(v, a))
+                        heapq.heappush(heap, (keys.get(nt) or key(nt), nt))
+                    else:
+                        s = K.sub(old, K.mul(v, a))
+                        if s:
+                            work[nt] = s
+                        else:
+                            del work[nt]
                 break
         else:
             out[t] = c
@@ -196,43 +244,62 @@ def buchberger(ctx: ModuleCtx, gens, degree_cap: int | None = None):
     Returns (basis, leading_terms): each leading term is computed once, when
     its element enters the basis, and is reused by every later reduction.
     """
+    basis, lts, _ = _degree_ordered_basis(ctx, gens, degree_cap)
+    return _autoreduce(ctx, basis, lts)
+
+
+def _degree_ordered_basis(ctx: ModuleCtx, gens, degree_cap: int | None):
+    """Unreduced Groebner basis and the indices of the generators in it.
+
+    Generators and S-pairs are popped by coarse degree; at equal degree the
+    S-pairs come first.  When a degree-d generator is popped, every pair of
+    degree <= d has been treated, so the basis is complete through degree d
+    and the generator's normal form is zero exactly when it lies in the
+    submodule generated by the generators that entered before it.  Only
+    S-pairs are held to degree_cap.
+    """
     K = ctx.ring.field
     basis: list[Vec] = []
     lts: list = []
-
-    def add(g):
-        t, lc = leading_term(ctx, g)
-        basis.append(vscale(g, K.inv(lc), K))
-        lts.append((t, K.one))
-
-    for g in gens:
-        if g:
-            ctx.vec_degree(g)  # homogeneity check
-            add(g)
-
+    single: list = []  # the only component of each element, or None
+    entered: list[int] = []
     done: set[tuple[int, int]] = set()
+    # (coarse degree, 0 for the S-pair (i, j) | 1 for the generator gens[i],
+    #  tie-break: pair creation order | generator index, i, j)
     heap: list = []
     seq = 0
 
-    def push_pairs(j):
+    gens = list(gens)
+    for idx, g in enumerate(gens):
+        if g:
+            ctx.vec_degree(g)  # homogeneity check
+            heap.append((_coarse_degree(ctx, g), 1, idx, idx, -1))
+    heapq.heapify(heap)
+
+    def add(g):
         nonlocal seq
-        tj = lts[j][0]
+        t, lc = leading_term(ctx, g)
+        basis.append(vscale(g, K.inv(lc), K))
+        lts.append((t, K.one))
+        single.append(_single_component(g))
+        j = len(basis) - 1
         for i in range(j):
             ti = lts[i][0]
-            if ti[0] != tj[0]:
+            if ti[0] != t[0]:
                 done.add((i, j))
                 continue
-            lcm = mono_lcm(ti[1], tj[1])
-            deg = ctx.order.wdeg(lcm) + ctx.shift_wdegs[ti[0]]
-            heapq.heappush(heap, (deg, seq, i, j))
+            lcm = mono_lcm(ti[1], t[1])
+            deg = ctx.order.wdeg(lcm) + ctx.shift_wdegs[t[0]]
+            heapq.heappush(heap, (deg, 0, seq, i, j))
             seq += 1
 
-    for j in range(len(basis)):
-        push_pairs(j)
-
     while heap:
-        deg, _, i, j = heapq.heappop(heap)
-        if (i, j) in done:
+        deg, is_gen, _, i, j = heapq.heappop(heap)
+        if is_gen:
+            nf = reduce_vec(ctx, gens[i], basis, lts)
+            if nf:
+                entered.append(i)
+                add(nf)
             continue
         if degree_cap is not None and deg > degree_cap:
             raise ResourceLimitError(
@@ -242,8 +309,7 @@ def buchberger(ctx: ModuleCtx, gens, degree_cap: int | None = None):
         lcm = mono_lcm(mi, mj)
         done.add((i, j))
         # product criterion, valid when both elements live in one component
-        si, sj = _single_component(basis[i]), _single_component(basis[j])
-        if si is not None and si == sj and mono_coprime(mi, mj):
+        if single[i] is not None and single[i] == single[j] and mono_coprime(mi, mj):
             continue
         # chain criterion
         skip = False
@@ -269,9 +335,8 @@ def buchberger(ctx: ModuleCtx, gens, degree_cap: int | None = None):
         nf = reduce_vec(ctx, s, basis, lts)
         if nf:
             add(nf)
-            push_pairs(len(basis) - 1)
 
-    return _autoreduce(ctx, basis, lts)
+    return basis, lts, entered
 
 
 def _autoreduce(ctx: ModuleCtx, basis: list[Vec], lts):
@@ -280,7 +345,7 @@ def _autoreduce(ctx: ModuleCtx, basis: list[Vec], lts):
     Tail reduction never touches a leading term, so the given leading terms
     stay valid and are returned alongside the reduced elements.
     """
-    order_idx = sorted(range(len(basis)), key=lambda i: ctx.mkey(lts[i][0]))
+    order_idx = sorted(range(len(basis)), key=lambda i: ctx.term_key(lts[i][0]), reverse=True)
     kept: list[Vec] = []
     kept_lts: list = []
     for i in order_idx:
@@ -349,27 +414,13 @@ def relations(ctx: ModuleCtx, cols, modulo=(), degree_cap: int | None = None) ->
 def prune_to_minimal_generators(ctx: ModuleCtx, cols, degree_cap=None):
     """Greedy minimal generating subset, in weakly increasing coarse degree.
 
-    Processing order makes the result a genuinely minimal generating set:
-    an element enters only if it is not in the submodule generated by the
-    ones already kept.  Returns the kept indices (in processing order).
+    Processing order (coarse degree, then index) makes the result a
+    genuinely minimal generating set: an element is kept only if it is not
+    in the submodule generated by the ones kept before it.  One
+    degree-ordered Buchberger run decides every column.  Returns the kept
+    indices (in processing order).
     """
-    wd = []
-    for i, c in enumerate(cols):
-        if c:
-            ctx.vec_degree(c)  # homogeneity check
-            wd.append((_coarse_degree(ctx, c), i))
-    wd.sort()
-    kept_idx: list[int] = []
-    kept: list[Vec] = []
-    gb: list[Vec] = []
-    gb_lts: list = []
-    for _, i in wd:
-        if kept and not reduce_vec(ctx, cols[i], gb, gb_lts):
-            continue
-        kept_idx.append(i)
-        kept.append(cols[i])
-        gb, gb_lts = buchberger(ctx, kept, degree_cap=degree_cap)
-    return kept_idx
+    return _degree_ordered_basis(ctx, cols, degree_cap)[2]
 
 
 def _coarse_degree(ctx: ModuleCtx, f: Vec) -> int:

@@ -69,23 +69,27 @@ class AInvariants:
 _EXT_CACHE: dict = {}
 
 
-def ext_modules(P: ModulePresentation, v=None) -> list[ModulePresentation | None]:
+def ext_modules(P: ModulePresentation, v=None, degree_cap: int | None = None,
+                max_length: int | None = None) -> list[ModulePresentation | None]:
     """Minimal presentations of E^j = Ext^j(M, omega) for j = 0..n.
 
     omega is the shifted free module with generator degree the sum of all
     variable degrees.  Entries are None exactly when the Ext module is zero.
     The fine multigraded answer does not depend on the coarsening, which is
     only used to pick the internal term order; results are cached per module.
+    The caps bound the resolution and every Groebner run behind it; like
+    cached_minimal_resolution, a capped call bypasses the cache.
     """
     ring = P.ring
     if v is not None:
         ring.order(tuple(v))  # positivity validation
+    capped = degree_cap is not None or max_length is not None
     key = P.cache_key()
-    if key in _EXT_CACHE:
+    if not capped and key in _EXT_CACHE:
         return _EXT_CACHE[key]
 
     v0 = find_positive_coarsening_vector(ring.degrees)
-    F = cached_minimal_resolution(P)
+    F = cached_minimal_resolution(P, degree_cap=degree_cap, max_length=max_length)
     w = tuple(sum(col[k] for col in ring.degrees) for k in range(ring.r))
     dual_shifts = [
         tuple(tuple(wk - ak for wk, ak in zip(w, a)) for a in level)
@@ -114,7 +118,7 @@ def ext_modules(P: ModulePresentation, v=None) -> list[ModulePresentation | None
         ctx_j = ModuleCtx.for_vector(ring, dual_shifts[j], v0)
         if j < ell:
             ctx_next = ModuleCtx.for_vector(ring, dual_shifts[j + 1], v0)
-            kernel = kernel_of_map(ctx_next, transpose_columns(j + 1))
+            kernel = kernel_of_map(ctx_next, transpose_columns(j + 1), degree_cap=degree_cap)
         else:
             zero = (0,) * ring.n
             kernel = [{(q, zero): ring.field.one} for q in range(len(dual_shifts[j]))]
@@ -123,22 +127,25 @@ def ext_modules(P: ModulePresentation, v=None) -> list[ModulePresentation | None
             continue
         image = transpose_columns(j) if j > 0 else []
         shifts = tuple(ctx_j.vec_degree(k) for k in kernel)
-        cols = [vec_to_columns(s, len(kernel)) for s in relations(ctx_j, kernel, image)]
+        rels = relations(ctx_j, kernel, image, degree_cap=degree_cap)
+        cols = [vec_to_columns(s, len(kernel)) for s in rels]
         pres = ModulePresentation(ring, shifts, tuple(cols))
         try:
             out.append(minimalize_presentation(pres))
         except ZeroModuleError:
             out.append(None)
-    _EXT_CACHE[key] = out
+    if not capped:
+        _EXT_CACHE[key] = out
     return out
 
 
-def a_invariants_ext(P: ModulePresentation, v) -> AInvariants:
+def a_invariants_ext(P: ModulePresentation, v, degree_cap: int | None = None,
+                     max_length: int | None = None) -> AInvariants:
     """a^i = -(minimal generator degree of E^{n-i}), coarse under v."""
     ring = P.ring
     v = tuple(v)
     ring.order(v)
-    ext = ext_modules(P)
+    ext = ext_modules(P, degree_cap=degree_cap, max_length=max_length)
     vals = []
     for i in range(ring.n + 1):
         E = ext[ring.n - i]

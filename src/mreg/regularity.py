@@ -79,10 +79,15 @@ def regnum_free(shifts, R: MultigradedRing, v) -> int:
     return max(base + sum(a * b for a, b in zip(d, v)) for d in shifts)
 
 
-def module_a_invariants(P: ModulePresentation, v, route: str = "ext") -> AInvariants:
-    """a-invariants by the requested route ("ext" or "hochster")."""
+def module_a_invariants(P: ModulePresentation, v, route: str = "ext",
+                        degree_cap: int | None = None,
+                        max_length: int | None = None) -> AInvariants:
+    """a-invariants by the requested route ("ext" or "hochster").
+
+    The caps bound the Ext route's resolution and Groebner runs.
+    """
     if route == "ext":
-        return a_invariants_ext(P, v)
+        return a_invariants_ext(P, v, degree_cap=degree_cap, max_length=max_length)
     if route == "hochster":
         K = _complex_of_quotient(P)
         return a_invariants_hochster(K, P.ring, v)
@@ -99,7 +104,10 @@ def _complex_of_quotient(P: ModulePresentation):
 def regnum_module(P: ModulePresentation, v, route: str = "ext") -> int:
     """max_i of a^i - c_v (1 - i) + 1 over the finite a-invariants."""
     cst = coarsening_constants(P.ring, v)
-    ai = module_a_invariants(P, v, route)
+    return _regnum_from_a_invariants(module_a_invariants(P, v, route), cst)
+
+
+def _regnum_from_a_invariants(ai: AInvariants, cst: CoarseningConstants) -> int:
     finite = ai.finite_items()
     if not finite:
         raise ZeroModuleError(
@@ -297,12 +305,15 @@ class RegularityReport:
 
 
 def regularity_report(P: ModulePresentation, v, i_max: int | None = None,
-                      route: str = "ext") -> RegularityReport:
+                      route: str = "ext", degree_cap: int | None = None,
+                      max_length: int | None = None) -> RegularityReport:
+    """The report of `mreg regnum`; the caps bound every resolution and
+    Groebner run behind it, and a capped call bypasses the module caches."""
     v = tuple(v)
     cst = coarsening_constants(P.ring, v)
-    ai = module_a_invariants(P, v, route)
-    regnum = regnum_module(P, v, route)
-    F = cached_minimal_resolution(P)
+    ai = module_a_invariants(P, v, route, degree_cap=degree_cap, max_length=max_length)
+    regnum = _regnum_from_a_invariants(ai, cst)
+    F = cached_minimal_resolution(P, degree_cap=degree_cap, max_length=max_length)
     lower = regnum_lower_bound(betti_table(coarsen_resolution(F, v)), cst.c_v, cst.s_v)
     if lower > regnum:
         raise MregError("resolution lower bound exceeds the regularity number")

@@ -184,12 +184,17 @@ def minimalize_presentation(P: ModulePresentation) -> ModulePresentation:
 _RES_CACHE: dict = {}
 
 
-def cached_minimal_resolution(P: ModulePresentation) -> FreeResolution:
+def cached_minimal_resolution(P: ModulePresentation, degree_cap: int | None = None,
+                              max_length: int | None = None) -> FreeResolution:
     """Minimal resolution computed once per module, under the default order.
 
     Betti numbers do not depend on the order's coarsening vector, so a single
-    resolution serves every coarsening of the same module.
+    resolution serves every coarsening of the same module.  A capped call
+    neither reads nor writes the cache: a cached resolution does not record
+    whether it stays within the caps, and a call the caps stop stores nothing.
     """
+    if degree_cap is not None or max_length is not None:
+        return minimal_free_resolution(P, degree_cap=degree_cap, max_length=max_length)
     key = P.cache_key()
     if key not in _RES_CACHE:
         _RES_CACHE[key] = minimal_free_resolution(P)

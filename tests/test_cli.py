@@ -97,6 +97,14 @@ def test_degree_cap_exits_5(capture):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", [["--max-degree", "1"], ["--max-length", "1"]])
+def test_regnum_caps_exit_5(capture, cap):
+    code, out, err = capture(["regnum", *cap, str(PROBLEMS / "eight-points.json")])
+    assert code == 5, err
+    assert out == ""
+    assert "cap" in err
+
+
 def test_insufficient_box_exits_5(capture):
     code, _, _ = capture(
         ["points", "bregularity", "--box", "2", str(PROBLEMS / "eight-points.json")]

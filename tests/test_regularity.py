@@ -281,3 +281,22 @@ def test_generator_degrees_default_bases(eight_point_module):
     assert gens == ((0, 0),)
     d = degree_bound_set(eight_point_module, (1, 1), 0)
     assert d.bases == ((0, 0),)
+
+
+def test_capped_report_leaves_the_caches_alone():
+    from mreg import PointSet, ResourceLimitError, quotient_presentation
+    from mreg.localcoh import _EXT_CACHE
+    from mreg.resolution import _RES_CACHE
+
+    # coordinates no other test uses, so no earlier test has cached the module
+    coords = [(11, 12), (11, 13), (14, 12), (15, 16), (17, 18)]
+    P = quotient_presentation(PointSet((1, 1), tuple(((1, i), (1, j)) for i, j in coords)))
+    key = P.cache_key()
+    for caps in ({"degree_cap": 1}, {"max_length": 1}):
+        with pytest.raises(ResourceLimitError):
+            regularity_report(P, (1, 1), **caps)
+        assert key not in _RES_CACHE and key not in _EXT_CACHE
+    capped = regularity_report(P, (1, 1), degree_cap=50, max_length=4)
+    assert key not in _RES_CACHE and key not in _EXT_CACHE
+    assert regularity_report(P, (1, 1)) == capped
+    assert key in _RES_CACHE and key in _EXT_CACHE
