@@ -20,7 +20,7 @@ from mreg import (
     cached_minimal_resolution,
     coarsen_resolution,
     coarsening_constants,
-    degree_bound_set,
+    degree_bound_sets,
     load_problem,
     minimal_coarsening_set,
     positive_coarsening_candidates,
@@ -49,7 +49,7 @@ def main():
         cst = coarsening_constants(ring, v)
         r = regnum_module(P, v)
         low = regnum_lower_bound(betti_table(coarsen_resolution(F, v)), cst.c_v, cst.s_v)
-        sizes = [len(degree_bound_set(P, v, i).degrees) for i in i_range]
+        sizes = [len(s.degrees) for s in degree_bound_sets(P, v, i_range)]
         rows.append([str(v), cst.c_v, cst.s_v, cst.sigma, r, low] + sizes)
 
     widths = [max(len(str(x)) for x in [h] + [row[k] for row in rows]) for k, h in enumerate(header)]

@@ -48,6 +48,7 @@ from .localcoh import (
     complex_from_squarefree_ideal,
     ext_modules,
     hochster_support,
+    hochster_supports,
     local_cohomology_piece_dimension,
     reduced_homology_ranks,
     stanley_reisner_ideal,
@@ -84,6 +85,7 @@ from .regularity import (
     ScalarCheckReport,
     coarsening_constants,
     degree_bound_set,
+    degree_bound_sets,
     intersect_degree_bounds,
     minimal_coarsening_set,
     minimal_generator_degrees,

@@ -21,7 +21,7 @@ from .errors import (
     ZeroModuleError,
 )
 from .grading import check_positive_grading, find_positive_coarsening_vector
-from .localcoh import a_invariants_hochster, hochster_support
+from .localcoh import a_invariants_hochster, hochster_supports
 from .points import (
     b_regularity_region,
     connections_check,
@@ -33,7 +33,7 @@ from .points import (
 from .problems import load_problem, parse_field
 from .regularity import (
     coarsening_constants,
-    degree_bound_set,
+    degree_bound_sets,
     minimal_coarsening_set,
     regnum_ring,
     regularity_report,
@@ -187,11 +187,6 @@ def _require_v(args, ring):
     return find_positive_coarsening_vector(ring.degrees)
 
 
-def _cap_guard(args, value: int, what: str):
-    if args.max_degree is not None and value > args.max_degree:
-        raise ResourceLimitError(f"{what} {value} exceeds --max-degree {args.max_degree}")
-
-
 def _dispatch(args):
     field = parse_field(args.field) if args.field else None
     problem = load_problem(args.file, field)
@@ -252,19 +247,20 @@ def _dispatch(args):
         v = _require_v(args, ring)
         P = problem.presentation()
         indices = [args.i] if args.i is not None else list(range((args.imax or 0) + 1))
-        sets = []
-        for i in indices:
-            s = degree_bound_set(P, v, i)
-            _cap_guard(args, s.bound, "degree bound")
-            sets.append(s.to_json())
-        _emit({"sets": sets}, fmt)
+        sets = degree_bound_sets(
+            P, v, indices, degree_cap=args.max_degree, max_length=args.max_length
+        )
+        _emit({"sets": [s.to_json() for s in sets]}, fmt)
         return
 
     if args.command == "minvectors":
         P = problem.presentation()
         i_range = list(range((args.imax if args.imax is not None else 2) + 1))
         box = args.box if args.box is not None else 5
-        kept = minimal_coarsening_set(P, i_range=i_range, box=box)
+        kept = minimal_coarsening_set(
+            P, i_range=i_range, box=box,
+            degree_cap=args.max_degree, max_length=args.max_length,
+        )
         from .grading import positive_coarsening_candidates
 
         _emit(
@@ -283,7 +279,11 @@ def _dispatch(args):
         v = _require_v(args, ring)
         P = problem.presentation()
         i_range = range((args.imax if args.imax is not None else 2) + 1)
-        _emit(scalar_coarsening_report(P, v, args.d, i_range).to_json(), fmt)
+        report = scalar_coarsening_report(
+            P, v, args.d, i_range,
+            degree_cap=args.max_degree, max_length=args.max_length,
+        )
+        _emit(report.to_json(), fmt)
         return
 
     if args.command == "hochster":
@@ -292,11 +292,11 @@ def _dispatch(args):
         K = problem.payload
         v = _require_v(args, ring)
         ai = a_invariants_hochster(K, ring, v)
-        supports = {}
-        for i in range(ring.n + 1):
-            faces = hochster_support(K, ring, i)
-            if faces:
-                supports[str(i)] = [{"face": list(f), "rank": rk} for f, rk in faces]
+        supports = {
+            str(i): [{"face": list(f), "rank": rk} for f, rk in faces]
+            for i, faces in enumerate(hochster_supports(K, ring))
+            if faces
+        }
         _emit({"v": list(v), "a_invariants": ai.to_json(), "supports": supports}, fmt)
         return
 

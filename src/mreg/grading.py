@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import GradingError, InputError
 from .poly import Multidegree
@@ -138,7 +140,7 @@ class DegreeRegion:
     generators: tuple[Multidegree, ...] = ()
     weight_vector: Multidegree | None = None
     bounding_box: tuple[Multidegree, Multidegree] | None = None
-    witnesses: dict = field(default=None, compare=False, repr=False)
+    witnesses: Mapping | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("finite", "orthant", "semigroup"):
@@ -183,49 +185,78 @@ def _semigroup_reaches(target, gens, v, budget) -> bool:
     return False
 
 
+class _Witnesses(Mapping):
+    """point -> (base index, multiplicity per variable), rebuilt on lookup.
+
+    Each point stores only the point it was reached from and the variable
+    of that step; a base stores None and its index.
+    """
+
+    def __init__(self, steps: dict, n: int):
+        self._steps = steps
+        self._n = n
+
+    def __getitem__(self, pt):
+        counts = [0] * self._n
+        prev, i = self._steps[pt]
+        while prev is not None:
+            counts[i] += 1
+            prev, i = self._steps[prev]
+        return i, tuple(counts)
+
+    def __iter__(self):
+        return iter(self._steps)
+
+    def __len__(self):
+        return len(self._steps)
+
+
 def enumerate_bounded_region(bases, degrees, v, bound: int) -> DegreeRegion:
     """All points of  U_k (b_k + N{a_i})  with v-degree <= bound.
 
-    Breadth-first closure ordered by v-degree; terminates because every
-    generator has positive v-degree.  Witness decompositions (base index,
-    generator multiplicities) are retained for every point.
+    The semigroup N{a_i} depends only on the distinct columns a_i, so the
+    breadth-first closure steps along those alone, in ascending order of
+    v-degree, and stops at the first step that leaves the bound; it
+    terminates because every column has positive v-degree.  Every point
+    keeps a witness (base index, multiplicity per variable), with each
+    step counted on the first variable of that degree.
     """
     degrees = _validate_degree_matrix(degrees)
     v = tuple(int(x) for x in v)
-    wdegs = [sum(a * b for a, b in zip(col, v)) for col in degrees]
+    wdegs = [sum(map(mul, col, v)) for col in degrees]
     if any(w < 1 for w in wdegs):
         raise GradingError(f"{v} is not a positive coarsening vector for this matrix")
+    first: dict[Multidegree, int] = {}
+    for i, col in enumerate(degrees):
+        first.setdefault(col, i)
+    steps = sorted((wdegs[i], i, col) for col, i in first.items())
 
-    witnesses: dict[Multidegree, tuple[int, tuple[int, ...]]] = {}
+    reached: dict[Multidegree, tuple] = {}  # point -> (previous point, variable)
     frontier = []
-    n = len(degrees)
     for k, b in enumerate(bases):
         b = tuple(int(x) for x in b)
-        if sum(x * y for x, y in zip(b, v)) <= bound and b not in witnesses:
-            witnesses[b] = (k, (0,) * n)
-            frontier.append(b)
+        d = sum(map(mul, b, v))
+        if d <= bound and b not in reached:
+            reached[b] = (None, k)
+            frontier.append((b, d))
     while frontier:
         nxt = []
-        for pt in frontier:
-            base_idx, counts = witnesses[pt]
-            for i, col in enumerate(degrees):
-                q = tuple(x + y for x, y in zip(pt, col))
-                if q in witnesses:
-                    continue
-                if sum(x * y for x, y in zip(q, v)) > bound:
-                    continue
-                cc = list(counts)
-                cc[i] += 1
-                witnesses[q] = (base_idx, tuple(cc))
-                nxt.append(q)
+        for pt, d in frontier:
+            for w, i, col in steps:
+                e = d + w
+                if e > bound:
+                    break
+                q = tuple(map(add, pt, col))
+                if q not in reached:
+                    reached[q] = (pt, i)
+                    nxt.append((q, e))
         frontier = nxt
-    pts = tuple(sorted(witnesses))
     return DegreeRegion(
         kind="finite",
-        bases=pts,
+        bases=tuple(sorted(reached)),
         generators=degrees,
         weight_vector=v,
-        witnesses=witnesses,
+        witnesses=_Witnesses(reached, len(degrees)),
     )
 
 

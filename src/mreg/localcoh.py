@@ -212,9 +212,12 @@ class SimplicialComplex:
         return sorted(faces, key=lambda f: (len(f), tuple(idx[v] for v in f)))
 
     def link_faces(self, sigma) -> set[frozenset]:
-        sig = frozenset(sigma)
-        faces = self.faces()
-        return {f for f in faces if not (f & sig) and (f | sig) in faces}
+        return _link(self.faces(), sigma)
+
+
+def _link(faces: set[frozenset], sigma) -> set[frozenset]:
+    sig = frozenset(sigma)
+    return {f for f in faces if not (f & sig) and (f | sig) in faces}
 
 
 def reduced_homology_ranks(K: SimplicialComplex, field: FieldDescriptor) -> dict[int, int]:
@@ -261,17 +264,25 @@ def hochster_support(K: SimplicialComplex, R: MultigradedRing, i: int):
     cohomology of the face ring: sigma contributes the degrees with support
     exactly sigma and all exponents negative, the empty face contributes 0.
     """
+    supports = hochster_supports(K, R)
+    return supports[i] if 0 <= i < len(supports) else []
+
+
+def hochster_supports(K: SimplicialComplex, R: MultigradedRing) -> list[list]:
+    """hochster_support for every i = 0..n, from one homology of each face's link.
+
+    A link of sigma has dimension at most n - |sigma| - 1, so the homology
+    degree d of that link lands in i = d + |sigma| + 1 within 0..n.
+    """
     for vtx in K.vertices:
         R.var_index(vtx)
-    out = []
+    faces = K.faces()
+    out: list[list] = [[] for _ in range(R.n + 1)]
     for face in K.sorted_faces():
-        want = i - len(face) - 1
-        if want < -1:
-            continue
-        ranks = _homology_from_faces(K.link_faces(face), K.vertices, R.field)
-        rank = ranks.get(want, 0)
-        if rank:
-            out.append((face, rank))
+        ranks = _homology_from_faces(_link(faces, face), K.vertices, R.field)
+        for d, rank in ranks.items():
+            if rank:
+                out[d + len(face) + 1].append((face, rank))
     return out
 
 
@@ -281,8 +292,7 @@ def a_invariants_hochster(K: SimplicialComplex, R: MultigradedRing, v) -> AInvar
     R.order(v)  # validates positivity
     weights = dict(zip(R.variables, R.vdegs(v)))
     vals = []
-    for i in range(R.n + 1):
-        support = hochster_support(K, R, i)
+    for support in hochster_supports(K, R):
         if not support:
             vals.append(NEG_INFINITY)
         else:

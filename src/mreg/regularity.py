@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
-from .errors import GradingError, InputError, MregError, ZeroModuleError
+from .errors import GradingError, InputError, MregError, ResourceLimitError, ZeroModuleError
 from .grading import enumerate_bounded_region, positive_coarsening_candidates
 from .localcoh import (
     AInvariants,
@@ -101,10 +102,12 @@ def _complex_of_quotient(P: ModulePresentation):
     return complex_from_squarefree_ideal(P.ring, gens)
 
 
-def regnum_module(P: ModulePresentation, v, route: str = "ext") -> int:
+def regnum_module(P: ModulePresentation, v, route: str = "ext",
+                  degree_cap: int | None = None, max_length: int | None = None) -> int:
     """max_i of a^i - c_v (1 - i) + 1 over the finite a-invariants."""
     cst = coarsening_constants(P.ring, v)
-    return _regnum_from_a_invariants(module_a_invariants(P, v, route), cst)
+    ai = module_a_invariants(P, v, route, degree_cap=degree_cap, max_length=max_length)
+    return _regnum_from_a_invariants(ai, cst)
 
 
 def _regnum_from_a_invariants(ai: AInvariants, cst: CoarseningConstants) -> int:
@@ -175,14 +178,42 @@ def degree_bound_set(P: ModulePresentation, v, i: int, bases=None) -> DegreeBoun
     Bases default to the minimal generator degrees of the module, which
     support its Hilbert series inside finitely many semigroup translates.
     """
+    return degree_bound_sets(P, v, (i,), bases)[0]
+
+
+def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
+                      degree_cap: int | None = None,
+                      max_length: int | None = None) -> tuple[DegreeBoundSet, ...]:
+    """degree_bound_set for every i in indices, from one region enumeration.
+
+    The level-i bound grows with i, so the region at the largest bound holds
+    every smaller one: level i keeps the points of v-degree at most its
+    bound.  The caps bound the resolution and Ext work behind the regnum,
+    and every bound is checked against degree_cap before the region is
+    enumerated.
+    """
+    indices = tuple(indices)
+    if not indices:
+        return ()
     v = tuple(v)
     cst = coarsening_constants(P.ring, v)
-    bound = syzygy_degree_bound(regnum_module(P, v), cst, i)
+    regnum = regnum_module(P, v, degree_cap=degree_cap, max_length=max_length)
+    bounds = [syzygy_degree_bound(regnum, cst, i) for i in indices]
+    top = max(bounds)
+    if degree_cap is not None and top > degree_cap:
+        raise ResourceLimitError(f"degree bound {top} exceeds the degree cap {degree_cap}")
     if bases is None:
         bases = minimal_generator_degrees(P)
     bases = tuple(tuple(b) for b in bases)
-    region = enumerate_bounded_region(bases, P.ring.degrees, v, bound)
-    return DegreeBoundSet(i, v, region.points(), bases, bound)
+    pts = enumerate_bounded_region(bases, P.ring.degrees, v, top).points()
+    vdegs = [sum(map(mul, p, v)) for p in pts] if min(bounds) < top else None
+
+    def level(bound):
+        if bound == top:
+            return pts
+        return tuple(p for p, d in zip(pts, vdegs) if d <= bound)
+
+    return tuple(DegreeBoundSet(i, v, level(b), bases, b) for i, b in zip(indices, bounds))
 
 
 def intersect_degree_bounds(P: ModulePresentation, vectors, i: int) -> DegreeBoundSet:
@@ -204,7 +235,9 @@ def intersect_degree_bounds(P: ModulePresentation, vectors, i: int) -> DegreeBou
 
 
 def minimal_coarsening_set(P: ModulePresentation, candidates=None,
-                           i_range=(0, 1, 2), box: int = 5) -> list[Multidegree]:
+                           i_range=(0, 1, 2), box: int = 5,
+                           degree_cap: int | None = None,
+                           max_length: int | None = None) -> list[Multidegree]:
     """An irredundant subfamily realizing the full intersection of bound sets.
 
     Candidates default to the primitive positive coarsening vectors in the
@@ -212,7 +245,7 @@ def minimal_coarsening_set(P: ModulePresentation, candidates=None,
     a vector is dropped whenever the remaining family still cuts out the
     same intersection for every homological index in i_range.  The result is
     minimal relative to the candidate family (dropping more vectors only
-    enlarges intersections).
+    enlarges intersections).  The caps are those of degree_bound_sets.
     """
     if candidates is None:
         candidates = positive_coarsening_candidates(P.ring.degrees, box)
@@ -221,7 +254,11 @@ def minimal_coarsening_set(P: ModulePresentation, candidates=None,
         raise InputError("no candidate coarsening vectors")
     i_range = list(i_range)
     dsets = {
-        v: {i: frozenset(degree_bound_set(P, v, i).degrees) for i in i_range}
+        v: {
+            s.i: frozenset(s.degrees)
+            for s in degree_bound_sets(P, v, i_range, degree_cap=degree_cap,
+                                       max_length=max_length)
+        }
         for v in candidates
     }
 
@@ -267,22 +304,26 @@ class ScalarCheckReport:
 
 
 def scalar_coarsening_report(P: ModulePresentation, v, d: int,
-                             i_range=(0, 1, 2)) -> ScalarCheckReport:
-    """Check regnum_{dv} = d regnum_v - d + 1 and the equality of bound sets."""
+                             i_range=(0, 1, 2), degree_cap: int | None = None,
+                             max_length: int | None = None) -> ScalarCheckReport:
+    """Check regnum_{dv} = d regnum_v - d + 1 and the equality of bound sets.
+
+    The caps are those of degree_bound_sets.
+    """
     if d < 1:
         raise InputError("scalar must be a positive integer")
     v = tuple(v)
     dv = tuple(d * x for x in v)
-    rv = regnum_module(P, v)
-    rdv = regnum_module(P, dv)
-    comparisons = []
-    for i in i_range:
-        s_v = degree_bound_set(P, v, i).as_set()
-        s_dv = degree_bound_set(P, dv, i).as_set()
-        comparisons.append((i, s_v == s_dv))
-    return ScalarCheckReport(
-        v, d, dv, rv, rdv, rdv == d * rv - d + 1, tuple(comparisons)
+    i_range = tuple(i_range)
+    caps = {"degree_cap": degree_cap, "max_length": max_length}
+    rv = regnum_module(P, v, **caps)
+    rdv = regnum_module(P, dv, **caps)
+    sets_v = degree_bound_sets(P, v, i_range, **caps)
+    sets_dv = degree_bound_sets(P, dv, i_range, **caps)
+    comparisons = tuple(
+        (s_v.i, s_v.as_set() == s_dv.as_set()) for s_v, s_dv in zip(sets_v, sets_dv)
     )
+    return ScalarCheckReport(v, d, dv, rv, rdv, rdv == d * rv - d + 1, comparisons)
 
 
 @dataclass(frozen=True)

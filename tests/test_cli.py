@@ -105,6 +105,37 @@ def test_regnum_caps_exit_5(capture, cap):
     assert "cap" in err
 
 
+BOUND_COMMANDS = [["bounds", "--imax", "2"], ["minvectors", "--box", "3"], ["scalar-check"]]
+
+
+@pytest.mark.parametrize("command", BOUND_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("cap", [["--max-degree", "0"], ["--max-length", "0"]], ids=lambda c: c[0])
+def test_bound_commands_caps_exit_5(capture, command, cap):
+    code, out, err = capture([*command, *cap, str(PROBLEMS / "four-cycle.json")])
+    assert code == 5, err
+    assert out == ""
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("command", BOUND_COMMANDS, ids=lambda c: c[0])
+def test_bound_commands_hold_degree_bounds_to_the_cap(capture, command):
+    # the resolution fits under the cap; the level-2 bound 18 does not
+    code, out, err = capture([*command, "--max-degree", "10", str(PROBLEMS / "hirzebruch-s2.json")])
+    assert code == 5, err
+    assert out == ""
+    assert "degree bound 18" in err
+
+
+@pytest.mark.parametrize("command", BOUND_COMMANDS, ids=lambda c: c[0])
+def test_bound_commands_generous_caps_change_nothing(capture, command):
+    path = str(PROBLEMS / "ex1-four-points.json")
+    code, plain, _ = capture([*command, path])
+    assert code == 0
+    code, capped, err = capture([*command, "--max-degree", "40", "--max-length", "4", path])
+    assert code == 0, err
+    assert capped == plain
+
+
 def test_insufficient_box_exits_5(capture):
     code, _, _ = capture(
         ["points", "bregularity", "--box", "2", str(PROBLEMS / "eight-points.json")]

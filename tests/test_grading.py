@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,3 +159,91 @@ def test_candidate_family_box5_p1p1():
     assert (2, 2) not in fam  # not primitive
     assert all(a >= 1 and b >= 1 for a, b in fam)
     assert len(fam) == 19
+
+
+def _random_positive_matrix(rng, r):
+    """A positive grading of Z^r with duplicate and dependent columns, and its v."""
+    while True:
+        v = tuple(rng.randint(-2, 3) for _ in range(r))
+        cols = []
+        for _ in range(60):
+            col = tuple(rng.randint(-3, 3) for _ in range(r))
+            if 1 <= sum(a * b for a, b in zip(col, v)) <= 3:
+                cols.append(col)
+            if len(cols) == 3:
+                break
+        if len(cols) == 3:
+            break
+    a, b, _ = cols
+    cols.append(tuple(x + 2 * y for x, y in zip(a, b)))  # dependent, like (0,1) = (-2,1) + 2(1,0)
+    cols.append(rng.choice(cols))  # a duplicate variable degree
+    rng.shuffle(cols)
+    return tuple(cols), v
+
+
+def _count_vectors(weights, budget):
+    """Every nonnegative count vector with sum(count * weight) <= budget."""
+    if not weights:
+        yield ()
+        return
+    for k in range(budget // weights[0] + 1):
+        for rest in _count_vectors(weights[1:], budget - k * weights[0]):
+            yield (k,) + rest
+
+
+def _brute_force_region(bases, degrees, v, bound):
+    weights = [sum(a * b for a, b in zip(col, v)) for col in degrees]
+    out = set()
+    for b in bases:
+        budget = bound - sum(x * y for x, y in zip(b, v))
+        if budget < 0:
+            continue
+        for counts in _count_vectors(weights, budget):
+            out.add(tuple(
+                x + sum(k * col[t] for k, col in zip(counts, degrees)) for t, x in enumerate(b)
+            ))
+    return tuple(sorted(out))
+
+
+def test_enumerate_region_matches_brute_force():
+    rng = random.Random(4242)
+    for case in range(150):
+        r = 1 + case % 3
+        degrees, v = _random_positive_matrix(rng, r)
+        bases = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+        if len(bases) > 1 and rng.random() < 0.5:
+            bases[1] = tuple(x + y for x, y in zip(bases[0], degrees[0]))  # overlapping translates
+        bound = rng.randint(-4, 10)
+        region = enumerate_bounded_region(bases, degrees, v, bound)
+        assert region.points() == _brute_force_region(bases, degrees, v, bound), (degrees, v, bases, bound)
+        first = {}
+        for i, col in enumerate(degrees):
+            first.setdefault(col, i)
+        for pt in region.points():
+            base_idx, counts = region.witnesses[pt]
+            rebuilt = tuple(
+                x + sum(k * col[t] for k, col in zip(counts, degrees))
+                for t, x in enumerate(bases[base_idx])
+            )
+            assert rebuilt == pt
+            assert all(k == 0 or first[degrees[i]] == i for i, k in enumerate(counts))
+            assert sum(a * b for a, b in zip(pt, v)) <= bound
+
+
+def test_enumerate_region_steps_once_per_distinct_column(monkeypatch):
+    import mreg.grading
+
+    bases, v, bound = [(0, 0), (1, 1)], (1, 3), 12
+    points = _brute_force_region(bases, HIRZEBRUCH2, v, bound)
+    distinct = len(set(HIRZEBRUCH2))
+    limit = len(points) * distinct * 2  # coordinate additions: r = 2 per step
+    additions = 0
+
+    def counted(a, b):
+        nonlocal additions
+        additions += 1
+        assert additions <= limit, "the closure stepped past the bound or along duplicate columns"
+        return a + b
+
+    monkeypatch.setattr(mreg.grading, "add", counted)
+    assert enumerate_bounded_region(bases, HIRZEBRUCH2, v, bound).points() == points

@@ -1,5 +1,7 @@
 """Two independent local-cohomology routes and their cross-checks."""
 
+import random
+
 import pytest
 
 from mreg import (
@@ -12,7 +14,9 @@ from mreg import (
     a_invariants_hochster,
     complex_from_squarefree_ideal,
     ext_modules,
+    find_positive_coarsening_vector,
     hochster_support,
+    hochster_supports,
     local_cohomology_piece_dimension,
     reduced_homology_ranks,
     stanley_reisner_ideal,
@@ -182,3 +186,73 @@ def test_hochster_needs_ring_variables(four_cycle):
     other = MultigradedRing(("a", "b"), ((1,), (1,)))
     with pytest.raises(InputError):
         hochster_support(four_cycle, other, 2)
+
+
+def _support_one_index(K, R, i):
+    """Hochster's support for one i, from each face's link built as a complex."""
+    out = []
+    for face in K.sorted_faces():
+        want = i - len(face) - 1
+        if want < -1:
+            continue
+        link = K.link_faces(face)
+        facets = tuple(tuple(f) for f in link if not any(f < g for g in link))
+        ranks = reduced_homology_ranks(SimplicialComplex(K.vertices, facets), R.field)
+        if ranks.get(want, 0):
+            out.append((face, ranks[want]))
+    return out
+
+
+def _hochster_corpus(p1p1):
+    """The squarefree corpus plus seeded random complexes on the P^1 x P^1 and (P^1)^3 variables."""
+    out = [(K, ring) for K, ring, _ in squarefree_corpus(p1p1)]
+    trigraded = MultigradedRing(
+        ("x0", "x1", "y0", "y1", "z0", "z1"),
+        ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+    )
+    cycle = ("x0", "y0", "z0", "x1", "y1", "z1")
+    edges = [trigraded.parse(f"{a}*{b}") for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    out.append((complex_from_squarefree_ideal(trigraded, edges), trigraded))
+    rng = random.Random(777)
+    for ring in (p1p1, trigraded) * 4:
+        verts = ring.variables
+        facets = tuple(tuple(rng.sample(verts, rng.randint(1, 3))) for _ in range(rng.randint(1, 5)))
+        out.append((SimplicialComplex(verts, facets), ring))
+    return out
+
+
+def test_hochster_supports_match_the_one_index_definition(p1p1):
+    for K, ring in _hochster_corpus(p1p1):
+        supports = hochster_supports(K, ring)
+        assert len(supports) == ring.n + 1
+        for i in range(-1, ring.n + 2):
+            expected = _support_one_index(K, ring, i)
+            assert hochster_support(K, ring, i) == expected, (K.facets, i)
+            if 0 <= i <= ring.n:
+                assert supports[i] == expected
+        v = find_positive_coarsening_vector(ring.degrees)
+        weights = dict(zip(ring.variables, ring.vdegs(v)))
+        expected_ai = tuple(
+            max((-sum(weights[x] for x in face) for face, _ in supports[i]), default=None)
+            for i in range(ring.n + 1)
+        )
+        assert a_invariants_hochster(K, ring, v).values == expected_ai
+
+
+def test_hochster_link_homology_once_per_face(p1p1, monkeypatch):
+    import mreg.localcoh
+
+    original = mreg.localcoh._homology_from_faces
+    calls = []
+
+    def counted(faces, *args):
+        calls.append(frozenset(faces))
+        return original(faces, *args)
+
+    monkeypatch.setattr(mreg.localcoh, "_homology_from_faces", counted)
+    for K, ring in _hochster_corpus(p1p1):
+        calls.clear()
+        a_invariants_hochster(K, ring, find_positive_coarsening_vector(ring.degrees))
+        links = [frozenset(K.link_faces(f)) for f in K.sorted_faces()]
+        assert len(calls) == len(K.faces())
+        assert sorted(calls, key=sorted) == sorted(links, key=sorted)

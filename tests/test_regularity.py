@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,15 @@ from mreg import (
     GradingError,
     InputError,
     ModulePresentation,
+    MultigradedRing,
+    ResourceLimitError,
     ZeroModuleError,
     coarsening_constants,
     degree_bound_set,
+    degree_bound_sets,
     find_positive_coarsening_vector,
     intersect_degree_bounds,
+    load_problem,
     local_cohomology_piece_dimension,
     minimal_coarsening_set,
     minimal_generator_degrees,
@@ -25,6 +31,8 @@ from mreg import (
 )
 from mreg.resolution import first_syzygy_presentation
 from tests.conftest import hirzebruch_ring
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def test_coarsening_constants_examples(bigraded_xy):
@@ -300,3 +308,79 @@ def test_capped_report_leaves_the_caches_alone():
     assert key not in _RES_CACHE and key not in _EXT_CACHE
     assert regularity_report(P, (1, 1)) == capped
     assert key in _RES_CACHE and key in _EXT_CACHE
+
+
+def _six_cycle_module():
+    """The edge ideal of a six-cycle in the trigraded ring of (P^1)^3."""
+    R = MultigradedRing(
+        ("x0", "x1", "y0", "y1", "z0", "z1"),
+        ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+    )
+    cycle = ("x0", "y0", "z0", "x1", "y1", "z1")
+    edges = zip(cycle, cycle[1:] + cycle[:1])
+    return ModulePresentation.quotient_by_ideal(R, [R.parse(f"{a}*{b}") for a, b in edges])
+
+
+def _sweep_modules():
+    """The shipped problems and the trigraded six-cycle, with a candidate box each."""
+    out = [(path.stem, load_problem(path).presentation(), 4) for path in sorted(PROBLEMS.glob("*.json"))]
+    out.append(("six-cycle", _six_cycle_module(), 2))
+    return out
+
+
+def _greedy_family(P, candidates, i_range):
+    """Greedy elimination over degree sets computed one index at a time."""
+    dsets = {
+        v: {i: frozenset(degree_bound_set(P, v, i).degrees) for i in i_range}
+        for v in candidates
+    }
+
+    def meet(family, i):
+        return frozenset.intersection(*(dsets[v][i] for v in family))
+
+    target = {i: meet(candidates, i) for i in i_range}
+    kept = list(candidates)
+    for v in sorted(candidates, reverse=True):
+        trial = [u for u in kept if u != v]
+        if trial and all(meet(trial, i) == target[i] for i in i_range):
+            kept = trial
+    return sorted(kept)
+
+
+def test_minimal_coarsening_set_matches_greedy_over_single_levels():
+    for name, P, box in _sweep_modules():
+        candidates = positive_coarsening_candidates(P.ring.degrees, box)
+        for i_range in ((0, 1, 2), (1, 3)):
+            expected = _greedy_family(P, candidates, i_range)
+            assert minimal_coarsening_set(P, candidates=candidates, i_range=i_range) == expected, name
+
+
+def test_degree_bound_sets_equal_single_level_sets():
+    for name, P, box in _sweep_modules():
+        for v in positive_coarsening_candidates(P.ring.degrees, box)[:4]:
+            indices = (0, 1, 2, 3)
+            sets = degree_bound_sets(P, v, indices)
+            assert sets == tuple(degree_bound_set(P, v, i) for i in indices), (name, v)
+            assert len({s.bound for s in sets}) == len(indices)
+            assert degree_bound_sets(P, v, (2, 0, 2)) == (sets[2], sets[0], sets[2])
+            assert degree_bound_sets(P, v, ()) == ()
+
+
+def test_degree_bounds_meet_the_cap_before_any_enumeration(koszul_module, monkeypatch):
+    import mreg.regularity
+
+    top = degree_bound_set(koszul_module, (1, 1), 2).bound
+    enumerated = []
+    original = mreg.regularity.enumerate_bounded_region
+
+    def counted(*args):
+        enumerated.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mreg.regularity, "enumerate_bounded_region", counted)
+    with pytest.raises(ResourceLimitError):
+        degree_bound_sets(koszul_module, (1, 1), (0, 1, 2), degree_cap=top - 1)
+    assert enumerated == []
+    capped = degree_bound_sets(koszul_module, (1, 1), (0, 1, 2), degree_cap=top)
+    assert len(enumerated) == 1
+    assert capped == degree_bound_sets(koszul_module, (1, 1), (0, 1, 2))
