@@ -210,7 +210,7 @@ def _dispatch(args):
 
     if args.command in ("resolve", "betti"):
         v = _parse_vector(args.v) if args.v else None
-        P = problem.presentation()
+        P = problem.presentation(args.max_degree)
         F = minimal_free_resolution(
             P, v=v, degree_cap=args.max_degree, max_length=args.max_length
         )
@@ -235,7 +235,7 @@ def _dispatch(args):
 
     if args.command == "regnum":
         v = _require_v(args, ring)
-        P = problem.presentation()
+        P = problem.presentation(args.max_degree)
         report = regularity_report(
             P, v, i_max=args.imax, route=args.route,
             degree_cap=args.max_degree, max_length=args.max_length,
@@ -245,7 +245,7 @@ def _dispatch(args):
 
     if args.command == "bounds":
         v = _require_v(args, ring)
-        P = problem.presentation()
+        P = problem.presentation(args.max_degree)
         indices = [args.i] if args.i is not None else list(range((args.imax or 0) + 1))
         sets = degree_bound_sets(
             P, v, indices, degree_cap=args.max_degree, max_length=args.max_length
@@ -254,7 +254,7 @@ def _dispatch(args):
         return
 
     if args.command == "minvectors":
-        P = problem.presentation()
+        P = problem.presentation(args.max_degree)
         i_range = list(range((args.imax if args.imax is not None else 2) + 1))
         box = args.box if args.box is not None else 5
         kept = minimal_coarsening_set(
@@ -277,7 +277,7 @@ def _dispatch(args):
 
     if args.command == "scalar-check":
         v = _require_v(args, ring)
-        P = problem.presentation()
+        P = problem.presentation(args.max_degree)
         i_range = range((args.imax if args.imax is not None else 2) + 1)
         report = scalar_coarsening_report(
             P, v, args.d, i_range,
@@ -345,7 +345,10 @@ def _dispatch(args):
             )
             return
         if args.action == "connections":
-            _emit(connections_check(X, box, ring).to_json(), fmt)
+            report = connections_check(
+                X, box, ring, degree_cap=args.max_degree, max_length=args.max_length
+            )
+            _emit(report.to_json(), fmt)
             return
     raise InputError(f"unhandled command {args.command!r}")
 

@@ -34,6 +34,8 @@ from .poly import (
     mono_lcm,
     mono_mul,
     monomials_of_weight,
+    padd,
+    pscale,
 )
 
 Vec = dict  # (component, Mono) -> coefficient
@@ -97,23 +99,6 @@ class ModuleCtx:
 
 
 # -- vector arithmetic ---------------------------------------------------------
-
-def vadd(f: Vec, g: Vec, K) -> Vec:
-    out = dict(f)
-    for t, c in g.items():
-        s = K.add(out.get(t, K.zero), c)
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
-    return out
-
-
-def vscale(f: Vec, c, K) -> Vec:
-    if not c:
-        return {}
-    return {t: K.mul(v, c) for t, v in f.items()}
-
 
 def vterm_mul(f: Vec, mono: Mono, c, K) -> Vec:
     if not c:
@@ -279,7 +264,7 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, degree_cap: int | None):
     def add(g):
         nonlocal seq
         t, lc = leading_term(ctx, g)
-        basis.append(vscale(g, K.inv(lc), K))
+        basis.append(pscale(g, K.inv(lc), K))
         lts.append((t, K.one))
         single.append(_single_component(g))
         j = len(basis) - 1
@@ -405,7 +390,7 @@ def relations(ctx: ModuleCtx, cols, modulo=(), degree_cap: int | None = None) ->
     for a in out:
         image: Vec = {}
         for (j, m), c in a.items():
-            image = vadd(image, vterm_mul(cols[j], m, c, K), K)
+            image = padd(image, vterm_mul(cols[j], m, c, K), K)
         if reduce_vec(ctx, image, mod_basis, mod_lts):
             raise ArithmeticError("relation does not map into the span of the modulo elements")
     return out

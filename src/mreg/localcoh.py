@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InputError
 from .grading import find_positive_coarsening_vector
@@ -66,28 +67,24 @@ class AInvariants:
 
 # -- Ext route -----------------------------------------------------------------
 
-_EXT_CACHE: dict = {}
-
-
-def ext_modules(P: ModulePresentation, v=None, degree_cap: int | None = None,
+def ext_modules(P: ModulePresentation, degree_cap: int | None = None,
                 max_length: int | None = None) -> list[ModulePresentation | None]:
     """Minimal presentations of E^j = Ext^j(M, omega) for j = 0..n.
 
     omega is the shifted free module with generator degree the sum of all
     variable degrees.  Entries are None exactly when the Ext module is zero.
-    The fine multigraded answer does not depend on the coarsening, which is
-    only used to pick the internal term order; results are cached per module.
-    The caps bound the resolution and every Groebner run behind it; like
-    cached_minimal_resolution, a capped call bypasses the cache.
+    The fine multigraded answer does not depend on any coarsening; the
+    internal term order is that of the default coarsening vector.  The caps
+    bound the resolution and every Groebner run behind it; like
+    cached_minimal_resolution, results are memoized per module and caps.
     """
-    ring = P.ring
-    if v is not None:
-        ring.order(tuple(v))  # positivity validation
-    capped = degree_cap is not None or max_length is not None
-    key = P.cache_key()
-    if not capped and key in _EXT_CACHE:
-        return _EXT_CACHE[key]
+    return _memo_ext_modules(P, degree_cap, max_length)
 
+
+# Called positionally only: lru_cache keys f(P) and f(P, degree_cap=None) apart.
+@lru_cache(maxsize=128)
+def _memo_ext_modules(P, degree_cap, max_length):
+    ring = P.ring
     v0 = find_positive_coarsening_vector(ring.degrees)
     F = cached_minimal_resolution(P, degree_cap=degree_cap, max_length=max_length)
     w = tuple(sum(col[k] for col in ring.degrees) for k in range(ring.r))
@@ -134,8 +131,6 @@ def ext_modules(P: ModulePresentation, v=None, degree_cap: int | None = None,
             out.append(minimalize_presentation(pres))
         except ZeroModuleError:
             out.append(None)
-    if not capped:
-        _EXT_CACHE[key] = out
     return out
 
 

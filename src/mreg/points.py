@@ -125,8 +125,12 @@ def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing | None = Non
     return matrix_rank(rows, K)
 
 
-def point_ideal(X: PointSet, ring: MultigradedRing | None = None) -> list[PolyDict]:
-    """Generators of the vanishing ideal, intersecting point by point."""
+def point_ideal(X: PointSet, ring: MultigradedRing | None = None,
+                degree_cap: int | None = None) -> list[PolyDict]:
+    """Generators of the vanishing ideal, intersecting point by point.
+
+    degree_cap bounds the coarse S-pair degrees of every intersection.
+    """
     if ring is None:
         ring = X.ring()
     K = ring.field
@@ -156,14 +160,15 @@ def point_ideal(X: PointSet, ring: MultigradedRing | None = None) -> list[PolyDi
         per_point.append(gens)
     acc = per_point[0]
     for gens in per_point[1:]:
-        acc = ideal_intersection(acc, gens, ring)
+        acc = ideal_intersection(acc, gens, ring, degree_cap=degree_cap)
     return acc
 
 
-def quotient_presentation(X: PointSet, ring: MultigradedRing | None = None) -> ModulePresentation:
+def quotient_presentation(X: PointSet, ring: MultigradedRing | None = None,
+                          degree_cap: int | None = None) -> ModulePresentation:
     if ring is None:
         ring = X.ring()
-    return ModulePresentation.quotient_by_ideal(ring, point_ideal(X, ring))
+    return ModulePresentation.quotient_by_ideal(ring, point_ideal(X, ring, degree_cap))
 
 
 def _default_box(X: PointSet):
@@ -314,13 +319,16 @@ class ConnectionsReport:
         }
 
 
-def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None) -> ConnectionsReport:
+def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None,
+                      degree_cap: int | None = None,
+                      max_length: int | None = None) -> ConnectionsReport:
     """Check r(M) <= (d,...,d) and the shifted-orthant containment on the box.
 
     d is the regularity number of S/I_X under the all-ones coarsening, and
     m = min(projective dimension, sum n_i + 1).  The second containment asks
     that every grid point of (d+m,...,d+m) + N^r[-(m-1)] has Hilbert value
-    |X| inside the validation box.
+    |X| inside the validation box.  The caps bound the point ideal, the
+    resolution and the Ext work behind d and m.
     """
     from .grading import shifted_orthant_region
 
@@ -328,9 +336,9 @@ def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None
         ring = X.ring()
     box = _default_box(X) if box is None else tuple(int(b) for b in box)
     r = len(X.dims)
-    P = quotient_presentation(X, ring)
-    d = regnum_module(P, (1,) * r)
-    pdim = cached_minimal_resolution(P).length
+    P = quotient_presentation(X, ring, degree_cap)
+    d = regnum_module(P, (1,) * r, degree_cap=degree_cap, max_length=max_length)
+    pdim = cached_minimal_resolution(P, degree_cap=degree_cap, max_length=max_length).length
     m = min(pdim, sum(X.dims) + 1)
     rvec = res_reg_vector_points(X, ring)
     rv_ok = all(x <= d for x in rvec)

@@ -160,6 +160,9 @@ def compare_monomials(order, m1: Mono, m2: Mono) -> int:
 
 # -- polynomial dict arithmetic ----------------------------------------------
 
+# padd, pneg and pscale never look inside their keys, so they serve module
+# vectors keyed by (component, monomial) as well.
+
 def padd(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
     out = dict(f)
     for m, c in g.items():

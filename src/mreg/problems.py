@@ -40,8 +40,11 @@ class Problem:
     kind: str
     payload: object
 
-    def presentation(self) -> ModulePresentation:
-        """The module the payload denotes, as a cokernel presentation."""
+    def presentation(self, degree_cap: int | None = None) -> ModulePresentation:
+        """The module the payload denotes, as a cokernel presentation.
+
+        degree_cap bounds the Groebner runs that build a point set's ideal.
+        """
         if self.kind == "ideal":
             return ModulePresentation.quotient_by_ideal(self.ring, self.payload)
         if self.kind == "module":
@@ -53,7 +56,7 @@ class Problem:
             return ModulePresentation.quotient_by_ideal(self.ring, gens)
         if self.kind == "points":
             return ModulePresentation.quotient_by_ideal(
-                self.ring, point_ideal(self.payload, self.ring)
+                self.ring, point_ideal(self.payload, self.ring, degree_cap)
             )
         raise InputError(f"payload {self.kind!r} does not define a module")
 

@@ -349,7 +349,8 @@ def regularity_report(P: ModulePresentation, v, i_max: int | None = None,
                       route: str = "ext", degree_cap: int | None = None,
                       max_length: int | None = None) -> RegularityReport:
     """The report of `mreg regnum`; the caps bound every resolution and
-    Groebner run behind it, and a capped call bypasses the module caches."""
+    Groebner run behind it.  The a-invariants and the lower bound share one
+    memoized resolution per module and caps."""
     v = tuple(v)
     cst = coarsening_constants(P.ring, v)
     ai = module_a_invariants(P, v, route, degree_cap=degree_cap, max_length=max_length)

@@ -12,6 +12,7 @@ variables; both facts are asserted after the fact rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     HomogeneityError,
@@ -94,6 +95,9 @@ class ModulePresentation:
             for col in self.relations
         )
         return (self.ring, self.shifts, rels)
+
+    def __hash__(self):
+        return hash(self.cache_key())
 
     @classmethod
     def quotient_by_ideal(cls, ring: MultigradedRing, gens) -> "ModulePresentation":
@@ -181,24 +185,22 @@ def minimalize_presentation(P: ModulePresentation) -> ModulePresentation:
     return ModulePresentation(P.ring, M.shifts[0], tuple(c for c in rels if any(c)))
 
 
-_RES_CACHE: dict = {}
-
-
 def cached_minimal_resolution(P: ModulePresentation, degree_cap: int | None = None,
                               max_length: int | None = None) -> FreeResolution:
-    """Minimal resolution computed once per module, under the default order.
+    """Minimal resolution computed once per module and caps, under the default order.
 
     Betti numbers do not depend on the order's coarsening vector, so a single
-    resolution serves every coarsening of the same module.  A capped call
-    neither reads nor writes the cache: a cached resolution does not record
-    whether it stays within the caps, and a call the caps stop stores nothing.
+    resolution serves every coarsening of the same module.  The caps are part
+    of the memo key: an entry does not record whether its work stayed within
+    other caps, and a call the caps stop raises and stores nothing.
     """
-    if degree_cap is not None or max_length is not None:
-        return minimal_free_resolution(P, degree_cap=degree_cap, max_length=max_length)
-    key = P.cache_key()
-    if key not in _RES_CACHE:
-        _RES_CACHE[key] = minimal_free_resolution(P)
-    return _RES_CACHE[key]
+    return _memo_resolution(P, degree_cap, max_length)
+
+
+# Called positionally only: lru_cache keys f(P) and f(P, degree_cap=None) apart.
+@lru_cache(maxsize=128)
+def _memo_resolution(P, degree_cap, max_length):
+    return minimal_free_resolution(P, degree_cap=degree_cap, max_length=max_length)
 
 
 def minimal_free_resolution(P: ModulePresentation, v=None,

@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+import mreg.localcoh
+import mreg.resolution
 from mreg import (
     ModulePresentation,
     MultigradedRing,
@@ -17,6 +19,30 @@ from mreg import (
     SimplicialComplex,
     point_ideal,
 )
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Wrap module.name for one test; the returned list collects each call's keywords."""
+
+    def install(module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
+def clear_memos():
+    """Empty the resolution and Ext memos, so the next call computes from scratch."""
+    mreg.resolution._memo_resolution.cache_clear()
+    mreg.localcoh._memo_ext_modules.cache_clear()
 
 
 @pytest.fixture(scope="session")

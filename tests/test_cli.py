@@ -136,6 +136,26 @@ def test_bound_commands_generous_caps_change_nothing(capture, command):
     assert capped == plain
 
 
+@pytest.mark.parametrize("cap", [["--max-degree", "8"], ["--max-length", "1"]], ids=lambda c: c[0])
+def test_points_connections_caps_exit_5(capture, cap):
+    code, out, err = capture(["points", "connections", *cap, str(PROBLEMS / "eight-points.json")])
+    assert code == 5, err
+    assert out == ""
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("problem", ["eight-points.json", "ex1-four-points.json"])
+def test_points_connections_generous_caps_change_nothing(capture, problem):
+    path = str(PROBLEMS / problem)
+    code, plain, _ = capture(["points", "connections", path])
+    assert code == 0
+    code, capped, err = capture(
+        ["points", "connections", "--max-degree", "1000", "--max-length", "10", path]
+    )
+    assert code == 0, err
+    assert capped == plain
+
+
 def test_insufficient_box_exits_5(capture):
     code, _, _ = capture(
         ["points", "bregularity", "--box", "2", str(PROBLEMS / "eight-points.json")]

@@ -29,9 +29,10 @@ from mreg import (
     relations,
     vec_component,
 )
-from mreg.groebner import vadd, vterm_mul
+from mreg.groebner import vterm_mul
 from mreg.linalg import matrix_rank
 from mreg.poly import mono_div, mono_divides, mono_lcm, monomials_of_weight, pmul
+from mreg.poly import padd as vadd
 
 
 def ideal_ctx(ring, v):

@@ -1,12 +1,16 @@
+import pathlib
 import random
 
 import pytest
 
+import mreg.points
+import mreg.resolution
 from mreg import (
     InputError,
     InsufficientBoxError,
     ModuleCtx,
     PointSet,
+    ResourceLimitError,
     b_regularity_region,
     betti_table,
     cached_minimal_resolution,
@@ -16,6 +20,7 @@ from mreg import (
     graded_piece_dimension,
     groebner_basis,
     hilbert_function_points,
+    load_problem,
     multiproj_ring,
     normal_form,
     point_ideal,
@@ -25,6 +30,9 @@ from mreg import (
     res_reg_vector_points,
     resolution_regularity_vector,
 )
+from tests.conftest import clear_memos
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 # Hilbert values frozen from the two worked examples: entry [j][i] = H(i, j)
 FOUR_POINT_WINDOW = [
@@ -169,6 +177,32 @@ def test_connections_examples(four_points, eight_points):
     assert rep4.regnum == 2 and rep4.m == 2 and rep4.holds
     single = PointSet((1, 1), (((1, 0), (0, 1)),))
     assert connections_check(single, (6, 6)).holds
+
+
+def test_point_ideal_obeys_the_degree_cap(eight_points, p1p1):
+    # the last intersection of the eight points needs S-pairs of coarse degree 9
+    with pytest.raises(ResourceLimitError):
+        point_ideal(eight_points, p1p1, degree_cap=8)
+    assert point_ideal(eight_points, p1p1, degree_cap=9) == point_ideal(eight_points, p1p1)
+    problem = load_problem(str(PROBLEMS / "eight-points.json"))
+    with pytest.raises(ResourceLimitError):
+        problem.presentation(degree_cap=8)
+    assert problem.presentation(degree_cap=9) == problem.presentation()
+
+
+def test_connections_caps_reach_every_engine_call(eight_points, count_calls):
+    caps = {"degree_cap": 1000, "max_length": 10}
+    clear_memos()
+    resolutions = count_calls(mreg.resolution, "minimal_free_resolution")
+    intersections = count_calls(mreg.points, "ideal_intersection")
+    capped = connections_check(eight_points, (10, 10), **caps)
+    # the regnum's Ext route and the projective dimension share one memo entry
+    assert resolutions == [caps]
+    assert intersections and all(c == {"degree_cap": 1000} for c in intersections)
+    assert capped == connections_check(eight_points, (10, 10))
+    for tight in ({"degree_cap": 8}, {"max_length": 1}):
+        with pytest.raises(ResourceLimitError):
+            connections_check(eight_points, (10, 10), **tight)
 
 
 def test_duality_matches_resolution_regularity_on_random_points():

@@ -29,8 +29,10 @@ from mreg import (
     syzygy_degree_bound,
     vreg_membership,
 )
+import mreg.localcoh
+import mreg.resolution
 from mreg.resolution import first_syzygy_presentation
-from tests.conftest import hirzebruch_ring
+from tests.conftest import clear_memos, hirzebruch_ring
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -291,23 +293,56 @@ def test_generator_degrees_default_bases(eight_point_module):
     assert d.bases == ((0, 0),)
 
 
-def test_capped_report_leaves_the_caches_alone():
-    from mreg import PointSet, ResourceLimitError, quotient_presentation
-    from mreg.localcoh import _EXT_CACHE
-    from mreg.resolution import _RES_CACHE
+def test_caps_are_part_of_the_memo_key(count_calls):
+    from mreg import PointSet, cached_minimal_resolution, quotient_presentation
 
-    # coordinates no other test uses, so no earlier test has cached the module
+    # coordinates no other test uses, so no earlier test has memoized the module
     coords = [(11, 12), (11, 13), (14, 12), (15, 16), (17, 18)]
     P = quotient_presentation(PointSet((1, 1), tuple(((1, i), (1, j)) for i, j in coords)))
-    key = P.cache_key()
+    resolutions = count_calls(mreg.resolution, "minimal_free_resolution")
+    ext_runs = count_calls(mreg.localcoh, "cached_minimal_resolution")
+
+    def report_runs(**caps):
+        before = len(resolutions), len(ext_runs)
+        report = regularity_report(P, (1, 1), **caps)
+        return report, (len(resolutions) - before[0], len(ext_runs) - before[1])
+
+    # a call its caps stop stores nothing, so the same call computes again
     for caps in ({"degree_cap": 1}, {"max_length": 1}):
-        with pytest.raises(ResourceLimitError):
-            regularity_report(P, (1, 1), **caps)
-        assert key not in _RES_CACHE and key not in _EXT_CACHE
-    capped = regularity_report(P, (1, 1), degree_cap=50, max_length=4)
-    assert key not in _RES_CACHE and key not in _EXT_CACHE
-    assert regularity_report(P, (1, 1)) == capped
-    assert key in _RES_CACHE and key in _EXT_CACHE
+        for _ in range(2):
+            before = len(resolutions)
+            with pytest.raises(ResourceLimitError):
+                regularity_report(P, (1, 1), **caps)
+            assert len(resolutions) == before + 1
+    capped, runs = report_runs(degree_cap=50, max_length=4)
+    assert runs == (1, 1)
+    assert report_runs(degree_cap=50, max_length=4) == (capped, (0, 0))
+    # a capped entry serves neither an uncapped call nor other caps
+    uncapped, runs = report_runs()
+    assert uncapped == capped and runs == (1, 1)
+    assert report_runs(degree_cap=60, max_length=4) == (capped, (1, 1))
+    assert report_runs(degree_cap=50) == (capped, (1, 1))
+    assert report_runs() == (capped, (0, 0))
+    # positional and keyword calls find the same entry
+    count = len(resolutions)
+    cached_minimal_resolution(P)
+    cached_minimal_resolution(P, 50, 4)
+    assert len(resolutions) == count
+
+
+def test_capped_coarsening_work_resolves_once(count_calls):
+    P = load_problem(str(PROBLEMS / "eight-points.json")).presentation()
+    caps = {"degree_cap": 1000, "max_length": 10}
+    calls = count_calls(mreg.resolution, "minimal_free_resolution")
+    for run in (
+        lambda: minimal_coarsening_set(P, box=5, **caps),
+        lambda: regularity_report(P, (1, 1), **caps),
+        lambda: scalar_coarsening_report(P, (1, 1), 2, **caps),
+    ):
+        clear_memos()
+        calls.clear()
+        run()
+        assert calls == [caps]
 
 
 def _six_cycle_module():
