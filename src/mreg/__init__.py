@@ -13,6 +13,7 @@ from .errors import (
     HomogeneityError,
     InputError,
     InsufficientBoxError,
+    Limits,
     MregError,
     ResourceLimitError,
     ZeroModuleError,

@@ -1,9 +1,9 @@
 """Command-line front end: parse problem files, dispatch, emit JSON or tables.
 
-Exit codes: 0 success, 2 malformed input or schema violation, 3 grading not
-positive, 4 non-homogeneous polynomial, 5 resource limit exceeded, 1 other
-failures.  Identical invocations produce byte-identical output; integers
-beyond 2^53 - 1 are serialized as strings so no consumer silently rounds.
+Exit codes: 0 success, 2 a malformed command line, otherwise the `exit_code`
+of the package error raised (see `errors`).  Identical invocations produce
+byte-identical output; integers beyond 2^53 - 1 are serialized as strings so
+no consumer silently rounds.
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    GradingError,
-    HomogeneityError,
-    InputError,
-    MregError,
-    ResourceLimitError,
-    ZeroModuleError,
-)
+from .errors import InputError, Limits, MregError
 from .grading import check_positive_grading, find_positive_coarsening_vector
 from .localcoh import a_invariants_hochster, hochster_supports
 from .points import (
@@ -155,24 +148,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         _dispatch(args)
         return 0
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ZeroModuleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except GradingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except HomogeneityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
     except MregError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return e.exit_code
 
 
 def main() -> None:
@@ -192,6 +170,7 @@ def _dispatch(args):
     problem = load_problem(args.file, field)
     ring = problem.ring
     fmt = args.format
+    limits = Limits(args.max_degree, args.max_length)
 
     if args.command == "check":
         positive = check_positive_grading(ring.degrees)
@@ -210,10 +189,8 @@ def _dispatch(args):
 
     if args.command in ("resolve", "betti"):
         v = _parse_vector(args.v) if args.v else None
-        P = problem.presentation(args.max_degree)
-        F = minimal_free_resolution(
-            P, v=v, degree_cap=args.max_degree, max_length=args.max_length
-        )
+        P = problem.presentation(limits)
+        F = minimal_free_resolution(P, v=v, limits=limits)
         if args.command == "resolve":
             out = {
                 "length": F.length,
@@ -235,32 +212,24 @@ def _dispatch(args):
 
     if args.command == "regnum":
         v = _require_v(args, ring)
-        P = problem.presentation(args.max_degree)
-        report = regularity_report(
-            P, v, i_max=args.imax, route=args.route,
-            degree_cap=args.max_degree, max_length=args.max_length,
-        )
+        P = problem.presentation(limits)
+        report = regularity_report(P, v, i_max=args.imax, route=args.route, limits=limits)
         _emit(report.to_json(), fmt)
         return
 
     if args.command == "bounds":
         v = _require_v(args, ring)
-        P = problem.presentation(args.max_degree)
+        P = problem.presentation(limits)
         indices = [args.i] if args.i is not None else list(range((args.imax or 0) + 1))
-        sets = degree_bound_sets(
-            P, v, indices, degree_cap=args.max_degree, max_length=args.max_length
-        )
+        sets = degree_bound_sets(P, v, indices, limits=limits)
         _emit({"sets": [s.to_json() for s in sets]}, fmt)
         return
 
     if args.command == "minvectors":
-        P = problem.presentation(args.max_degree)
+        P = problem.presentation(limits)
         i_range = list(range((args.imax if args.imax is not None else 2) + 1))
         box = args.box if args.box is not None else 5
-        kept = minimal_coarsening_set(
-            P, i_range=i_range, box=box,
-            degree_cap=args.max_degree, max_length=args.max_length,
-        )
+        kept = minimal_coarsening_set(P, i_range=i_range, box=box, limits=limits)
         from .grading import positive_coarsening_candidates
 
         _emit(
@@ -277,12 +246,9 @@ def _dispatch(args):
 
     if args.command == "scalar-check":
         v = _require_v(args, ring)
-        P = problem.presentation(args.max_degree)
+        P = problem.presentation(limits)
         i_range = range((args.imax if args.imax is not None else 2) + 1)
-        report = scalar_coarsening_report(
-            P, v, args.d, i_range,
-            degree_cap=args.max_degree, max_length=args.max_length,
-        )
+        report = scalar_coarsening_report(P, v, args.d, i_range, limits=limits)
         _emit(report.to_json(), fmt)
         return
 
@@ -345,9 +311,7 @@ def _dispatch(args):
             )
             return
         if args.action == "connections":
-            report = connections_check(
-                X, box, ring, degree_cap=args.max_degree, max_length=args.max_length
-            )
+            report = connections_check(X, box, ring, limits=limits)
             _emit(report.to_json(), fmt)
             return
     raise InputError(f"unhandled command {args.command!r}")

@@ -131,22 +131,16 @@ class DegreeRegion:
     kind "finite": `bases` is the (deduplicated, sorted) list of points and
     `witnesses` retains one semigroup decomposition per point.
     kind "orthant": union of b + N^r over the base points b.
-    kind "semigroup": union of b + N{generators}; membership enumerates
-    decompositions bounded by the stored positive weight vector.
     """
 
     kind: str
     bases: tuple[Multidegree, ...]
-    generators: tuple[Multidegree, ...] = ()
-    weight_vector: Multidegree | None = None
     bounding_box: tuple[Multidegree, Multidegree] | None = None
     witnesses: Mapping | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("finite", "orthant", "semigroup"):
+        if self.kind not in ("finite", "orthant"):
             raise InputError(f"unknown region kind {self.kind!r}")
-        if self.kind == "semigroup" and self.weight_vector is None:
-            raise InputError("semigroup regions need a positive weight vector")
 
     def points(self) -> tuple[Multidegree, ...]:
         if self.kind != "finite":
@@ -157,32 +151,7 @@ class DegreeRegion:
         a = tuple(int(x) for x in a)
         if self.kind == "finite":
             return a in set(self.bases)
-        if self.kind == "orthant":
-            return any(all(x >= b for x, b in zip(a, base)) for base in self.bases)
-        v = self.weight_vector
-        for base in self.bases:
-            target = tuple(x - b for x, b in zip(a, base))
-            budget = sum(x * y for x, y in zip(target, v))
-            if budget < 0:
-                continue
-            if _semigroup_reaches(target, self.generators, v, budget):
-                return True
-        return False
-
-
-def _semigroup_reaches(target, gens, v, budget) -> bool:
-    """Is target a nonnegative integer combination of gens? (v . gen >= 1 each)"""
-    if all(x == 0 for x in target):
-        return True
-    if budget <= 0:
-        return False
-    for g in gens:
-        w = sum(x * y for x, y in zip(g, v))
-        if w <= budget:
-            rest = tuple(t - x for t, x in zip(target, g))
-            if _semigroup_reaches(rest, gens, v, budget - w):
-                return True
-    return False
+        return any(all(x >= b for x, b in zip(a, base)) for base in self.bases)
 
 
 class _Witnesses(Mapping):
@@ -254,8 +223,6 @@ def enumerate_bounded_region(bases, degrees, v, bound: int) -> DegreeRegion:
     return DegreeRegion(
         kind="finite",
         bases=tuple(sorted(reached)),
-        generators=degrees,
-        weight_vector=v,
         witnesses=_Witnesses(reached, len(degrees)),
     )
 

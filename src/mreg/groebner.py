@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .errors import HomogeneityError, InputError, ResourceLimitError
+from .errors import NO_LIMITS, HomogeneityError, InputError, Limits
 from .grading import find_positive_coarsening_vector
 from .poly import (
     Mono,
@@ -223,17 +223,17 @@ def _single_component(f: Vec):
     return comps.pop() if len(comps) == 1 else None
 
 
-def buchberger(ctx: ModuleCtx, gens, degree_cap: int | None = None):
+def buchberger(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS):
     """Reduced Groebner basis of the given homogeneous generators.
 
     Returns (basis, leading_terms): each leading term is computed once, when
     its element enters the basis, and is reused by every later reduction.
     """
-    basis, lts, _ = _degree_ordered_basis(ctx, gens, degree_cap)
+    basis, lts, _ = _degree_ordered_basis(ctx, gens, limits)
     return _autoreduce(ctx, basis, lts)
 
 
-def _degree_ordered_basis(ctx: ModuleCtx, gens, degree_cap: int | None):
+def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     """Unreduced Groebner basis and the indices of the generators in it.
 
     Generators and S-pairs are popped by coarse degree; at equal degree the
@@ -241,7 +241,7 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, degree_cap: int | None):
     degree <= d has been treated, so the basis is complete through degree d
     and the generator's normal form is zero exactly when it lies in the
     submodule generated by the generators that entered before it.  Only
-    S-pairs are held to degree_cap.
+    S-pairs are held to the degree cap.
     """
     K = ctx.ring.field
     basis: list[Vec] = []
@@ -286,10 +286,7 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, degree_cap: int | None):
                 entered.append(i)
                 add(nf)
             continue
-        if degree_cap is not None and deg > degree_cap:
-            raise ResourceLimitError(
-                f"S-pair of coarse degree {deg} exceeds the degree cap {degree_cap}"
-            )
+        limits.check_degree("S-pair of coarse degree", deg)
         (ci, mi), (cj, mj) = lts[i][0], lts[j][0]
         lcm = mono_lcm(mi, mj)
         done.add((i, j))
@@ -345,14 +342,14 @@ def _autoreduce(ctx: ModuleCtx, basis: list[Vec], lts):
     return kept, kept_lts
 
 
-def groebner_basis(ctx: ModuleCtx, gens, degree_cap: int | None = None) -> GroebnerBasis:
-    basis, lts = buchberger(ctx, gens, degree_cap=degree_cap)
+def groebner_basis(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS) -> GroebnerBasis:
+    basis, lts = buchberger(ctx, gens, limits)
     return GroebnerBasis(ctx, basis, lts)
 
 
 # -- relations -----------------------------------------------------------------
 
-def relations(ctx: ModuleCtx, cols, modulo=(), degree_cap: int | None = None) -> list[Vec]:
+def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> list[Vec]:
     """Generators of {a : sum_j a_j cols[j] in span(modulo)}.
 
     One Groebner basis of the augmented generators [cols[j] ; e_j] and
@@ -378,7 +375,7 @@ def relations(ctx: ModuleCtx, cols, modulo=(), degree_cap: int | None = None) ->
         ctx.shift_wdegs + tuple(_coarse_degree(ctx, c) for c in cols),
     )
     gens = [{**c, (rank + j, zero): K.one} for j, c in enumerate(cols)] + modulo
-    basis, lts = buchberger(aug, gens, degree_cap=degree_cap)
+    basis, lts = buchberger(aug, gens, limits)
     out = [
         {(comp - rank, m): c for (comp, m), c in g.items()}
         for g, ((lcomp, _), _) in zip(basis, lts)
@@ -386,7 +383,7 @@ def relations(ctx: ModuleCtx, cols, modulo=(), degree_cap: int | None = None) ->
     ]
 
     # exactness check: each relation maps into span(modulo)
-    mod_basis, mod_lts = buchberger(ctx, modulo, degree_cap=degree_cap)
+    mod_basis, mod_lts = buchberger(ctx, modulo, limits)
     for a in out:
         image: Vec = {}
         for (j, m), c in a.items():
@@ -396,7 +393,7 @@ def relations(ctx: ModuleCtx, cols, modulo=(), degree_cap: int | None = None) ->
     return out
 
 
-def prune_to_minimal_generators(ctx: ModuleCtx, cols, degree_cap=None):
+def prune_to_minimal_generators(ctx: ModuleCtx, cols, limits: Limits = NO_LIMITS):
     """Greedy minimal generating subset, in weakly increasing coarse degree.
 
     Processing order (coarse degree, then index) makes the result a
@@ -405,7 +402,7 @@ def prune_to_minimal_generators(ctx: ModuleCtx, cols, degree_cap=None):
     degree-ordered Buchberger run decides every column.  Returns the kept
     indices (in processing order).
     """
-    return _degree_ordered_basis(ctx, cols, degree_cap)[2]
+    return _degree_ordered_basis(ctx, cols, limits)[2]
 
 
 def _coarse_degree(ctx: ModuleCtx, f: Vec) -> int:
@@ -413,48 +410,40 @@ def _coarse_degree(ctx: ModuleCtx, f: Vec) -> int:
     return ctx.order.wdeg(mono) + ctx.shift_wdegs[comp]
 
 
-def kernel_generators(ctx: ModuleCtx, cols, minimal: bool = True,
-                      degree_cap: int | None = None):
+def kernel_generators(ctx: ModuleCtx, cols, limits: Limits = NO_LIMITS):
     """Generators of the kernel of the map sending e_i to cols[i].
 
-    Returns (kept_indices, syzygies): syzygies live in the free module whose
+    The columns are first pruned to a minimal generating subset.  Returns
+    (kept_indices, syzygies): syzygies live in the free module whose
     components match kept_indices, with shifts the degrees of those columns.
-    With minimal=True the columns are first pruned to a minimal generating
-    subset; otherwise only the zero columns are dropped.
     """
     cols = list(cols)
-    if minimal:
-        kept_idx = prune_to_minimal_generators(ctx, cols, degree_cap=degree_cap)
-    else:
-        kept_idx = [i for i, c in enumerate(cols) if c]
-    kept = [cols[i] for i in kept_idx]
-    return kept_idx, relations(ctx, kept, degree_cap=degree_cap)
+    kept_idx = prune_to_minimal_generators(ctx, cols, limits)
+    return kept_idx, relations(ctx, [cols[i] for i in kept_idx], limits=limits)
 
 
-def kernel_of_map(ctx_target: ModuleCtx, cols, degree_cap: int | None = None) -> list[Vec]:
+def kernel_of_map(ctx_target: ModuleCtx, cols, limits: Limits = NO_LIMITS) -> list[Vec]:
     """Generators of the kernel of the map e_q -> cols[q], over ALL columns.
 
     Unlike kernel_generators, the source components are fixed: zero columns
-    contribute basis syzygies and no pruning or reindexing happens, so the
-    result lives in the free module whose q-th generator maps to cols[q].
+    contribute basis syzygies and no pruning happens, so the result lives in
+    the free module whose q-th generator maps to cols[q].
     """
     K = ctx_target.ring.field
     zero = (0,) * ctx_target.ring.n
     out: list[Vec] = [
         {(q, zero): K.one} for q, c in enumerate(cols) if not c
     ]
-    kept_idx, syzygies = kernel_generators(
-        ctx_target, cols, minimal=False, degree_cap=degree_cap
-    )
-    for s in syzygies:
-        out.append({(kept_idx[j], m): c for (j, m), c in s.items()})
+    nonzero = [q for q, c in enumerate(cols) if c]
+    for s in relations(ctx_target, [cols[q] for q in nonzero], limits=limits):
+        out.append({(nonzero[j], m): c for (j, m), c in s.items()})
     return out
 
 
 # -- ideal intersection ---------------------------------------------------------
 
 def ideal_intersection(I, J, ring: MultigradedRing, v=None,
-                       degree_cap: int | None = None) -> list[PolyDict]:
+                       limits: Limits = NO_LIMITS) -> list[PolyDict]:
     """Reduced Groebner basis of I  intersect  J, sorted by leading term.
 
     I intersect J is the relation module of the single column (1, 1) of S^2
@@ -470,13 +459,13 @@ def ideal_intersection(I, J, ring: MultigradedRing, v=None,
     zero, one = (0,) * ring.n, ring.field.one
     ctx = ModuleCtx.for_vector(ring, ((0,) * ring.r,) * 2, v)
     modulo = [poly_to_vec(f, 0) for f in I] + [poly_to_vec(g, 1) for g in J]
-    rels = relations(ctx, [{(0, zero): one, (1, zero): one}], modulo, degree_cap=degree_cap)
+    rels = relations(ctx, [{(0, zero): one, (1, zero): one}], modulo, limits)
     return [vec_component(g, 0) for g in rels]
 
 
 # -- graded pieces ---------------------------------------------------------------
 
-def graded_piece_dimension(P, v, m: int, degree_cap: int | None = None) -> int:
+def graded_piece_dimension(P, v, m: int, limits: Limits = NO_LIMITS) -> int:
     """dim_k of the coarse degree-m piece of coker(P) under the coarsening v.
 
     Counts standard monomials: per component, monomials of the right coarse
@@ -486,7 +475,7 @@ def graded_piece_dimension(P, v, m: int, degree_cap: int | None = None) -> int:
     v = tuple(v)
     ctx = ModuleCtx.for_vector(ring, P.shifts, v)
     cols = [P.column_vec(j) for j in range(len(P.relations))]
-    _, lts = buchberger(ctx, cols, degree_cap=degree_cap)
+    _, lts = buchberger(ctx, cols, limits)
     lt_by_comp: dict[int, list[Mono]] = {}
     for (comp, mono), _ in lts:
         lt_by_comp.setdefault(comp, []).append(mono)

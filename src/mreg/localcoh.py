@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import NO_LIMITS, InputError, Limits
 from .grading import find_positive_coarsening_vector
 from .groebner import (
     ModuleCtx,
@@ -67,26 +67,25 @@ class AInvariants:
 
 # -- Ext route -----------------------------------------------------------------
 
-def ext_modules(P: ModulePresentation, degree_cap: int | None = None,
-                max_length: int | None = None) -> list[ModulePresentation | None]:
+def ext_modules(P: ModulePresentation,
+                limits: Limits = NO_LIMITS) -> list[ModulePresentation | None]:
     """Minimal presentations of E^j = Ext^j(M, omega) for j = 0..n.
 
     omega is the shifted free module with generator degree the sum of all
     variable degrees.  Entries are None exactly when the Ext module is zero.
     The fine multigraded answer does not depend on any coarsening; the
-    internal term order is that of the default coarsening vector.  The caps
-    bound the resolution and every Groebner run behind it; like
-    cached_minimal_resolution, results are memoized per module and caps.
+    internal term order is that of the default coarsening vector.  Like
+    cached_minimal_resolution, results are memoized per module and limits.
     """
-    return _memo_ext_modules(P, degree_cap, max_length)
+    return _memo_ext_modules(P, limits)
 
 
-# Called positionally only: lru_cache keys f(P) and f(P, degree_cap=None) apart.
+# Called positionally only: lru_cache keys f(P) and f(P, limits=NO_LIMITS) apart.
 @lru_cache(maxsize=128)
-def _memo_ext_modules(P, degree_cap, max_length):
+def _memo_ext_modules(P, limits):
     ring = P.ring
     v0 = find_positive_coarsening_vector(ring.degrees)
-    F = cached_minimal_resolution(P, degree_cap=degree_cap, max_length=max_length)
+    F = cached_minimal_resolution(P, limits)
     w = tuple(sum(col[k] for col in ring.degrees) for k in range(ring.r))
     dual_shifts = [
         tuple(tuple(wk - ak for wk, ak in zip(w, a)) for a in level)
@@ -115,7 +114,7 @@ def _memo_ext_modules(P, degree_cap, max_length):
         ctx_j = ModuleCtx.for_vector(ring, dual_shifts[j], v0)
         if j < ell:
             ctx_next = ModuleCtx.for_vector(ring, dual_shifts[j + 1], v0)
-            kernel = kernel_of_map(ctx_next, transpose_columns(j + 1), degree_cap=degree_cap)
+            kernel = kernel_of_map(ctx_next, transpose_columns(j + 1), limits)
         else:
             zero = (0,) * ring.n
             kernel = [{(q, zero): ring.field.one} for q in range(len(dual_shifts[j]))]
@@ -124,7 +123,7 @@ def _memo_ext_modules(P, degree_cap, max_length):
             continue
         image = transpose_columns(j) if j > 0 else []
         shifts = tuple(ctx_j.vec_degree(k) for k in kernel)
-        rels = relations(ctx_j, kernel, image, degree_cap=degree_cap)
+        rels = relations(ctx_j, kernel, image, limits)
         cols = [vec_to_columns(s, len(kernel)) for s in rels]
         pres = ModulePresentation(ring, shifts, tuple(cols))
         try:
@@ -134,13 +133,12 @@ def _memo_ext_modules(P, degree_cap, max_length):
     return out
 
 
-def a_invariants_ext(P: ModulePresentation, v, degree_cap: int | None = None,
-                     max_length: int | None = None) -> AInvariants:
+def a_invariants_ext(P: ModulePresentation, v, limits: Limits = NO_LIMITS) -> AInvariants:
     """a^i = -(minimal generator degree of E^{n-i}), coarse under v."""
     ring = P.ring
     v = tuple(v)
     ring.order(v)
-    ext = ext_modules(P, degree_cap=degree_cap, max_length=max_length)
+    ext = ext_modules(P, limits)
     vals = []
     for i in range(ring.n + 1):
         E = ext[ring.n - i]
@@ -180,10 +178,9 @@ class SimplicialComplex:
             raise InputError("duplicate vertices")
         canon = []
         for f in self.facets:
-            f = tuple(sorted(set(f), key=self.vertices.index))
             if not set(f) <= vs:
-                raise InputError(f"facet {f} uses unknown vertices")
-            canon.append(f)
+                raise InputError(f"facet {tuple(f)} uses unknown vertices")
+            canon.append(tuple(sorted(set(f), key=self.vertices.index)))
         object.__setattr__(self, "facets", tuple(canon))
 
     @classmethod

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InputError, InsufficientBoxError, MregError
+from .errors import NO_LIMITS, InputError, InsufficientBoxError, Limits, MregError
 from .grading import DegreeRegion, _compositions
 from .groebner import ideal_intersection
 from .linalg import matrix_rank
@@ -38,6 +38,13 @@ def multiproj_ring(dims, field: FieldDescriptor = DEFAULT_FIELD) -> MultigradedR
     return MultigradedRing(tuple(names), tuple(degrees), field)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in values)
+    except ValueError:
+        raise InputError(f"{what} must be integers, got {list(values)!r}") from None
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Reduced points, each an r-tuple of projective coordinate tuples."""
@@ -46,7 +53,7 @@ class PointSet:
     points: tuple  # tuple of r-tuples of coordinate tuples (ints)
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = _integers(self.dims, "point-set dims")
         object.__setattr__(self, "dims", dims)
         pts = []
         for pt in self.points:
@@ -54,7 +61,7 @@ class PointSet:
                 raise InputError("point has the wrong number of factors")
             factors = []
             for f, coords in enumerate(pt):
-                coords = tuple(int(c) for c in coords)
+                coords = _integers(coords, "point coordinates")
                 if len(coords) != dims[f] + 1:
                     raise InputError(f"factor {f} needs {dims[f] + 1} coordinates")
                 factors.append(coords)
@@ -126,11 +133,8 @@ def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing | None = Non
 
 
 def point_ideal(X: PointSet, ring: MultigradedRing | None = None,
-                degree_cap: int | None = None) -> list[PolyDict]:
-    """Generators of the vanishing ideal, intersecting point by point.
-
-    degree_cap bounds the coarse S-pair degrees of every intersection.
-    """
+                limits: Limits = NO_LIMITS) -> list[PolyDict]:
+    """Generators of the vanishing ideal, intersecting point by point."""
     if ring is None:
         ring = X.ring()
     K = ring.field
@@ -160,15 +164,15 @@ def point_ideal(X: PointSet, ring: MultigradedRing | None = None,
         per_point.append(gens)
     acc = per_point[0]
     for gens in per_point[1:]:
-        acc = ideal_intersection(acc, gens, ring, degree_cap=degree_cap)
+        acc = ideal_intersection(acc, gens, ring, limits=limits)
     return acc
 
 
 def quotient_presentation(X: PointSet, ring: MultigradedRing | None = None,
-                          degree_cap: int | None = None) -> ModulePresentation:
+                          limits: Limits = NO_LIMITS) -> ModulePresentation:
     if ring is None:
         ring = X.ring()
-    return ModulePresentation.quotient_by_ideal(ring, point_ideal(X, ring, degree_cap))
+    return ModulePresentation.quotient_by_ideal(ring, point_ideal(X, ring, limits))
 
 
 def _default_box(X: PointSet):
@@ -320,15 +324,13 @@ class ConnectionsReport:
 
 
 def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None,
-                      degree_cap: int | None = None,
-                      max_length: int | None = None) -> ConnectionsReport:
+                      limits: Limits = NO_LIMITS) -> ConnectionsReport:
     """Check r(M) <= (d,...,d) and the shifted-orthant containment on the box.
 
     d is the regularity number of S/I_X under the all-ones coarsening, and
     m = min(projective dimension, sum n_i + 1).  The second containment asks
     that every grid point of (d+m,...,d+m) + N^r[-(m-1)] has Hilbert value
-    |X| inside the validation box.  The caps bound the point ideal, the
-    resolution and the Ext work behind d and m.
+    |X| inside the validation box.
     """
     from .grading import shifted_orthant_region
 
@@ -336,9 +338,9 @@ def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None
         ring = X.ring()
     box = _default_box(X) if box is None else tuple(int(b) for b in box)
     r = len(X.dims)
-    P = quotient_presentation(X, ring, degree_cap)
-    d = regnum_module(P, (1,) * r, degree_cap=degree_cap, max_length=max_length)
-    pdim = cached_minimal_resolution(P, degree_cap=degree_cap, max_length=max_length).length
+    P = quotient_presentation(X, ring, limits)
+    d = regnum_module(P, (1,) * r, limits=limits)
+    pdim = cached_minimal_resolution(P, limits).length
     m = min(pdim, sum(X.dims) + 1)
     rvec = res_reg_vector_points(X, ring)
     rv_ok = all(x <= d for x in rvec)

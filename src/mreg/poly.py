@@ -319,7 +319,10 @@ class MultigradedRing:
                 raise InputError("misplaced '^'")
             if tok.group("num"):
                 val = tok.group("num")
-                q = Fraction(val) if "/" in val else int(val)
+                try:
+                    q = Fraction(val) if "/" in val else int(val)
+                except ZeroDivisionError:
+                    raise InputError(f"zero denominator in coefficient {val!r}") from None
                 term_coeff = q if term_coeff is None else term_coeff * q
                 in_term = True
                 i += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import NO_LIMITS, InputError, Limits
 from .localcoh import SimplicialComplex, stanley_reisner_ideal
 from .points import PointSet, multiproj_ring, point_ideal
 from .poly import DEFAULT_FIELD, FieldDescriptor, MultigradedRing, QQ
@@ -40,11 +40,8 @@ class Problem:
     kind: str
     payload: object
 
-    def presentation(self, degree_cap: int | None = None) -> ModulePresentation:
-        """The module the payload denotes, as a cokernel presentation.
-
-        degree_cap bounds the Groebner runs that build a point set's ideal.
-        """
+    def presentation(self, limits: Limits = NO_LIMITS) -> ModulePresentation:
+        """The module the payload denotes, as a cokernel presentation."""
         if self.kind == "ideal":
             return ModulePresentation.quotient_by_ideal(self.ring, self.payload)
         if self.kind == "module":
@@ -56,7 +53,7 @@ class Problem:
             return ModulePresentation.quotient_by_ideal(self.ring, gens)
         if self.kind == "points":
             return ModulePresentation.quotient_by_ideal(
-                self.ring, point_ideal(self.payload, self.ring, degree_cap)
+                self.ring, point_ideal(self.payload, self.ring, limits)
             )
         raise InputError(f"payload {self.kind!r} does not define a module")
 

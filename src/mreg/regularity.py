@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .errors import GradingError, InputError, MregError, ResourceLimitError, ZeroModuleError
+from .errors import NO_LIMITS, GradingError, InputError, Limits, MregError, ZeroModuleError
 from .grading import enumerate_bounded_region, positive_coarsening_candidates
 from .localcoh import (
     AInvariants,
@@ -81,14 +81,10 @@ def regnum_free(shifts, R: MultigradedRing, v) -> int:
 
 
 def module_a_invariants(P: ModulePresentation, v, route: str = "ext",
-                        degree_cap: int | None = None,
-                        max_length: int | None = None) -> AInvariants:
-    """a-invariants by the requested route ("ext" or "hochster").
-
-    The caps bound the Ext route's resolution and Groebner runs.
-    """
+                        limits: Limits = NO_LIMITS) -> AInvariants:
+    """a-invariants by the requested route ("ext" or "hochster")."""
     if route == "ext":
-        return a_invariants_ext(P, v, degree_cap=degree_cap, max_length=max_length)
+        return a_invariants_ext(P, v, limits)
     if route == "hochster":
         K = _complex_of_quotient(P)
         return a_invariants_hochster(K, P.ring, v)
@@ -103,10 +99,10 @@ def _complex_of_quotient(P: ModulePresentation):
 
 
 def regnum_module(P: ModulePresentation, v, route: str = "ext",
-                  degree_cap: int | None = None, max_length: int | None = None) -> int:
+                  limits: Limits = NO_LIMITS) -> int:
     """max_i of a^i - c_v (1 - i) + 1 over the finite a-invariants."""
     cst = coarsening_constants(P.ring, v)
-    ai = module_a_invariants(P, v, route, degree_cap=degree_cap, max_length=max_length)
+    ai = module_a_invariants(P, v, route, limits)
     return _regnum_from_a_invariants(ai, cst)
 
 
@@ -182,26 +178,23 @@ def degree_bound_set(P: ModulePresentation, v, i: int, bases=None) -> DegreeBoun
 
 
 def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
-                      degree_cap: int | None = None,
-                      max_length: int | None = None) -> tuple[DegreeBoundSet, ...]:
+                      limits: Limits = NO_LIMITS) -> tuple[DegreeBoundSet, ...]:
     """degree_bound_set for every i in indices, from one region enumeration.
 
     The level-i bound grows with i, so the region at the largest bound holds
     every smaller one: level i keeps the points of v-degree at most its
-    bound.  The caps bound the resolution and Ext work behind the regnum,
-    and every bound is checked against degree_cap before the region is
-    enumerated.
+    bound.  The largest bound is checked against the limits before the
+    region is enumerated.
     """
     indices = tuple(indices)
     if not indices:
         return ()
     v = tuple(v)
     cst = coarsening_constants(P.ring, v)
-    regnum = regnum_module(P, v, degree_cap=degree_cap, max_length=max_length)
+    regnum = regnum_module(P, v, limits=limits)
     bounds = [syzygy_degree_bound(regnum, cst, i) for i in indices]
     top = max(bounds)
-    if degree_cap is not None and top > degree_cap:
-        raise ResourceLimitError(f"degree bound {top} exceeds the degree cap {degree_cap}")
+    limits.check_degree("degree bound", top)
     if bases is None:
         bases = minimal_generator_degrees(P)
     bases = tuple(tuple(b) for b in bases)
@@ -236,8 +229,7 @@ def intersect_degree_bounds(P: ModulePresentation, vectors, i: int) -> DegreeBou
 
 def minimal_coarsening_set(P: ModulePresentation, candidates=None,
                            i_range=(0, 1, 2), box: int = 5,
-                           degree_cap: int | None = None,
-                           max_length: int | None = None) -> list[Multidegree]:
+                           limits: Limits = NO_LIMITS) -> list[Multidegree]:
     """An irredundant subfamily realizing the full intersection of bound sets.
 
     Candidates default to the primitive positive coarsening vectors in the
@@ -245,7 +237,7 @@ def minimal_coarsening_set(P: ModulePresentation, candidates=None,
     a vector is dropped whenever the remaining family still cuts out the
     same intersection for every homological index in i_range.  The result is
     minimal relative to the candidate family (dropping more vectors only
-    enlarges intersections).  The caps are those of degree_bound_sets.
+    enlarges intersections).
     """
     if candidates is None:
         candidates = positive_coarsening_candidates(P.ring.degrees, box)
@@ -256,8 +248,7 @@ def minimal_coarsening_set(P: ModulePresentation, candidates=None,
     dsets = {
         v: {
             s.i: frozenset(s.degrees)
-            for s in degree_bound_sets(P, v, i_range, degree_cap=degree_cap,
-                                       max_length=max_length)
+            for s in degree_bound_sets(P, v, i_range, limits=limits)
         }
         for v in candidates
     }
@@ -304,22 +295,17 @@ class ScalarCheckReport:
 
 
 def scalar_coarsening_report(P: ModulePresentation, v, d: int,
-                             i_range=(0, 1, 2), degree_cap: int | None = None,
-                             max_length: int | None = None) -> ScalarCheckReport:
-    """Check regnum_{dv} = d regnum_v - d + 1 and the equality of bound sets.
-
-    The caps are those of degree_bound_sets.
-    """
+                             i_range=(0, 1, 2), limits: Limits = NO_LIMITS) -> ScalarCheckReport:
+    """Check regnum_{dv} = d regnum_v - d + 1 and the equality of bound sets."""
     if d < 1:
         raise InputError("scalar must be a positive integer")
     v = tuple(v)
     dv = tuple(d * x for x in v)
     i_range = tuple(i_range)
-    caps = {"degree_cap": degree_cap, "max_length": max_length}
-    rv = regnum_module(P, v, **caps)
-    rdv = regnum_module(P, dv, **caps)
-    sets_v = degree_bound_sets(P, v, i_range, **caps)
-    sets_dv = degree_bound_sets(P, dv, i_range, **caps)
+    rv = regnum_module(P, v, limits=limits)
+    rdv = regnum_module(P, dv, limits=limits)
+    sets_v = degree_bound_sets(P, v, i_range, limits=limits)
+    sets_dv = degree_bound_sets(P, dv, i_range, limits=limits)
     comparisons = tuple(
         (s_v.i, s_v.as_set() == s_dv.as_set()) for s_v, s_dv in zip(sets_v, sets_dv)
     )
@@ -346,16 +332,14 @@ class RegularityReport:
 
 
 def regularity_report(P: ModulePresentation, v, i_max: int | None = None,
-                      route: str = "ext", degree_cap: int | None = None,
-                      max_length: int | None = None) -> RegularityReport:
-    """The report of `mreg regnum`; the caps bound every resolution and
-    Groebner run behind it.  The a-invariants and the lower bound share one
-    memoized resolution per module and caps."""
+                      route: str = "ext", limits: Limits = NO_LIMITS) -> RegularityReport:
+    """The report of `mreg regnum`.  The a-invariants and the lower bound
+    share one memoized resolution per module and limits."""
     v = tuple(v)
     cst = coarsening_constants(P.ring, v)
-    ai = module_a_invariants(P, v, route, degree_cap=degree_cap, max_length=max_length)
+    ai = module_a_invariants(P, v, route, limits)
     regnum = _regnum_from_a_invariants(ai, cst)
-    F = cached_minimal_resolution(P, degree_cap=degree_cap, max_length=max_length)
+    F = cached_minimal_resolution(P, limits)
     lower = regnum_lower_bound(betti_table(coarsen_resolution(F, v)), cst.c_v, cst.s_v)
     if lower > regnum:
         raise MregError("resolution lower bound exceeds the regularity number")

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    NO_LIMITS,
     HomogeneityError,
     InputError,
+    Limits,
     MregError,
-    ResourceLimitError,
     ZeroModuleError,
 )
 from .grading import find_positive_coarsening_vector
@@ -185,27 +186,26 @@ def minimalize_presentation(P: ModulePresentation) -> ModulePresentation:
     return ModulePresentation(P.ring, M.shifts[0], tuple(c for c in rels if any(c)))
 
 
-def cached_minimal_resolution(P: ModulePresentation, degree_cap: int | None = None,
-                              max_length: int | None = None) -> FreeResolution:
-    """Minimal resolution computed once per module and caps, under the default order.
+def cached_minimal_resolution(P: ModulePresentation,
+                              limits: Limits = NO_LIMITS) -> FreeResolution:
+    """Minimal resolution computed once per module and limits, under the default order.
 
     Betti numbers do not depend on the order's coarsening vector, so a single
-    resolution serves every coarsening of the same module.  The caps are part
-    of the memo key: an entry does not record whether its work stayed within
-    other caps, and a call the caps stop raises and stores nothing.
+    resolution serves every coarsening of the same module.  The limits are
+    part of the memo key: an entry does not record whether its work stayed
+    within other caps, and a call the caps stop raises and stores nothing.
     """
-    return _memo_resolution(P, degree_cap, max_length)
+    return _memo_resolution(P, limits)
 
 
-# Called positionally only: lru_cache keys f(P) and f(P, degree_cap=None) apart.
+# Called positionally only: lru_cache keys f(P) and f(P, limits=NO_LIMITS) apart.
 @lru_cache(maxsize=128)
-def _memo_resolution(P, degree_cap, max_length):
-    return minimal_free_resolution(P, degree_cap=degree_cap, max_length=max_length)
+def _memo_resolution(P, limits):
+    return minimal_free_resolution(P, limits=limits)
 
 
 def minimal_free_resolution(P: ModulePresentation, v=None,
-                            degree_cap: int | None = None,
-                            max_length: int | None = None) -> FreeResolution:
+                            limits: Limits = NO_LIMITS) -> FreeResolution:
     """Minimal Z^r-graded free resolution of coker(P)."""
     ring = P.ring
     if v is None:
@@ -220,9 +220,8 @@ def minimal_free_resolution(P: ModulePresentation, v=None,
     while cols:
         if len(diffs) >= ring.n:
             raise MregError("resolution exceeds the variable-count length bound")
-        if max_length is not None and len(diffs) >= max_length:
-            raise ResourceLimitError(f"resolution length exceeds the cap {max_length}")
-        kept_idx, syz = kernel_generators(ctx, cols, minimal=True, degree_cap=degree_cap)
+        limits.check_length(len(diffs) + 1)
+        kept_idx, syz = kernel_generators(ctx, cols, limits)
         kept = [cols[i] for i in kept_idx]
         step_shifts = tuple(ctx.vec_degree(c) for c in kept)
         diffs.append([vec_to_columns(c, ctx.rank) for c in kept])

@@ -1,11 +1,21 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+from mreg import (
+    GradingError,
+    HomogeneityError,
+    InputError,
+    InsufficientBoxError,
+    MregError,
+    ResourceLimitError,
+    ZeroModuleError,
+)
 from mreg.cli import run
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -246,6 +256,54 @@ def test_zero_module_exits_2(tmp_path, capture):
     code, _, err = capture(["regnum", str(unit)])
     assert code == 2
     assert "zero module" in err
+
+
+# each error class and the phrase README's exit-code list gives its code
+README_EXIT_PHRASES = {
+    MregError: "any other failure",
+    InputError: "malformed input",
+    ZeroModuleError: "malformed input",
+    GradingError: "grading not positive",
+    HomogeneityError: "non-homogeneous polynomial",
+    ResourceLimitError: "resource limit",
+    InsufficientBoxError: "resource limit",
+}
+
+
+def test_error_exit_codes_match_the_readme():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    listed = text[text.index("Exit codes:"):]
+    listed = listed[: listed.index(".")]
+    codes = {int(code): phrase for code, phrase in re.findall(r"`(\d)` ([^,`(]+)", listed)}
+    assert codes[0] == "success"
+    for cls, phrase in README_EXIT_PHRASES.items():
+        assert codes[cls.exit_code].startswith(phrase), cls
+
+
+MALFORMED = {
+    "point-coordinate": {"points": {"dims": [1, 1], "points": [[[1, "1/0"], [1, 0]], [[0, 1], [1, 1]]]}},
+    "point-dims": {"points": {"dims": ["a", 1], "points": [[[1, 0], [1, 0]], [[0, 1], [1, 1]]]}},
+    "ideal-zero-denominator": {
+        "ring": {"variables": ["x", "y"], "degrees": [[1], [1]]},
+        "ideal": ["1/0*x"],
+    },
+    "facet-unknown-vertex": {
+        "ring": {"variables": ["a", "b"], "degrees": [[1], [1]]},
+        "complex": {"vertices": ["a", "b"], "facets": [["a", "c"]]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    proc = run_process("python -m mreg", ["regnum", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_huge_integers_serialize_as_strings():

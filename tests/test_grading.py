@@ -120,22 +120,6 @@ def test_enumerate_region_witnesses_and_monotone():
     assert smaller <= set(region.points())
 
 
-def test_semigroup_region_membership():
-    region = enumerate_bounded_region([(0, 0)], HIRZEBRUCH2, (1, 3), 6)
-    from mreg import DegreeRegion
-
-    semi = DegreeRegion(
-        kind="semigroup",
-        bases=((0, 0),),
-        generators=HIRZEBRUCH2,
-        weight_vector=(1, 3),
-    )
-    for pt in region.points():
-        assert pt in semi
-    assert (-1, 0) not in semi
-    assert (0, 2) in semi  # (−2,1)+(1,0)+(1,0)+(0,1)
-
-
 def test_shifted_orthant_examples():
     r = shifted_orthant_region(2, -1)
     assert (-1, 5) in r and (-1, -1) not in r

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from mreg import (
+    Limits,
     ModuleCtx,
     MultigradedRing,
     PointSet,
@@ -216,12 +217,12 @@ def test_prune_degree_cap_holds_s_pairs_only():
     ctx = ModuleCtx.for_vector(ring, ((0,),), (1,))
     one = ring.field.one
     # a generator above the cap is decided without raising
-    assert prune_to_minimal_generators(ctx, [{(0, (3, 0, 0)): one}], degree_cap=1) == [0]
+    assert prune_to_minimal_generators(ctx, [{(0, (3, 0, 0)): one}], Limits(max_degree=1)) == [0]
     # the S-pair of a^2 and ab has coarse degree 3
     pair = [{(0, (2, 0, 0)): one}, {(0, (1, 1, 0)): one}]
-    assert prune_to_minimal_generators(ctx, pair, degree_cap=3) == [0, 1]
+    assert prune_to_minimal_generators(ctx, pair, Limits(max_degree=3)) == [0, 1]
     with pytest.raises(ResourceLimitError):
-        prune_to_minimal_generators(ctx, pair, degree_cap=2)
+        prune_to_minimal_generators(ctx, pair, Limits(max_degree=2))
 
 
 def test_each_term_key_is_built_once_per_context(monkeypatch):

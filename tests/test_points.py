@@ -8,6 +8,7 @@ import mreg.resolution
 from mreg import (
     InputError,
     InsufficientBoxError,
+    Limits,
     ModuleCtx,
     PointSet,
     ResourceLimitError,
@@ -182,27 +183,27 @@ def test_connections_examples(four_points, eight_points):
 def test_point_ideal_obeys_the_degree_cap(eight_points, p1p1):
     # the last intersection of the eight points needs S-pairs of coarse degree 9
     with pytest.raises(ResourceLimitError):
-        point_ideal(eight_points, p1p1, degree_cap=8)
-    assert point_ideal(eight_points, p1p1, degree_cap=9) == point_ideal(eight_points, p1p1)
+        point_ideal(eight_points, p1p1, Limits(max_degree=8))
+    assert point_ideal(eight_points, p1p1, Limits(max_degree=9)) == point_ideal(eight_points, p1p1)
     problem = load_problem(str(PROBLEMS / "eight-points.json"))
     with pytest.raises(ResourceLimitError):
-        problem.presentation(degree_cap=8)
-    assert problem.presentation(degree_cap=9) == problem.presentation()
+        problem.presentation(Limits(max_degree=8))
+    assert problem.presentation(Limits(max_degree=9)) == problem.presentation()
 
 
 def test_connections_caps_reach_every_engine_call(eight_points, count_calls):
-    caps = {"degree_cap": 1000, "max_length": 10}
+    caps = {"limits": Limits(max_degree=1000, max_length=10)}
     clear_memos()
     resolutions = count_calls(mreg.resolution, "minimal_free_resolution")
     intersections = count_calls(mreg.points, "ideal_intersection")
     capped = connections_check(eight_points, (10, 10), **caps)
     # the regnum's Ext route and the projective dimension share one memo entry
     assert resolutions == [caps]
-    assert intersections and all(c == {"degree_cap": 1000} for c in intersections)
+    assert intersections and all(c == caps for c in intersections)
     assert capped == connections_check(eight_points, (10, 10))
-    for tight in ({"degree_cap": 8}, {"max_length": 1}):
+    for tight in (Limits(max_degree=8), Limits(max_length=1)):
         with pytest.raises(ResourceLimitError):
-            connections_check(eight_points, (10, 10), **tight)
+            connections_check(eight_points, (10, 10), limits=tight)
 
 
 def test_duality_matches_resolution_regularity_on_random_points():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mreg import (
     GradingError,
     InputError,
+    Limits,
     ModulePresentation,
     MultigradedRing,
     ResourceLimitError,
@@ -302,37 +303,42 @@ def test_caps_are_part_of_the_memo_key(count_calls):
     resolutions = count_calls(mreg.resolution, "minimal_free_resolution")
     ext_runs = count_calls(mreg.localcoh, "cached_minimal_resolution")
 
-    def report_runs(**caps):
+    def report_runs(limits=Limits()):
         before = len(resolutions), len(ext_runs)
-        report = regularity_report(P, (1, 1), **caps)
+        report = regularity_report(P, (1, 1), limits=limits)
         return report, (len(resolutions) - before[0], len(ext_runs) - before[1])
 
     # a call its caps stop stores nothing, so the same call computes again
-    for caps in ({"degree_cap": 1}, {"max_length": 1}):
+    for limits in (Limits(max_degree=1), Limits(max_length=1)):
         for _ in range(2):
             before = len(resolutions)
             with pytest.raises(ResourceLimitError):
-                regularity_report(P, (1, 1), **caps)
+                regularity_report(P, (1, 1), limits=limits)
             assert len(resolutions) == before + 1
-    capped, runs = report_runs(degree_cap=50, max_length=4)
+    capped, runs = report_runs(Limits(max_degree=50, max_length=4))
     assert runs == (1, 1)
-    assert report_runs(degree_cap=50, max_length=4) == (capped, (0, 0))
+    assert report_runs(Limits(max_degree=50, max_length=4)) == (capped, (0, 0))
     # a capped entry serves neither an uncapped call nor other caps
     uncapped, runs = report_runs()
     assert uncapped == capped and runs == (1, 1)
-    assert report_runs(degree_cap=60, max_length=4) == (capped, (1, 1))
-    assert report_runs(degree_cap=50) == (capped, (1, 1))
+    assert report_runs(Limits(max_degree=60, max_length=4)) == (capped, (1, 1))
+    assert report_runs(Limits(max_degree=50)) == (capped, (1, 1))
     assert report_runs() == (capped, (0, 0))
     # positional and keyword calls find the same entry
     count = len(resolutions)
     cached_minimal_resolution(P)
-    cached_minimal_resolution(P, 50, 4)
+    cached_minimal_resolution(P, limits=Limits(max_degree=50, max_length=4))
     assert len(resolutions) == count
+    # the default and an explicit unlimited Limits() share one entry
+    clear_memos()
+    cached_minimal_resolution(P)
+    cached_minimal_resolution(P, Limits())
+    assert len(resolutions) == count + 1
 
 
 def test_capped_coarsening_work_resolves_once(count_calls):
     P = load_problem(str(PROBLEMS / "eight-points.json")).presentation()
-    caps = {"degree_cap": 1000, "max_length": 10}
+    caps = {"limits": Limits(max_degree=1000, max_length=10)}
     calls = count_calls(mreg.resolution, "minimal_free_resolution")
     for run in (
         lambda: minimal_coarsening_set(P, box=5, **caps),
@@ -414,8 +420,8 @@ def test_degree_bounds_meet_the_cap_before_any_enumeration(koszul_module, monkey
 
     monkeypatch.setattr(mreg.regularity, "enumerate_bounded_region", counted)
     with pytest.raises(ResourceLimitError):
-        degree_bound_sets(koszul_module, (1, 1), (0, 1, 2), degree_cap=top - 1)
+        degree_bound_sets(koszul_module, (1, 1), (0, 1, 2), limits=Limits(max_degree=top - 1))
     assert enumerated == []
-    capped = degree_bound_sets(koszul_module, (1, 1), (0, 1, 2), degree_cap=top)
+    capped = degree_bound_sets(koszul_module, (1, 1), (0, 1, 2), limits=Limits(max_degree=top))
     assert len(enumerated) == 1
     assert capped == degree_bound_sets(koszul_module, (1, 1), (0, 1, 2))

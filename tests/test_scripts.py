@@ -1,7 +1,10 @@
-"""Smoke runs of the scripts in scripts/, as a user would start them."""
+"""Smoke runs of the scripts in scripts/, as a user would start them, and the
+names the benchmark's traced mode looks up in the package."""
 
 import ast
+import importlib
 import json
+import runpy
 import subprocess
 import sys
 
@@ -30,3 +33,14 @@ def test_coarsening_sweep_family_matches_minvectors():
     cli = run_process("mreg", ["minvectors", *argv[1:], argv[0]])
     assert cli.returncode == 0, cli.stderr
     assert [list(v) for v in family] == json.loads(cli.stdout)["minimal"]
+
+
+def test_every_traced_name_resolves():
+    # `perfbench/run.py --trace 1` wraps these by name; a renamed or removed
+    # function breaks the traced benchmark, so a src change must keep them.
+    tracing = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
+    for table in (tracing["TRACED"], tracing["COUNTED"]):
+        for modname, names in table.items():
+            module = importlib.import_module(f"mreg.{modname}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"mreg.{modname}.{name}"
