@@ -135,7 +135,6 @@ class DegreeRegion:
 
     kind: str
     bases: tuple[Multidegree, ...]
-    bounding_box: tuple[Multidegree, Multidegree] | None = None
     witnesses: Mapping | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):

@@ -34,7 +34,6 @@ from .poly import (
     mono_lcm,
     mono_mul,
     monomials_of_weight,
-    padd,
     pscale,
 )
 
@@ -59,11 +58,11 @@ class ModuleCtx:
                             compare=False, hash=False)
 
     @classmethod
-    def for_vector(cls, ring: MultigradedRing, shifts, v) -> "ModuleCtx":
+    def for_vector(cls, ring: MultigradedRing, shifts, v, **fields) -> "ModuleCtx":
         shifts = tuple(tuple(s) for s in shifts)
         order = ring.order(tuple(v))
         wdegs = tuple(sum(a * b for a, b in zip(s, v)) for s in shifts)
-        return cls(ring, shifts, order, wdegs)
+        return cls(ring, shifts, order, wdegs, **fields)
 
     @property
     def rank(self) -> int:
@@ -108,7 +107,11 @@ def vterm_mul(f: Vec, mono: Mono, c, K) -> Vec:
 
 def vsub_term_mul(f: Vec, g: Vec, mono: Mono, c, K) -> Vec:
     """f - c * x^mono * g, in place on a copy of f."""
-    out = dict(f)
+    return _isub_term_mul(dict(f), g, mono, c, K)
+
+
+def _isub_term_mul(out: Vec, g: Vec, mono: Mono, c, K) -> Vec:
+    """out -= c * x^mono * g, in place; returns out."""
     for (comp, m), v in g.items():
         t = (comp, mono_mul(m, mono))
         s = K.sub(out.get(t, K.zero), K.mul(v, c))
@@ -382,12 +385,13 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
         if lcomp >= rank
     ]
 
-    # exactness check: each relation maps into span(modulo)
+    # exactness check: each relation maps into span(modulo); the image is
+    # accumulated negated, in place, which changes nothing about that
     mod_basis, mod_lts = buchberger(ctx, modulo, limits)
     for a in out:
         image: Vec = {}
         for (j, m), c in a.items():
-            image = padd(image, vterm_mul(cols[j], m, c, K), K)
+            _isub_term_mul(image, cols[j], m, c, K)
         if reduce_vec(ctx, image, mod_basis, mod_lts):
             raise ArithmeticError("relation does not map into the span of the modulo elements")
     return out

@@ -39,10 +39,14 @@ def multiproj_ring(dims, field: FieldDescriptor = DEFAULT_FIELD) -> MultigradedR
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
+    """Integers from parsed JSON; a float must be integral, never truncated."""
+    values = list(values)
     try:
+        if any(isinstance(x, float) and not x.is_integer() for x in values):
+            raise ValueError
         return tuple(int(x) for x in values)
     except ValueError:
-        raise InputError(f"{what} must be integers, got {list(values)!r}") from None
+        raise InputError(f"{what} must be integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -216,11 +220,7 @@ def b_regularity_region(X: PointSet, box=None, ring: MultigradedRing | None = No
             raise InsufficientBoxError(
                 f"minimal element {m} touches the box boundary; enlarge the box to certify it"
             )
-    return DegreeRegion(
-        kind="orthant",
-        bases=tuple(minimal),
-        bounding_box=((0,) * r, box),
-    )
+    return DegreeRegion(kind="orthant", bases=tuple(minimal))
 
 
 def _grid(box):

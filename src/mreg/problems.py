@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NO_LIMITS, InputError, Limits
 from .localcoh import SimplicialComplex, stanley_reisner_ideal
-from .points import PointSet, multiproj_ring, point_ideal
+from .points import PointSet, _integers, multiproj_ring, point_ideal
 from .poly import DEFAULT_FIELD, FieldDescriptor, MultigradedRing, QQ
 from .resolution import ModulePresentation
 
@@ -132,7 +132,7 @@ def _parse_ring(spec, field: FieldDescriptor) -> MultigradedRing:
         raise InputError("ring must be an object")
     try:
         variables = tuple(_expect_str(v, "variable name") for v in spec["variables"])
-        degrees = tuple(tuple(int(x) for x in row) for row in spec["degrees"])
+        degrees = tuple(_integers(row, "ring degrees") for row in spec["degrees"])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad ring spec: {e}") from None
     return MultigradedRing(variables, degrees, field)
@@ -140,7 +140,7 @@ def _parse_ring(spec, field: FieldDescriptor) -> MultigradedRing:
 
 def _parse_shift_list(ring: MultigradedRing, spec):
     try:
-        shifts = tuple(tuple(int(x) for x in row) for row in spec)
+        shifts = tuple(_integers(row, "shifts") for row in spec)
     except (TypeError, ValueError) as e:
         raise InputError(f"bad shift list: {e}") from None
     for s in shifts:

@@ -1,18 +1,27 @@
 """Minimal multigraded free resolutions, Betti tables, and coarsening.
 
-A resolution is built step by step: the presentation is first reduced so
-its target generators are minimal (constant entries pivoted away), then each
-kernel is computed as the relation module of the current columns and pruned
-to a minimal generating set before becoming the next differential.  Every
-differential therefore has all entries in the irrelevant ideal, the complex
-is minimal by construction, and the length is bounded by the number of
-variables; both facts are asserted after the fact rather than trusted.
+A resolution is built in two passes.  First a Schreyer frame: one Groebner
+basis of the minimalized presentation's columns gives the first level, and
+every later level is read off the S-pairs of the one before it.  Each level
+is ordered per lead component by descending lex lead exponents (Eisenbud,
+Commutative Algebra, Cor. 15.11), and the next module gets the induced
+Schreyer order: x^m e_c compares as x^m times the lead term of c, with ties
+going to the lower index.  By Schreyer's theorem one syzygy per minimal
+generator of each colon ideal (lt_b : b > a) : lt_a is then a Groebner basis
+of the syzygies, so a level needs reductions only, no Buchberger run; each
+S-vector must reduce to zero, and the quotients give its syzygy.  The frame
+is a free resolution of length at most the number of variables, but not
+minimal.  Second, minimalize_complex cancels its constant entries.  The
+d o d = 0 and minimality asserts run on the result rather than being
+trusted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     NO_LIMITS,
@@ -26,14 +35,21 @@ from .grading import find_positive_coarsening_vector
 from .groebner import (
     ModuleCtx,
     Vec,
-    kernel_generators,
+    buchberger,
+    reduce_vec,
     vec_to_columns,
+    vsub_term_mul,
+    vterm_mul,
 )
 from .poly import (
     Multidegree,
     MultigradedRing,
     PolyDict,
     is_constant,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
     pmul,
     pneg,
     padd,
@@ -206,31 +222,122 @@ def _memo_resolution(P, limits):
 
 def minimal_free_resolution(P: ModulePresentation, v=None,
                             limits: Limits = NO_LIMITS) -> FreeResolution:
-    """Minimal Z^r-graded free resolution of coker(P)."""
-    ring = P.ring
-    if v is None:
-        v = find_positive_coarsening_vector(ring.degrees)
-    v = tuple(v)
-    P0 = minimalize_presentation(P)
-    shifts_list: list[tuple] = [P0.shifts]
-    diffs: list[list[Column]] = []
+    """Minimal Z^r-graded free resolution of coker(P).
 
+    The Schreyer frame is minimalized by minimalize_complex; the length cap
+    applies to the minimal resolution, not to the frame.
+    """
+    if v is None:
+        v = find_positive_coarsening_vector(P.ring.degrees)
+    v = tuple(v)
+    F = minimalize_complex(_schreyer_frame(minimalize_presentation(P), v, limits))
+    limits.check_length(F.length)
+    return _degree_sorted(F, v)
+
+
+def _degree_sorted(F: FreeResolution, v) -> FreeResolution:
+    """The same complex with every level after F_0 sorted by coarse, then fine degree."""
+    shifts, diffs = list(F.shifts), [list(d) for d in F.differentials]
+    for i in range(1, len(shifts)):
+        perm = sorted(range(len(shifts[i])),
+                      key=lambda p: (sum(map(mul, shifts[i][p], v)), shifts[i][p]))
+        shifts[i] = tuple(shifts[i][p] for p in perm)
+        diffs[i - 1] = [diffs[i - 1][p] for p in perm]
+        if i < len(diffs):
+            diffs[i] = [tuple(col[p] for p in perm) for col in diffs[i]]
+    return FreeResolution(F.ring, shifts, diffs)
+
+
+@dataclass(frozen=True)
+class SchreyerCtx(ModuleCtx):
+    """F_k (+) F_{k+1}, in which the columns of d_{k+1} are reduced.
+
+    The first len(leads) components are F_k's generators under the Schreyer
+    order: x^m e_c compares by the `below` key of x^m * leads[c], and on a
+    tie the lower index is larger.  The remaining components, F_{k+1}'s,
+    carry the quotients of a reduction and sort after every term of F_k.
+    """
+
+    below: ModuleCtx | None = None
+    leads: tuple = ()
+
+    def _build_term_key(self, t):
+        comp, mono = t
+        if comp >= len(self.leads):
+            return (math.inf, comp, mono)
+        lcomp, lmono = self.leads[comp]
+        return (*self.below.term_key((lcomp, mono_mul(mono, lmono))), comp)
+
+
+def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution:
+    """A free resolution of coker(P0) whose differentials are Schreyer Groebner bases.
+
+    Every element of the frame is monic: buchberger returns a monic basis,
+    and a syzygy's leading coefficient is that of its S-vector's first term.
+    """
+    ring = P0.ring
     ctx = ModuleCtx.for_vector(ring, P0.shifts, v)
-    cols = [P0.column_vec(j) for j in range(len(P0.relations))]
-    while cols:
-        if len(diffs) >= ring.n:
+    basis, lts = buchberger(ctx, [P0.column_vec(j) for j in range(len(P0.relations))], limits)
+    # per lead component, lead exponents lexicographically descending
+    order = sorted(range(len(basis)), key=lambda i: (lts[i][0][0], [-x for x in lts[i][0][1]]))
+    elems, leads = [basis[i] for i in order], [lts[i][0] for i in order]
+    shifts, diffs = [P0.shifts], []
+    below, below_leads = None, None
+    while elems:
+        if len(diffs) == ring.n:
             raise MregError("resolution exceeds the variable-count length bound")
-        limits.check_length(len(diffs) + 1)
-        kept_idx, syz = kernel_generators(ctx, cols, limits)
-        kept = [cols[i] for i in kept_idx]
-        step_shifts = tuple(ctx.vec_degree(c) for c in kept)
-        diffs.append([vec_to_columns(c, ctx.rank) for c in kept])
-        shifts_list.append(step_shifts)
-        ctx = ModuleCtx.for_vector(ring, step_shifts, v)
-        cols = syz
-    F = FreeResolution(ring, shifts_list, diffs)
-    _assert_resolution_sane(F)
-    return F
+        src = shifts[-1]
+        level = tuple(
+            tuple(a + b for a, b in zip(ring.mono_degree(m), src[c])) for c, m in leads
+        )
+        diffs.append([vec_to_columns(g, len(src)) for g in elems])
+        shifts.append(level)
+        if below is None:
+            ctx = ModuleCtx.for_vector(ring, src + level, v)
+        else:
+            ctx = SchreyerCtx.for_vector(ring, src + level, v, below=below, leads=below_leads)
+        below, below_leads = ctx, leads
+        elems, leads = _frame_syzygies(ctx, elems, leads, limits)
+    return FreeResolution(ring, shifts, diffs)
+
+
+def _frame_syzygies(ctx: ModuleCtx, elems, leads, limits: Limits):
+    """The next frame level: one syzygy per minimal colon generator, by reduction.
+
+    `ctx` is F_{k-1} (+) F_k; the elements are the monic columns of d_k and
+    `leads` their lead terms under ctx.  Each element enters the reduction
+    with its own F_k generator attached, so reducing an S-vector to zero
+    leaves the syzygy in the F_k components.  The syzygies come out with
+    lead terms x^q e_a, per a in order and q lexicographically descending.
+    """
+    K = ctx.ring.field
+    base = ctx.rank - len(elems)
+    zero = (0,) * ctx.ring.n
+    aug = [{**g, (base + i, zero): K.one} for i, g in enumerate(elems)]
+    aug_lts = [(t, K.one) for t in leads]
+    out, out_leads = [], []
+    for a, (ca, ma) in enumerate(leads):
+        colon: list = []  # (x^q, b): minimal generators of (lt_b : b > a) : lt_a
+        for b in range(a + 1, len(leads)):
+            cb, mb = leads[b]
+            if cb != ca:
+                continue
+            q = mono_div(mono_lcm(ma, mb), ma)
+            if any(mono_divides(p, q) for p, _ in colon):
+                continue
+            colon = [(p, c) for p, c in colon if not mono_divides(q, p)] + [(q, b)]
+        for q, b in sorted(colon, reverse=True):
+            lcm = mono_mul(q, ma)
+            limits.check_degree("S-pair of coarse degree",
+                                ctx.order.wdeg(lcm) + ctx.shift_wdegs[ca])
+            s = vsub_term_mul(vterm_mul(aug[a], q, K.one, K), aug[b],
+                              mono_div(lcm, leads[b][1]), K.one, K)
+            rem = reduce_vec(ctx, s, aug, aug_lts)
+            if any(comp < base for comp, _ in rem):
+                raise ArithmeticError("frame S-vector does not reduce to zero")
+            out.append({(comp - base, m): c for (comp, m), c in rem.items()})
+            out_leads.append((a, q))
+    return out, out_leads
 
 
 def _assert_resolution_sane(F: FreeResolution):

@@ -287,6 +287,21 @@ MALFORMED = {
         "ring": {"variables": ["x", "y"], "degrees": [[1], [1]]},
         "ideal": ["1/0*x"],
     },
+    "point-fraction": {"points": {"dims": [1, 1], "points": [[[1, 0.5], [1, 0]]]}},
+    "point-dims-fraction": {"points": {"dims": [1.5, 1], "points": [[[1, 0], [1, 0]]]}},
+    "point-infinity": {"points": {"dims": [1, 1], "points": [[[1, float("inf")], [1, 0]]]}},
+    "ring-degree-fraction": {
+        "ring": {"variables": ["x", "y"], "degrees": [[1], [0.5]]},
+        "ideal": ["x"],
+    },
+    "module-shift-fraction": {
+        "ring": {"variables": ["x", "y"], "degrees": [[1], [1]]},
+        "module": {"shifts": [[0.5]], "relations": [["x"]]},
+    },
+    "free-shift-fraction": {
+        "ring": {"variables": ["x", "y"], "degrees": [[1], [1]]},
+        "free": {"shifts": [[1.25]]},
+    },
     "facet-unknown-vertex": {
         "ring": {"variables": ["a", "b"], "degrees": [[1], [1]]},
         "complex": {"vertices": ["a", "b"], "facets": [["a", "c"]]},

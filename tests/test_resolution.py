@@ -1,18 +1,28 @@
+import random
+import sys
+
 import pytest
 
+import mreg.groebner
 from mreg import (
     InputError,
+    Limits,
     ModulePresentation,
     MultigradedRing,
+    PointSet,
+    ResourceLimitError,
     betti_table,
     coarsen_resolution,
     graded_piece_dimension,
     minimal_free_resolution,
     minimalize_complex,
     minimalize_presentation,
+    multiproj_ring,
+    quotient_presentation,
     regnum_lower_bound,
     resolution_regularity_vector,
 )
+from mreg.grading import find_positive_coarsening_vector
 from mreg.poly import is_constant
 from mreg.resolution import FreeResolution, first_syzygy_presentation
 
@@ -198,3 +208,62 @@ def test_first_syzygy_presentation(koszul_module, p1p1):
     free = ModulePresentation.free_module(p1p1, [(1, 0)])
     M1f, shifts_f, _ = first_syzygy_presentation(free)
     assert M1f is None and shifts_f == ((1, 0),)
+
+
+def _nine_generic_points():
+    rng = random.Random(7)
+    pts = tuple(((1, rng.randint(1, 32002)), (1, rng.randint(1, 32002))) for _ in range(9))
+    return quotient_presentation(PointSet((1, 1), pts), multiproj_ring((1, 1)))
+
+
+def test_schreyer_frame_runs_one_groebner_basis(monkeypatch):
+    """Work guard: one Buchberger run per resolution, no kernel or pruning runs."""
+    P = _nine_generic_points()
+    calls = dict.fromkeys(("_degree_ordered_basis", "relations", "prune_to_minimal_generators"), 0)
+    for name in calls:
+        orig = getattr(mreg.groebner, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "mreg"]:
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counted)
+    F = minimal_free_resolution(P)
+    assert [F.rank(i) for i in range(F.length + 1)] == [1, 12, 17, 6]
+    assert calls == {"_degree_ordered_basis": 1, "relations": 0, "prune_to_minimal_generators": 0}
+
+
+def test_frame_s_pairs_obey_the_degree_cap(p1p1):
+    # the presentation's S-pairs have coarse degree 2; the frame's first
+    # S-pair between two syzygies has coarse degree 3
+    P = ModulePresentation.quotient_by_ideal(p1p1, [p1p1.parse(g) for g in ("x0", "x1", "y0")])
+    with pytest.raises(ResourceLimitError, match="^S-pair of coarse degree 3 exceeds the degree cap 2$") as info:
+        minimal_free_resolution(P, limits=Limits(max_degree=2))
+    assert "_frame_syzygies" in {entry.name for entry in info.traceback}
+    assert minimal_free_resolution(P, limits=Limits(max_degree=3)).length == 3
+
+
+def test_length_cap_applies_to_the_minimal_resolution(p1p1):
+    # the frame of this module has length 3, its minimal resolution length 2
+    P = ModulePresentation.quotient_by_ideal(
+        p1p1, [p1p1.parse("y0^2 + y1^2"), p1p1.parse("x0*y0*y1 - x0*y1^2")]
+    )
+    assert minimal_free_resolution(P, limits=Limits(max_length=2)).length == 2
+    with pytest.raises(ResourceLimitError, match="^resolution length exceeds the cap 1$"):
+        minimal_free_resolution(P, limits=Limits(max_length=1))
+    nine = _nine_generic_points()
+    for cap in (0, 1, 2):
+        with pytest.raises(ResourceLimitError, match=f"^resolution length exceeds the cap {cap}$"):
+            minimal_free_resolution(nine, limits=Limits(max_length=cap))
+    assert minimal_free_resolution(nine, limits=Limits(max_length=3)).length == 3
+
+
+def test_levels_are_sorted_by_coarse_then_fine_degree(full_corpus):
+    for P in full_corpus:
+        v = find_positive_coarsening_vector(P.ring.degrees)
+        F = minimal_free_resolution(P, v)
+        for level in F.shifts[1:]:
+            keys = [(sum(a * b for a, b in zip(s, v)), s) for s in level]
+            assert keys == sorted(keys)
