@@ -5,7 +5,9 @@ nonzero field element.  The module order is position-over-term: earlier
 declared components dominate, ties are broken by the coarse weight order of
 the ambient ring.  Each term's order key is computed once per ModuleCtx and
 memoized on it; normal forms pop the pending terms of a heap in descending
-order.  All inputs must be homogeneous in the fine Z^r-grading.  Input
+order.  All elements must be homogeneous in the fine Z^r-grading: the
+exported entry points check each input element once (element_degree), and
+everything they call, buchberger included, trusts that check.  Input
 generators and S-pairs share one queue ordered by coarse degree: within a
 degree the S-pairs (FIFO) come before the generators (in input order), and
 a generator enters the basis only if its normal form is nonzero, so the
@@ -84,17 +86,32 @@ class ModuleCtx:
         wdeg, deg, revlex = self.order.key(mono)
         return (comp, -wdeg, -deg, *(-x for x in revlex))
 
+    def term_wdeg(self, t) -> int:
+        """Coarse degree of a term, so of a homogeneous element with that term."""
+        comp, mono = t
+        return self.order.wdeg(mono) + self.shift_wdegs[comp]
+
     def vec_degree(self, f: Vec) -> Multidegree:
-        """Fine multidegree of a nonzero homogeneous element."""
-        if not f:
-            raise HomogeneityError("zero element has no degree")
-        degs = {
-            tuple(a + b for a, b in zip(self.ring.mono_degree(m), self.shifts[c]))
-            for (c, m) in f
-        }
-        if len(degs) > 1:
-            raise HomogeneityError(f"element is not homogeneous: degrees {sorted(degs)}")
-        return next(iter(degs))
+        """Fine multidegree of a nonzero homogeneous element; see element_degree."""
+        return element_degree(self.ring, self.shifts, f)
+
+
+def element_degree(ring: MultigradedRing, shifts, terms) -> Multidegree:
+    """Fine multidegree of a module element, given by its (component, monomial) terms.
+
+    The one check of module elements: the element must be nonzero, every
+    component must index one of the shifts, and all terms must share one
+    degree.  Raises InputError or HomogeneityError otherwise.
+    """
+    degs = set()
+    for comp, mono in terms:
+        if not 0 <= comp < len(shifts):
+            raise InputError(f"element lives outside the ambient module (component {comp})")
+        degs.add(tuple(a + b for a, b in zip(ring.mono_degree(mono), shifts[comp])))
+    if len(degs) != 1:
+        raise HomogeneityError(f"element is not homogeneous: degrees {sorted(degs)}"
+                               if degs else "zero element has no degree")
+    return degs.pop()
 
 
 # -- vector arithmetic ---------------------------------------------------------
@@ -195,10 +212,6 @@ def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
 
 def normal_form(f: Vec, G: "GroebnerBasis") -> Vec:
     """Remainder of f with no term divisible by a leading term of G."""
-    if f and G.ctx.rank:
-        bad = [c for (c, _) in f if c >= G.ctx.rank]
-        if bad:
-            raise InputError(f"element lives outside the ambient module (component {bad[0]})")
     if f:
         G.ctx.vec_degree(f)
     return reduce_vec(G.ctx, f, G.elements, G.leading_terms)
@@ -227,10 +240,12 @@ def _single_component(f: Vec):
 
 
 def buchberger(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS):
-    """Reduced Groebner basis of the given homogeneous generators.
+    """Reduced Groebner basis of the given generators.
 
     Returns (basis, leading_terms): each leading term is computed once, when
     its element enters the basis, and is reused by every later reduction.
+    The generators are not checked: callers pass homogeneous elements of
+    ctx's free module, checked by an entry point or a ModulePresentation.
     """
     basis, lts, _ = _degree_ordered_basis(ctx, gens, limits)
     return _autoreduce(ctx, basis, lts)
@@ -244,7 +259,9 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     degree <= d has been treated, so the basis is complete through degree d
     and the generator's normal form is zero exactly when it lies in the
     submodule generated by the generators that entered before it.  Only
-    S-pairs are held to the degree cap.
+    S-pairs are held to the degree cap.  Like buchberger, it trusts its
+    callers to pass homogeneous generators: a generator's coarse degree is
+    read off one of its terms.
     """
     K = ctx.ring.field
     basis: list[Vec] = []
@@ -252,16 +269,12 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     single: list = []  # the only component of each element, or None
     entered: list[int] = []
     done: set[tuple[int, int]] = set()
-    # (coarse degree, 0 for the S-pair (i, j) | 1 for the generator gens[i],
-    #  tie-break: pair creation order | generator index, i, j)
-    heap: list = []
     seq = 0
 
     gens = list(gens)
-    for idx, g in enumerate(gens):
-        if g:
-            ctx.vec_degree(g)  # homogeneity check
-            heap.append((_coarse_degree(ctx, g), 1, idx, idx, -1))
+    # (coarse degree, 0 for the S-pair (i, j) | 1 for the generator gens[i],
+    #  tie-break: pair creation order | generator index, i, j)
+    heap = [(ctx.term_wdeg(next(iter(g))), 1, idx, idx, -1) for idx, g in enumerate(gens) if g]
     heapq.heapify(heap)
 
     def add(g):
@@ -276,8 +289,7 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
             if ti[0] != t[0]:
                 done.add((i, j))
                 continue
-            lcm = mono_lcm(ti[1], t[1])
-            deg = ctx.order.wdeg(lcm) + ctx.shift_wdegs[t[0]]
+            deg = ctx.term_wdeg((t[0], mono_lcm(ti[1], t[1])))
             heapq.heappush(heap, (deg, 0, seq, i, j))
             seq += 1
 
@@ -346,6 +358,10 @@ def _autoreduce(ctx: ModuleCtx, basis: list[Vec], lts):
 
 
 def groebner_basis(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS) -> GroebnerBasis:
+    gens = list(gens)
+    for g in gens:
+        if g:
+            ctx.vec_degree(g)
     basis, lts = buchberger(ctx, gens, limits)
     return GroebnerBasis(ctx, basis, lts)
 
@@ -363,19 +379,27 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     their trailing parts generate the relation module (the elimination
     property of a position-over-term order).  The columns must be nonzero;
     the relations live in the free module whose j-th generator maps to
-    cols[j], and each is verified to map into span(modulo).
+    cols[j], and each is verified to map into span(modulo).  Every column
+    and nonzero modulo element is checked once, here.
     """
     cols = list(cols)
+    modulo = [g for g in modulo if g]
+    for g in modulo:
+        ctx.vec_degree(g)
+    return _relations(ctx, cols, [ctx.vec_degree(c) for c in cols], modulo, limits)
+
+
+def _relations(ctx: ModuleCtx, cols, degrees, modulo, limits: Limits) -> list[Vec]:
+    """relations for checked input: nonzero cols of the given fine degrees."""
     if not cols:
         return []
     K = ctx.ring.field
     rank, zero = ctx.rank, (0,) * ctx.ring.n
-    modulo = [g for g in modulo if g]
     aug = ModuleCtx(
         ctx.ring,
-        ctx.shifts + tuple(ctx.vec_degree(c) for c in cols),
+        ctx.shifts + tuple(degrees),
         ctx.order,
-        ctx.shift_wdegs + tuple(_coarse_degree(ctx, c) for c in cols),
+        ctx.shift_wdegs + tuple(ctx.term_wdeg(next(iter(c))) for c in cols),
     )
     gens = [{**c, (rank + j, zero): K.one} for j, c in enumerate(cols)] + modulo
     basis, lts = buchberger(aug, gens, limits)
@@ -404,14 +428,10 @@ def prune_to_minimal_generators(ctx: ModuleCtx, cols, limits: Limits = NO_LIMITS
     genuinely minimal generating set: an element is kept only if it is not
     in the submodule generated by the ones kept before it.  One
     degree-ordered Buchberger run decides every column.  Returns the kept
-    indices (in processing order).
+    indices (in processing order).  Like buchberger, it trusts its callers
+    to pass homogeneous columns.
     """
     return _degree_ordered_basis(ctx, cols, limits)[2]
-
-
-def _coarse_degree(ctx: ModuleCtx, f: Vec) -> int:
-    (comp, mono), _ = leading_term(ctx, f)
-    return ctx.order.wdeg(mono) + ctx.shift_wdegs[comp]
 
 
 def kernel_generators(ctx: ModuleCtx, cols, limits: Limits = NO_LIMITS):
@@ -422,8 +442,10 @@ def kernel_generators(ctx: ModuleCtx, cols, limits: Limits = NO_LIMITS):
     components match kept_indices, with shifts the degrees of those columns.
     """
     cols = list(cols)
+    degrees = [ctx.vec_degree(c) if c else None for c in cols]
     kept_idx = prune_to_minimal_generators(ctx, cols, limits)
-    return kept_idx, relations(ctx, [cols[i] for i in kept_idx], limits=limits)
+    return kept_idx, _relations(ctx, [cols[i] for i in kept_idx],
+                                [degrees[i] for i in kept_idx], [], limits)
 
 
 def kernel_of_map(ctx_target: ModuleCtx, cols, limits: Limits = NO_LIMITS) -> list[Vec]:

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NO_LIMITS, InputError, Limits
+from .errors import NO_LIMITS, InputError, Limits, ZeroModuleError
 from .grading import find_positive_coarsening_vector
 from .groebner import (
     ModuleCtx,
@@ -34,7 +34,6 @@ from .groebner import (
 )
 from .linalg import matrix_rank
 from .poly import FieldDescriptor, MultigradedRing
-from .errors import ZeroModuleError
 from .resolution import (
     ModulePresentation,
     cached_minimal_resolution,

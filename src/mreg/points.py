@@ -10,13 +10,21 @@ input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import product
+from math import comb, prod
 
 from .errors import NO_LIMITS, InputError, InsufficientBoxError, Limits, MregError
 from .grading import DegreeRegion, _compositions
 from .groebner import ideal_intersection
 from .linalg import matrix_rank
-from .poly import DEFAULT_FIELD, FieldDescriptor, Multidegree, MultigradedRing, PolyDict
+from .poly import (
+    DEFAULT_FIELD,
+    FieldDescriptor,
+    Multidegree,
+    MultigradedRing,
+    PolyDict,
+    mono_divides,
+)
 from .regularity import regnum_module
 from .resolution import ModulePresentation, cached_minimal_resolution
 
@@ -196,7 +204,7 @@ def b_regularity_region(X: PointSet, box=None, ring: MultigradedRing | None = No
     if len(box) != r or any(b < 0 for b in box):
         raise InputError("box must be a componentwise nonnegative multidegree")
     values = {}
-    for deg in _grid(box):
+    for deg in product(*(range(b + 1) for b in box)):
         values[deg] = hilbert_function_points(X, deg, ring)
     target = len(X)
     inside = {deg for deg, h in values.items() if h == target}
@@ -213,7 +221,7 @@ def b_regularity_region(X: PointSet, box=None, ring: MultigradedRing | None = No
                 raise InsufficientBoxError("region is not upward closed inside the box; enlarge the box")
     minimal = sorted(
         deg for deg in inside
-        if not any(_below(other, deg) for other in inside if other != deg)
+        if not any(mono_divides(other, deg) for other in inside if other != deg)
     )
     for m in minimal:
         if any(m[k] == box[k] and box[k] > 0 for k in range(r)):
@@ -221,20 +229,6 @@ def b_regularity_region(X: PointSet, box=None, ring: MultigradedRing | None = No
                 f"minimal element {m} touches the box boundary; enlarge the box to certify it"
             )
     return DegreeRegion(kind="orthant", bases=tuple(minimal))
-
-
-def _grid(box):
-    if len(box) == 1:
-        for k in range(box[0] + 1):
-            yield (k,)
-        return
-    for head in range(box[0] + 1):
-        for tail in _grid(box[1:]):
-            yield (head,) + tail
-
-
-def _below(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def res_reg_vector_points(X: PointSet, ring: MultigradedRing | None = None) -> Multidegree:
@@ -258,14 +252,7 @@ def res_reg_vector_points(X: PointSet, ring: MultigradedRing | None = None) -> M
 
 def dim_of_graded_piece(dims, deg) -> int:
     """dim_k S_deg for the standard multigraded ring of the given factors."""
-    return _prod(comb(n + d, d) for n, d in zip(dims, deg))
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
+    return prod(comb(n + d, d) for n, d in zip(dims, deg))
 
 
 def generic_position_check(X: PointSet, box=None, ring: MultigradedRing | None = None) -> bool:
@@ -276,7 +263,7 @@ def generic_position_check(X: PointSet, box=None, ring: MultigradedRing | None =
         raise InsufficientBoxError(
             f"insufficient box {box}: Hilbert function is {corner} < {len(X)} at the corner"
         )
-    for deg in _grid(box):
+    for deg in product(*(range(b + 1) for b in box)):
         expect = min(dim_of_graded_piece(X.dims, deg), len(X))
         if hilbert_function_points(X, deg, ring) != expect:
             return False
@@ -348,7 +335,7 @@ def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None
     orth = shifted_orthant_region(r, -(m - 1)) if m >= 1 else None
     contained = True
     if m >= 1:
-        for deg in _grid(box):
+        for deg in product(*(range(b + 1) for b in box)):
             shifted = tuple(x - (d + m) for x in deg)
             if shifted in orth and deg not in region:
                 contained = False

@@ -10,7 +10,7 @@ implemented directly so they can serve as independent checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from operator import mul
 
 from .errors import NO_LIMITS, GradingError, InputError, Limits, MregError, ZeroModuleError
@@ -33,10 +33,6 @@ from .resolution import (
 )
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 @dataclass(frozen=True)
 class CoarseningConstants:
     """The three integers controlling coarse vanishing and degree growth."""
@@ -56,9 +52,7 @@ def coarsening_constants(R: MultigradedRing, v) -> CoarseningConstants:
     w = R.vdegs(v)
     if any(x < 1 for x in w):
         raise GradingError(f"{v} is not a positive coarsening vector (vdegs {w})")
-    c = 1
-    for x in w:
-        c = _lcm(c, x)
+    c = lcm(*w)
     sigma = sum(w)
     s = max(R.n * c - sigma, c)
     return CoarseningConstants(v, c, s, sigma)
@@ -184,7 +178,7 @@ def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
     The level-i bound grows with i, so the region at the largest bound holds
     every smaller one: level i keeps the points of v-degree at most its
     bound.  The largest bound is checked against the limits before the
-    region is enumerated.
+    region is enumerated.  Default bases are F_0 of the memoized resolution.
     """
     indices = tuple(indices)
     if not indices:
@@ -196,7 +190,7 @@ def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
     top = max(bounds)
     limits.check_degree("degree bound", top)
     if bases is None:
-        bases = minimal_generator_degrees(P)
+        bases = cached_minimal_resolution(P, limits).shifts[0]
     bases = tuple(tuple(b) for b in bases)
     pts = enumerate_bounded_region(bases, P.ring.degrees, v, top).points()
     vdegs = [sum(map(mul, p, v)) for p in pts] if min(bounds) < top else None

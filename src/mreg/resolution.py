@@ -19,13 +19,12 @@ trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
 from .errors import (
     NO_LIMITS,
-    HomogeneityError,
     InputError,
     Limits,
     MregError,
@@ -36,6 +35,7 @@ from .groebner import (
     ModuleCtx,
     Vec,
     buchberger,
+    element_degree,
     reduce_vec,
     vec_to_columns,
     vsub_term_mul,
@@ -65,11 +65,14 @@ class ModulePresentation:
 
     `shifts` are the multidegrees of the ambient free generators and each
     relation is a column of homogeneous polynomials (one per generator).
+    Construction checks every column once and keeps its degree in
+    `relation_degrees` (None for a zero column).
     """
 
     ring: MultigradedRing
     shifts: tuple[Multidegree, ...]
     relations: tuple[Column, ...] = ()
+    relation_degrees: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(tuple(s) for s in self.shifts))
@@ -85,8 +88,12 @@ class ModulePresentation:
         for s in self.shifts:
             if len(s) != self.ring.r:
                 raise InputError("shift length does not match the grading rank")
-        for col in self.relations:
-            self.column_degree(col)
+        object.__setattr__(self, "relation_degrees", tuple(
+            element_degree(self.ring, self.shifts,
+                           ((i, m) for i, entry in enumerate(col) for m in entry))
+            if any(col) else None
+            for col in self.relations
+        ))
 
     def column_vec(self, j: int) -> Vec:
         return {
@@ -94,17 +101,6 @@ class ModulePresentation:
             for i, entry in enumerate(self.relations[j])
             for m, c in entry.items()
         }
-
-    def column_degree(self, col: Column) -> Multidegree | None:
-        """Common multidegree of a homogeneous column (None when zero)."""
-        degs = set()
-        for i, entry in enumerate(col):
-            if entry:
-                d = self.ring.multidegree_of(entry)
-                degs.add(tuple(a + b for a, b in zip(d, self.shifts[i])))
-        if len(degs) > 1:
-            raise HomogeneityError(f"relation column is not homogeneous: {sorted(degs)}")
-        return degs.pop() if degs else None
 
     def cache_key(self):
         rels = tuple(
@@ -193,8 +189,9 @@ def minimalize_presentation(P: ModulePresentation) -> ModulePresentation:
     redundant ambient generator and one relation, the cokernel is unchanged,
     and relations that become zero are dropped.
     """
-    cols = [col for col in P.relations if any(col)]
-    F = FreeResolution(P.ring, [P.shifts, tuple(P.column_degree(c) for c in cols)], [cols])
+    nonzero = [j for j, d in enumerate(P.relation_degrees) if d is not None]
+    F = FreeResolution(P.ring, [P.shifts, tuple(P.relation_degrees[j] for j in nonzero)],
+                       [[P.relations[j] for j in nonzero]])
     M = minimalize_complex(F)
     if not M.shifts[0]:
         raise ZeroModuleError("presentation minimalized to the zero module")
@@ -328,8 +325,7 @@ def _frame_syzygies(ctx: ModuleCtx, elems, leads, limits: Limits):
             colon = [(p, c) for p, c in colon if not mono_divides(q, p)] + [(q, b)]
         for q, b in sorted(colon, reverse=True):
             lcm = mono_mul(q, ma)
-            limits.check_degree("S-pair of coarse degree",
-                                ctx.order.wdeg(lcm) + ctx.shift_wdegs[ca])
+            limits.check_degree("S-pair of coarse degree", ctx.term_wdeg((ca, lcm)))
             s = vsub_term_mul(vterm_mul(aug[a], q, K.one, K), aug[b],
                               mono_div(lcm, leads[b][1]), K.one, K)
             rem = reduce_vec(ctx, s, aug, aug_lts)

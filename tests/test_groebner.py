@@ -9,11 +9,13 @@ by degree against ranks of coefficient matrices.
 """
 
 import itertools
+import json
 import random
 
 import pytest
 
 from mreg import (
+    HomogeneityError,
     InputError,
     ModuleCtx,
     ModulePresentation,
@@ -22,6 +24,7 @@ from mreg import (
     graded_piece_dimension,
     groebner_basis,
     ideal_intersection,
+    kernel_generators,
     kernel_of_map,
     normal_form,
     point_ideal,
@@ -29,6 +32,7 @@ from mreg import (
     relations,
     vec_component,
 )
+from mreg.cli import run
 from mreg.groebner import vterm_mul
 from mreg.linalg import matrix_rank
 from mreg.poly import mono_div, mono_divides, mono_lcm, monomials_of_weight, pmul
@@ -197,6 +201,57 @@ def test_gb_rejects_non_homogeneous(p1p1):
 
     with pytest.raises(HomogeneityError):
         groebner_basis(ctx, [poly_to_vec(p1p1.parse("x0 + y0"))])
+
+
+# -- input checks at the entry points --------------------------------------------
+
+def _vector_entry_points(ring, bad):
+    """Each exported vector entry point, called with `bad` among good elements of S."""
+    ctx = ideal_ctx(ring, (1, 1))
+    good = poly_to_vec(ring.parse("x0"))
+    G = groebner_basis(ctx, [good])
+    return {
+        "groebner_basis": lambda: groebner_basis(ctx, [good, bad]),
+        "normal_form": lambda: normal_form(bad, G),
+        "kernel_generators": lambda: kernel_generators(ctx, [good, bad]),
+        "relations cols": lambda: relations(ctx, [good, bad]),
+        "relations modulo": lambda: relations(ctx, [good], [good, bad]),
+        "kernel_of_map": lambda: kernel_of_map(ctx, [good, {}, bad]),
+    }
+
+
+VECTOR_ENTRY_POINTS = ("groebner_basis", "normal_form", "kernel_generators",
+                       "relations cols", "relations modulo", "kernel_of_map")
+
+
+@pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS)
+@pytest.mark.parametrize("comp", [1, -1], ids=["rank", "negative"])
+def test_entry_points_reject_components_outside_the_module(p1p1, entry, comp):
+    bad = {(comp, (0, 1, 0, 0)): p1p1.field.one}
+    with pytest.raises(InputError, match=f"outside the ambient module \\(component {comp}\\)"):
+        _vector_entry_points(p1p1, bad)[entry]()
+
+
+@pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS + (
+    "ideal_intersection", "ModulePresentation", "cli module payload"))
+def test_entry_points_reject_inhomogeneous_input(p1p1, tmp_path, entry):
+    if entry == "ideal_intersection":
+        with pytest.raises(HomogeneityError):
+            ideal_intersection([p1p1.parse("x1")], [p1p1.parse("x0 + y0")], p1p1)
+    elif entry == "ModulePresentation":
+        # both entries are homogeneous, the column (x0, y0) is not
+        with pytest.raises(HomogeneityError):
+            ModulePresentation(p1p1, ((0, 0), (0, 0)), ((p1p1.parse("x0"), p1p1.parse("y0")),))
+    elif entry == "cli module payload":
+        path = tmp_path / "inhomogeneous-column.json"
+        path.write_text(json.dumps({
+            "ring": {"variables": list(p1p1.variables), "degrees": [list(d) for d in p1p1.degrees]},
+            "module": {"shifts": [[0, 0], [0, 0]], "relations": [["x0", "y0"]]},
+        }))
+        assert run(["betti", str(path)]) == 4
+    else:
+        with pytest.raises(HomogeneityError):
+            _vector_entry_points(p1p1, poly_to_vec(p1p1.parse("x0 + y0")))[entry]()
 
 
 # -- normal form ----------------------------------------------------------------
@@ -467,6 +522,15 @@ def test_relations_dimension_kernel(p1p1):
     ctx = ideal_ctx(p1p1, (1, 1))
     gens = ["x0*y0 - x1*y1", "x0*y1", "x1*y0", "x0^2*y1 + x1^2*y0"]
     assert_relation_dims(ctx, [poly_to_vec(p1p1.parse(g)) for g in gens], [])
+
+
+def test_kernel_generators_prunes_then_relates(p1p1):
+    ctx = ideal_ctx(p1p1, (1, 1))
+    cols = [poly_to_vec(p1p1.parse(g)) for g in ("x0*y0", "x0", "x1")] + [{}]
+    kept, syzygies = kernel_generators(ctx, cols)
+    assert kept == [1, 2]
+    assert syzygies == relations(ctx, [cols[1], cols[2]])
+    assert len(syzygies) == 1
 
 
 def test_relations_dimension_modulo(p1p1):

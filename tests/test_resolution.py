@@ -4,15 +4,18 @@ import sys
 import pytest
 
 import mreg.groebner
+import mreg.resolution
 from mreg import (
     InputError,
     Limits,
+    ModuleCtx,
     ModulePresentation,
     MultigradedRing,
     PointSet,
     ResourceLimitError,
     betti_table,
     coarsen_resolution,
+    degree_bound_sets,
     graded_piece_dimension,
     minimal_free_resolution,
     minimalize_complex,
@@ -20,6 +23,7 @@ from mreg import (
     multiproj_ring,
     quotient_presentation,
     regnum_lower_bound,
+    relations,
     resolution_regularity_vector,
 )
 from mreg.grading import find_positive_coarsening_vector
@@ -216,23 +220,49 @@ def _nine_generic_points():
     return quotient_presentation(PointSet((1, 1), pts), multiproj_ring((1, 1)))
 
 
+def _count_everywhere(monkeypatch, calls, owner, name):
+    """Count calls of owner.name into calls[name], under every mreg name bound to it."""
+    calls[name] = 0
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return orig(*args, **kwargs)
+
+    for module in [owner] + [m for n, m in sys.modules.items() if n.split(".")[0] == "mreg"]:
+        if getattr(module, name, None) is orig:
+            monkeypatch.setattr(module, name, counted)
+
+
 def test_schreyer_frame_runs_one_groebner_basis(monkeypatch):
     """Work guard: one Buchberger run per resolution, no kernel or pruning runs."""
     P = _nine_generic_points()
-    calls = dict.fromkeys(("_degree_ordered_basis", "relations", "prune_to_minimal_generators"), 0)
-    for name in calls:
-        orig = getattr(mreg.groebner, name)
-
-        def counted(*args, _name=name, _orig=orig, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-
-        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "mreg"]:
-            if getattr(module, name, None) is orig:
-                monkeypatch.setattr(module, name, counted)
+    calls = {}
+    for name in ("_degree_ordered_basis", "relations", "prune_to_minimal_generators"):
+        _count_everywhere(monkeypatch, calls, mreg.groebner, name)
     F = minimal_free_resolution(P)
     assert [F.rank(i) for i in range(F.length + 1)] == [1, 12, 17, 6]
     assert calls == {"_degree_ordered_basis": 1, "relations": 0, "prune_to_minimal_generators": 0}
+
+
+def test_element_degrees_are_checked_once(monkeypatch):
+    """Work guard: degrees are checked where input enters and carried inward."""
+    P = _nine_generic_points()
+    calls = {}
+    _count_everywhere(monkeypatch, calls, ModuleCtx, "vec_degree")
+    _count_everywhere(monkeypatch, calls, mreg.resolution, "minimalize_presentation")
+    F = minimal_free_resolution(P)
+    assert calls["vec_degree"] == 0
+    ctx = ModuleCtx.for_vector(P.ring, P.shifts, (1, 1))
+    cols = [P.column_vec(j) for j in range(4)]
+    relations(ctx, cols[:2], cols[2:] + [{}])
+    assert calls["vec_degree"] == 4
+    # the bases come from the memoized resolution, not from a new minimalization
+    degree_bound_sets(P, (1, 1), (0, 1))
+    calls["minimalize_presentation"] = 0
+    sets = degree_bound_sets(P, (1, 2), (0, 1))
+    assert calls["minimalize_presentation"] == 0
+    assert sets[0].bases == F.shifts[0]
 
 
 def test_frame_s_pairs_obey_the_degree_cap(p1p1):
