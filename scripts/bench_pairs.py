@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs and write a BENCH file.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload points-gf \
+        --seeds 601-610 --seconds 26 --out BENCH_9.json
+
+Each checkout runs its own, unchanged `perfbench/run.py --trace 0`, one
+process at a time.  Pair k runs the parent first when k is even and the
+change first when k is odd.  Per workload, the file records, for every
+end-to-end metric, the per-pair values of both sides, each side's median
+and quartiles, and the number of pairs the change won (ties count for
+neither side); per side it records `failed`/`attempted` of every run and
+the `commit` and `src_lines` read from perfbench's details line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def parse_run(stdout: str):
+    """(details, result) from the last two lines of a perfbench run."""
+    lines = stdout.strip().splitlines()
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def run_side(checkout, workload, seed, seconds):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    return parse_run(proc.stdout)
+
+
+def spread(values) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs, better: dict) -> dict:
+    """Aggregate one workload's pairs: [{"parent": (details, result), "change": ...}, ...].
+
+    Each pair's keys are in the order the sides ran.  `better` maps each
+    end-to-end metric to "lower" or "higher".  Quartiles are those of
+    statistics.quantiles (exclusive method).
+    """
+    out = {"pairs": len(pairs), "first": [next(iter(p)) for p in pairs], "metrics": {}}
+    for side in SIDES:
+        details = [p[side][0] for p in pairs]
+        results = [p[side][1] for p in pairs]
+        out[side] = {
+            "seeds": [d["seed"] for d in details],
+            "failed": [r["failed"] for r in results],
+            "attempted": [r["attempted"] for r in results],
+            "commit": sorted({d["commit"] for d in details}),
+            "src_lines": sorted({d["src_lines"] for d in details}),
+        }
+    for name, direction in better.items():
+        values = {side: [p[side][1]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        sign = 1 if direction == "lower" else -1
+        won = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        out["metrics"][name] = {
+            "unit": pairs[0]["parent"][1]["metrics"][name]["unit"],
+            "better": direction,
+            **{side: {"values": values[side], **spread(values[side])} for side in SIDES},
+            "change_won": won,
+        }
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=pathlib.Path)
+    ap.add_argument("change", type=pathlib.Path)
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seeds", required=True, help="first-last, e.g. 601-610")
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", type=pathlib.Path, required=True, help="BENCH_<n>.json")
+    args = ap.parse_args(argv)
+
+    first, last = (int(x) for x in args.seeds.split("-"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report = {"seconds": args.seconds, "workloads": {}}
+    for workload in args.workload:
+        pairs = []
+        for k, seed in enumerate(range(first, last + 1)):
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            pair = {side: run_side(checkouts[side], workload, seed, args.seconds) for side in order}
+            pairs.append(pair)
+            wall = {side: pair[side][1]["metrics"]["wall_s"]["value"] for side in SIDES}
+            print(f"{workload} seed {seed}: wall_s parent {wall['parent']:.4f} "
+                  f"change {wall['change']:.4f}", file=sys.stderr)
+        report["workloads"][workload] = summarize(pairs, better)
+        args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

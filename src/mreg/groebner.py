@@ -13,9 +13,9 @@ degree the S-pairs (FIFO) come before the generators (in input order), and
 a generator enters the basis only if its normal form is nonzero, so the
 generators that enter form a minimal generating set.
 
-One primitive, `relations`, serves kernels of maps between free modules,
-the cohomology presentations of the Ext route and ideal intersections: it
-reads the relations off one Groebner basis of augmented generators.
+One primitive, `relations`, serves kernels of maps between free modules
+(the Ext route's kernels among them) and ideal intersections: it reads the
+relations off one Groebner basis of augmented generators.
 """
 
 from __future__ import annotations
@@ -259,9 +259,9 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     degree <= d has been treated, so the basis is complete through degree d
     and the generator's normal form is zero exactly when it lies in the
     submodule generated by the generators that entered before it.  Only
-    S-pairs are held to the degree cap.  Like buchberger, it trusts its
-    callers to pass homogeneous generators: a generator's coarse degree is
-    read off one of its terms.
+    S-pairs that survive the product and chain criteria are held to the
+    degree cap.  Like buchberger, it trusts its callers to pass homogeneous
+    generators: a generator's coarse degree is read off one of its terms.
     """
     K = ctx.ring.field
     basis: list[Vec] = []
@@ -301,7 +301,6 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
                 entered.append(i)
                 add(nf)
             continue
-        limits.check_degree("S-pair of coarse degree", deg)
         (ci, mi), (cj, mj) = lts[i][0], lts[j][0]
         lcm = mono_lcm(mi, mj)
         done.add((i, j))
@@ -322,6 +321,7 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
                     break
         if skip:
             continue
+        limits.check_degree("S-pair of coarse degree", deg)
         s = vsub_term_mul(
             vterm_mul(basis[i], mono_div(lcm, mi), K.one, K),
             basis[j],

@@ -4,7 +4,9 @@ Route one (any module): graded local duality.  Dualize the minimal free
 resolution into the canonical module, take cohomology presentations of the
 dual complex, and read the top nonvanishing local cohomology degree off the
 minimal generators: dim H^i(M)_p = dim E^{n-i}_{-p} with E^j the j-th
-cohomology of Hom(F, omega).
+cohomology of Hom(F, omega).  E^j = ker d_{j+1}^T / im d_j^T is presented
+by reductions over one Groebner basis of the kernel: the basis's Schreyer
+syzygies, and the quotients of each image column divided by the basis.
 
 Route two (square-free monomial quotients): Hochster's face-link formula for
 the fine Hilbert series of local cohomology.  Each supporting face sigma
@@ -27,15 +29,19 @@ from .grading import find_positive_coarsening_vector
 from .groebner import (
     ModuleCtx,
     Vec,
+    _isub_term_mul,
     graded_piece_dimension,
     kernel_of_map,
-    relations,
+    leading_term,
+    reduce_vec,
     vec_to_columns,
 )
 from .linalg import matrix_rank
 from .poly import FieldDescriptor, MultigradedRing
 from .resolution import (
     ModulePresentation,
+    _frame_level,
+    _frame_syzygies,
     cached_minimal_resolution,
     minimalize_presentation,
 )
@@ -72,8 +78,11 @@ def ext_modules(P: ModulePresentation,
 
     omega is the shifted free module with generator degree the sum of all
     variable degrees.  Entries are None exactly when the Ext module is zero.
-    The fine multigraded answer does not depend on any coarsening; the
-    internal term order is that of the default coarsening vector.  Like
+    E^j is generated by a Groebner basis of ker d_{j+1}^T, one Buchberger
+    run for each j below the resolution's length and none at it, where the
+    kernel is the whole dual module; see _cohomology_presentation.  The fine
+    multigraded answer does not depend on any coarsening; the internal term
+    order is that of the default coarsening vector.  Like
     cached_minimal_resolution, results are memoized per module and limits.
     """
     return _memo_ext_modules(P, limits)
@@ -110,7 +119,6 @@ def _memo_ext_modules(P, limits):
         if j > ell:
             out.append(None)
             continue
-        ctx_j = ModuleCtx.for_vector(ring, dual_shifts[j], v0)
         if j < ell:
             ctx_next = ModuleCtx.for_vector(ring, dual_shifts[j + 1], v0)
             kernel = kernel_of_map(ctx_next, transpose_columns(j + 1), limits)
@@ -121,15 +129,44 @@ def _memo_ext_modules(P, limits):
             out.append(None)
             continue
         image = transpose_columns(j) if j > 0 else []
-        shifts = tuple(ctx_j.vec_degree(k) for k in kernel)
-        rels = relations(ctx_j, kernel, image, limits)
-        cols = [vec_to_columns(s, len(kernel)) for s in rels]
-        pres = ModulePresentation(ring, shifts, tuple(cols))
+        pres = _cohomology_presentation(ring, dual_shifts[j], v0, kernel, image, limits)
         try:
             out.append(minimalize_presentation(pres))
         except ZeroModuleError:
             out.append(None)
     return out
+
+
+def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
+    """span(kernel) / span(image) presented by reductions only.
+
+    `kernel` is a monic Groebner basis in the position-over-term order of
+    the free module with these shifts under v.  The relations are its
+    Schreyer syzygies and each nonzero image column's division quotients;
+    each is checked to map to zero, or to its column.
+    """
+    K = ring.field
+    ctx = ModuleCtx.for_vector(ring, shifts, v)
+    elems, leads, gens = _frame_level(ring, shifts, kernel,
+                                      [leading_term(ctx, g)[0] for g in kernel])
+    ctx = ModuleCtx.for_vector(ring, shifts + gens, v)
+    rels, _ = _frame_syzygies(ctx, elems, leads, limits)
+    targets = [{}] * len(rels) + [col for col in image if col]
+    base = len(shifts)
+    aug = [{**g, (base + i, (0,) * ring.n): K.one} for i, g in enumerate(elems)]
+    aug_lts = [(t, K.one) for t in leads]
+    for col in targets[len(rels):]:
+        rem = reduce_vec(ctx, col, aug, aug_lts)
+        if any(comp < base for comp, _ in rem):
+            raise ArithmeticError("image column does not lie in the kernel")
+        rels.append({(comp - base, m): K.neg(c) for (comp, m), c in rem.items()})
+    for rel, target in zip(rels, targets):
+        acc = dict(target)
+        for (i, m), c in rel.items():
+            _isub_term_mul(acc, elems[i], m, c, K)
+        if acc:
+            raise ArithmeticError("Ext relation does not map to its image")
+    return ModulePresentation(ring, gens, tuple(vec_to_columns(r, len(elems)) for r in rels))
 
 
 def a_invariants_ext(P: ModulePresentation, v, limits: Limits = NO_LIMITS) -> AInvariants:

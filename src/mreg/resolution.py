@@ -274,19 +274,15 @@ def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution
     """
     ring = P0.ring
     ctx = ModuleCtx.for_vector(ring, P0.shifts, v)
-    basis, lts = buchberger(ctx, [P0.column_vec(j) for j in range(len(P0.relations))], limits)
-    # per lead component, lead exponents lexicographically descending
-    order = sorted(range(len(basis)), key=lambda i: (lts[i][0][0], [-x for x in lts[i][0][1]]))
-    elems, leads = [basis[i] for i in order], [lts[i][0] for i in order]
+    elems, lts = buchberger(ctx, [P0.column_vec(j) for j in range(len(P0.relations))], limits)
+    leads = [t for t, _ in lts]
     shifts, diffs = [P0.shifts], []
     below, below_leads = None, None
     while elems:
         if len(diffs) == ring.n:
             raise MregError("resolution exceeds the variable-count length bound")
         src = shifts[-1]
-        level = tuple(
-            tuple(a + b for a, b in zip(ring.mono_degree(m), src[c])) for c, m in leads
-        )
+        elems, leads, level = _frame_level(ring, src, elems, leads)
         diffs.append([vec_to_columns(g, len(src)) for g in elems])
         shifts.append(level)
         if below is None:
@@ -298,6 +294,14 @@ def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution
     return FreeResolution(ring, shifts, diffs)
 
 
+def _frame_level(ring: MultigradedRing, shifts, elems, leads):
+    """(elements, lead terms, degrees), per lead component by descending lex lead exponents."""
+    order = sorted(range(len(elems)), key=lambda i: (leads[i][0], [-x for x in leads[i][1]]))
+    leads = [leads[i] for i in order]
+    degrees = tuple(tuple(a + b for a, b in zip(ring.mono_degree(m), shifts[c])) for c, m in leads)
+    return [elems[i] for i in order], leads, degrees
+
+
 def _frame_syzygies(ctx: ModuleCtx, elems, leads, limits: Limits):
     """The next frame level: one syzygy per minimal colon generator, by reduction.
 
@@ -306,6 +310,7 @@ def _frame_syzygies(ctx: ModuleCtx, elems, leads, limits: Limits):
     with its own F_k generator attached, so reducing an S-vector to zero
     leaves the syzygy in the F_k components.  The syzygies come out with
     lead terms x^q e_a, per a in order and q lexicographically descending.
+    The Ext route passes kernel bases in place of d_k.
     """
     K = ctx.ring.field
     base = ctx.rank - len(elems)

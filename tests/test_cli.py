@@ -146,12 +146,22 @@ def test_bound_commands_generous_caps_change_nothing(capture, command):
     assert capped == plain
 
 
-@pytest.mark.parametrize("cap", [["--max-degree", "8"], ["--max-length", "1"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("cap", [["--max-degree", "5"], ["--max-length", "1"]], ids=lambda c: c[0])
 def test_points_connections_caps_exit_5(capture, cap):
     code, out, err = capture(["points", "connections", *cap, str(PROBLEMS / "eight-points.json")])
     assert code == 5, err
     assert out == ""
     assert "cap" in err
+
+
+def test_points_connections_degree_cap_threshold(capture):
+    # 6 is the highest coarse degree of an S-pair the eight points reduce
+    path = str(PROBLEMS / "eight-points.json")
+    code, plain, _ = capture(["points", "connections", path])
+    assert code == 0
+    code, capped, err = capture(["points", "connections", "--max-degree", "6", path])
+    assert code == 0, err
+    assert capped == plain
 
 
 @pytest.mark.parametrize("problem", ["eight-points.json", "ex1-four-points.json"])

@@ -1,27 +1,39 @@
 """Two independent local-cohomology routes and their cross-checks."""
 
 import random
+from operator import mul
 
 import pytest
 
 from mreg import (
     FieldDescriptor,
     InputError,
+    ModuleCtx,
     ModulePresentation,
     MultigradedRing,
     SimplicialComplex,
+    ZeroModuleError,
     a_invariants_ext,
     a_invariants_hochster,
+    cached_minimal_resolution,
     complex_from_squarefree_ideal,
     ext_modules,
     find_positive_coarsening_vector,
+    graded_piece_dimension,
     hochster_support,
     hochster_supports,
+    kernel_of_map,
     local_cohomology_piece_dimension,
+    minimalize_presentation,
     reduced_homology_ranks,
+    relations,
     stanley_reisner_ideal,
 )
-from tests.conftest import hirzebruch_ring
+from mreg.groebner import vec_to_columns
+from mreg.resolution import FreeResolution
+from tests.conftest import clear_memos, hirzebruch_ring
+from tests.test_betti_oracle import PROBLEMS, _module
+from tests.test_resolution import _nine_generic_points
 
 
 def test_reduced_homology_examples(p1p1, four_cycle):
@@ -129,6 +141,80 @@ def test_shift_identity_for_free_modules(bigraded_xy):
             assert (a0 is None) == (a1 is None)
             if a0 is not None:
                 assert a1 == a0 + dv
+
+
+def _generic_ext_modules(P):
+    """E^j built the generic way: a kernel, its relations modulo the image, minimalized."""
+    ring = P.ring
+    v = find_positive_coarsening_vector(ring.degrees)
+    F = cached_minimal_resolution(P)
+    w = tuple(map(sum, zip(*ring.degrees)))
+    dual = [tuple(tuple(a - b for a, b in zip(w, s)) for s in level) for level in F.shifts]
+
+    def dual_map(i):
+        """Columns of d_i^T: the q-th is row q of d_i."""
+        return [{(c, m): x for c, col in enumerate(F.differentials[i - 1]) for m, x in col[q].items()}
+                for q in range(F.rank(i - 1))]
+
+    out = []
+    for j in range(ring.n + 1):
+        if j > F.length:
+            out.append(None)
+            continue
+        ctx = ModuleCtx.for_vector(ring, dual[j], v)
+        if j < F.length:
+            kernel = kernel_of_map(ModuleCtx.for_vector(ring, dual[j + 1], v), dual_map(j + 1))
+        else:
+            kernel = [{(q, (0,) * ring.n): ring.field.one} for q in range(F.rank(j))]
+        if not kernel:
+            out.append(None)
+            continue
+        rels = relations(ctx, kernel, dual_map(j) if j else [])
+        pres = ModulePresentation(ring, tuple(ctx.vec_degree(k) for k in kernel),
+                                  tuple(vec_to_columns(r, len(kernel)) for r in rels))
+        try:
+            out.append(minimalize_presentation(pres))
+        except ZeroModuleError:
+            out.append(None)
+    return out
+
+
+EXT_CASES = [f"problems/{p.name}" for p in sorted(PROBLEMS.glob("*.json"))]
+EXT_CASES += ["fixture-koszul", "fixture-hirzebruch", "nine-generic-points"]
+EXT_CASES += [f"gf32003-{c}-points" for c in (4, 5, 6)] + [f"qq-{c}-points" for c in (4, 5)]
+
+
+@pytest.mark.parametrize("case", EXT_CASES)
+def test_ext_modules_equal_the_generic_construction(case, request):
+    P = _nine_generic_points() if case == "nine-generic-points" else _module(case, request)
+    v = find_positive_coarsening_vector(P.ring.degrees)
+    ext, oracle = ext_modules(P), _generic_ext_modules(P)
+    assert [E is None for E in ext] == [E is None for E in oracle]
+    for E, O in zip(ext, oracle):
+        if E is not None:
+            assert sorted(E.shifts) == sorted(O.shifts)
+            # both pieces vanish below the least generator degree
+            low = min(sum(map(mul, s, v)) for s in E.shifts)
+            for m in range(max(low, -12), 4):
+                assert graded_piece_dimension(E, v, m) == graded_piece_dimension(O, v, m), (case, m)
+
+
+def test_ext_relations_are_checked_against_the_complex(monkeypatch):
+    """A d_2 that does not compose to zero with d_1 makes ext_modules raise."""
+    import mreg.localcoh
+
+    P = _nine_generic_points()
+    F = cached_minimal_resolution(P)
+    col = F.differentials[1][0]
+    k = next(i for i, entry in enumerate(col) if entry)
+    bad = tuple({m: P.ring.field.add(c, c) for m, c in e.items()} if i == k else e
+                for i, e in enumerate(col))
+    broken = FreeResolution(F.ring, F.shifts, [F.differentials[0], [bad] + F.differentials[1][1:],
+                                               *F.differentials[2:]])
+    monkeypatch.setattr(mreg.localcoh, "cached_minimal_resolution", lambda P, limits: broken)
+    clear_memos()
+    with pytest.raises(ArithmeticError, match="^image column does not lie in the kernel$"):
+        ext_modules(P)
 
 
 def squarefree_corpus(p1p1):

@@ -181,14 +181,15 @@ def test_connections_examples(four_points, eight_points):
 
 
 def test_point_ideal_obeys_the_degree_cap(eight_points, p1p1):
-    # the last intersection of the eight points needs S-pairs of coarse degree 9
-    with pytest.raises(ResourceLimitError):
-        point_ideal(eight_points, p1p1, Limits(max_degree=8))
-    assert point_ideal(eight_points, p1p1, Limits(max_degree=9)) == point_ideal(eight_points, p1p1)
+    # the intersections of the eight points reduce S-pairs of coarse degree
+    # up to 6; higher pairs are dropped by the criteria before the cap
+    with pytest.raises(ResourceLimitError, match="^S-pair of coarse degree 6 exceeds the degree cap 5$"):
+        point_ideal(eight_points, p1p1, Limits(max_degree=5))
+    assert point_ideal(eight_points, p1p1, Limits(max_degree=6)) == point_ideal(eight_points, p1p1)
     problem = load_problem(str(PROBLEMS / "eight-points.json"))
     with pytest.raises(ResourceLimitError):
-        problem.presentation(Limits(max_degree=8))
-    assert problem.presentation(Limits(max_degree=9)) == problem.presentation()
+        problem.presentation(Limits(max_degree=5))
+    assert problem.presentation(Limits(max_degree=6)) == problem.presentation()
 
 
 def test_connections_caps_reach_every_engine_call(eight_points, count_calls):
@@ -201,7 +202,8 @@ def test_connections_caps_reach_every_engine_call(eight_points, count_calls):
     assert resolutions == [caps]
     assert intersections and all(c == caps for c in intersections)
     assert capped == connections_check(eight_points, (10, 10))
-    for tight in (Limits(max_degree=8), Limits(max_length=1)):
+    assert connections_check(eight_points, (10, 10), limits=Limits(max_degree=6)) == capped
+    for tight in (Limits(max_degree=5), Limits(max_length=1)):
         with pytest.raises(ResourceLimitError):
             connections_check(eight_points, (10, 10), limits=tight)
 

@@ -14,8 +14,10 @@ from mreg import (
     PointSet,
     ResourceLimitError,
     betti_table,
+    cached_minimal_resolution,
     coarsen_resolution,
     degree_bound_sets,
+    ext_modules,
     graded_piece_dimension,
     minimal_free_resolution,
     minimalize_complex,
@@ -29,6 +31,7 @@ from mreg import (
 from mreg.grading import find_positive_coarsening_vector
 from mreg.poly import is_constant
 from mreg.resolution import FreeResolution, first_syzygy_presentation
+from tests.conftest import clear_memos
 
 
 def test_koszul_resolution(koszul_module):
@@ -245,6 +248,22 @@ def test_schreyer_frame_runs_one_groebner_basis(monkeypatch):
     assert calls == {"_degree_ordered_basis": 1, "relations": 0, "prune_to_minimal_generators": 0}
 
 
+def test_ext_modules_run_one_groebner_basis_per_index(monkeypatch):
+    """Work guard: each E^j with j < length costs one kernel_of_map, the rest is reduction."""
+    P = _nine_generic_points()
+    clear_memos()
+    cached_minimal_resolution(P)
+    calls = {}
+    for name in ("_degree_ordered_basis", "relations"):
+        _count_everywhere(monkeypatch, calls, mreg.groebner, name)
+    _count_everywhere(monkeypatch, calls, ModuleCtx, "vec_degree")
+    ext_modules(P)
+    # two Buchberger runs per kernel_of_map: its relations' basis, then the
+    # exactness check of an empty modulo; the vec_degree calls are
+    # kernel_of_map checking the 1 + 12 + 17 columns of d_1^T, d_2^T, d_3^T
+    assert calls == {"_degree_ordered_basis": 6, "relations": 3, "vec_degree": 30}
+
+
 def test_element_degrees_are_checked_once(monkeypatch):
     """Work guard: degrees are checked where input enters and carried inward."""
     P = _nine_generic_points()
@@ -273,6 +292,16 @@ def test_frame_s_pairs_obey_the_degree_cap(p1p1):
         minimal_free_resolution(P, limits=Limits(max_degree=2))
     assert "_frame_syzygies" in {entry.name for entry in info.traceback}
     assert minimal_free_resolution(P, limits=Limits(max_degree=3)).length == 3
+
+
+def test_degree_cap_judges_the_s_pairs_the_criteria_keep():
+    # the Buchberger run reduces S-pairs up to coarse degree 10, the frame up
+    # to 11; the pairs that the product and chain criteria drop are not judged
+    P = _nine_generic_points()
+    with pytest.raises(ResourceLimitError, match="^S-pair of coarse degree 11 exceeds the degree cap 10$"):
+        minimal_free_resolution(P, limits=Limits(max_degree=10))
+    F, capped = minimal_free_resolution(P), minimal_free_resolution(P, limits=Limits(max_degree=11))
+    assert (capped.shifts, capped.differentials) == (F.shifts, F.differentials)
 
 
 def test_length_cap_applies_to_the_minimal_resolution(p1p1):

@@ -8,6 +8,8 @@ import runpy
 import subprocess
 import sys
 
+import pytest
+
 from tests.test_cli import ROOT, run_process
 
 
@@ -44,3 +46,33 @@ def test_every_traced_name_resolves():
             module = importlib.import_module(f"mreg.{modname}")
             for name in names:
                 assert callable(getattr(module, name, None)), f"mreg.{modname}.{name}"
+
+
+def test_bench_pairs_aggregates_canned_runs():
+    bench = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+
+    def run_output(seed, commit, wall, failed=0):
+        details = {"seed": seed, "commit": commit, "src_lines": 100 if commit == "a1" else 90}
+        result = {"correct": not failed, "attempted": 12, "failed": failed, "metrics": {
+            "wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": 50.0, "unit": "MB"}}}
+        return f"progress\n{json.dumps(details)}\n{json.dumps(result)}\n"
+
+    walls = [(0.45, 0.33), (0.46, 0.34), (0.44, 0.45), (0.47, 0.32)]
+    pairs = []
+    for seed, (p, c) in enumerate(walls):
+        sides = [("parent", "a1", p, 0), ("change", "b2", c, int(seed == 2))]
+        pairs.append({side: bench["parse_run"](run_output(seed, commit, wall, failed))
+                      for side, commit, wall, failed in (sides if seed % 2 == 0 else sides[::-1])})
+    out = bench["summarize"](pairs, {"wall_s": "lower", "peak_rss_mb": "lower"})
+    assert out["pairs"] == 4 and out["first"] == ["parent", "change"] * 2
+    wall = out["metrics"]["wall_s"]
+    assert wall["parent"]["values"] == [0.45, 0.46, 0.44, 0.47]
+    assert wall["change"]["values"] == [0.33, 0.34, 0.45, 0.32]
+    assert wall["parent"]["median"] == pytest.approx(0.455)
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == (pytest.approx(0.4425), pytest.approx(0.4675))
+    assert wall["change_won"] == 3 and wall["unit"] == "s" and wall["better"] == "lower"
+    assert out["metrics"]["peak_rss_mb"]["change_won"] == 0  # ties count for neither side
+    assert out["change"]["failed"] == [0, 0, 1, 0] and out["change"]["attempted"] == [12] * 4
+    assert out["parent"]["seeds"] == [0, 1, 2, 3]
+    assert (out["parent"]["commit"], out["parent"]["src_lines"]) == (["a1"], [100])
+    assert (out["change"]["commit"], out["change"]["src_lines"]) == (["b2"], [90])
