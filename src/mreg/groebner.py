@@ -11,7 +11,9 @@ everything they call, buchberger included, trusts that check.  Input
 generators and S-pairs share one queue ordered by coarse degree: within a
 degree the S-pairs (FIFO) come before the generators (in input order), and
 a generator enters the basis only if its normal form is nonzero, so the
-generators that enter form a minimal generating set.
+generators that enter form a minimal generating set.  S-pairs come from
+minimal colon generators, the Schreyer frame's rule too; only those the
+product criterion keeps are queued, and only queued pairs face the cap.
 
 One primitive, `relations`, serves kernels of maps between free modules
 (the Ext route's kernels among them) and ideal intersections: it reads the
@@ -251,24 +253,49 @@ def buchberger(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS):
     return _autoreduce(ctx, basis, lts)
 
 
+def _minimal_colon(lts, a, others):
+    """Minimal generators of the colon ideal (lt_b : b in others) : lt_a.
+
+    `lts` are leading terms as returned by leading_term; a b counts only
+    when lt_b shares lt_a's component.  Returns (x^q, b) per minimal
+    generator x^q = lcm(lt_a, lt_b) / lt_a, in the order of `others`; when
+    several b give one generator the first wins.  One S-pair per returned b
+    is all Buchberger's new pairs need (Gebauer and Moeller 1988) and all a
+    Schreyer frame needs (Eisenbud, Commutative Algebra, Cor. 15.11).
+    """
+    (ca, ma), _ = lts[a]
+    colon: list = []
+    for b in others:
+        (cb, mb), _ = lts[b]
+        if cb != ca:
+            continue
+        q = mono_div(mono_lcm(ma, mb), ma)
+        if any(mono_divides(p, q) for p, _ in colon):
+            continue
+        colon = [(p, c) for p, c in colon if not mono_divides(q, p)] + [(q, b)]
+    return colon
+
+
 def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     """Unreduced Groebner basis and the indices of the generators in it.
 
-    Generators and S-pairs are popped by coarse degree; at equal degree the
-    S-pairs come first.  When a degree-d generator is popped, every pair of
-    degree <= d has been treated, so the basis is complete through degree d
-    and the generator's normal form is zero exactly when it lies in the
-    submodule generated by the generators that entered before it.  Only
-    S-pairs that survive the product and chain criteria are held to the
-    degree cap.  Like buchberger, it trusts its callers to pass homogeneous
-    generators: a generator's coarse degree is read off one of its terms.
+    Element j is paired with the earlier elements _minimal_colon picks for
+    it; a pair the product criterion covers still counts in that choice but
+    is never queued.  Generators and S-pairs are popped by coarse degree; at
+    equal degree the S-pairs come first.  When a degree-d generator is
+    popped, every queued pair of degree <= d has been treated, so the basis
+    is complete through degree d and the generator's normal form is zero
+    exactly when it lies in the submodule generated by the generators that
+    entered before it.  Only queued pairs face the degree cap, each just
+    before its S-vector is formed.  Like buchberger, it trusts its callers
+    to pass homogeneous generators: a generator's coarse degree is read off
+    one of its terms.
     """
     K = ctx.ring.field
     basis: list[Vec] = []
     lts: list = []
     single: list = []  # the only component of each element, or None
     entered: list[int] = []
-    done: set[tuple[int, int]] = set()
     seq = 0
 
     gens = list(gens)
@@ -284,13 +311,11 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
         lts.append((t, K.one))
         single.append(_single_component(g))
         j = len(basis) - 1
-        for i in range(j):
-            ti = lts[i][0]
-            if ti[0] != t[0]:
-                done.add((i, j))
+        for q, i in _minimal_colon(lts, j, range(j)):
+            # product criterion, valid when both elements live in one component
+            if single[i] is not None and single[i] == single[j] and mono_coprime(lts[i][0][1], t[1]):
                 continue
-            deg = ctx.term_wdeg((t[0], mono_lcm(ti[1], t[1])))
-            heapq.heappush(heap, (deg, 0, seq, i, j))
+            heapq.heappush(heap, (ctx.term_wdeg((t[0], mono_mul(q, t[1]))), 0, seq, i, j))
             seq += 1
 
     while heap:
@@ -301,34 +326,11 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
                 entered.append(i)
                 add(nf)
             continue
-        (ci, mi), (cj, mj) = lts[i][0], lts[j][0]
+        mi, mj = lts[i][0][1], lts[j][0][1]
         lcm = mono_lcm(mi, mj)
-        done.add((i, j))
-        # product criterion, valid when both elements live in one component
-        if single[i] is not None and single[i] == single[j] and mono_coprime(mi, mj):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            (ck, mk) = lts[k][0]
-            if ck == ci and mono_divides(mk, lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
         limits.check_degree("S-pair of coarse degree", deg)
-        s = vsub_term_mul(
-            vterm_mul(basis[i], mono_div(lcm, mi), K.one, K),
-            basis[j],
-            mono_div(lcm, mj),
-            K.one,
-            K,
-        )
+        s = vsub_term_mul(vterm_mul(basis[i], mono_div(lcm, mi), K.one, K), basis[j],
+                          mono_div(lcm, mj), K.one, K)
         nf = reduce_vec(ctx, s, basis, lts)
         if nf:
             add(nf)
@@ -409,9 +411,9 @@ def _relations(ctx: ModuleCtx, cols, degrees, modulo, limits: Limits) -> list[Ve
         if lcomp >= rank
     ]
 
-    # exactness check: each relation maps into span(modulo); the image is
-    # accumulated negated, in place, which changes nothing about that
-    mod_basis, mod_lts = buchberger(ctx, modulo, limits)
+    # exactness check: each relation maps into span(modulo), an empty modulo
+    # being its own basis; the image is accumulated negated, in place
+    mod_basis, mod_lts = buchberger(ctx, modulo, limits) if modulo else ([], [])
     for a in out:
         image: Vec = {}
         for (j, m), c in a.items():
@@ -468,24 +470,26 @@ def kernel_of_map(ctx_target: ModuleCtx, cols, limits: Limits = NO_LIMITS) -> li
 
 # -- ideal intersection ---------------------------------------------------------
 
-def ideal_intersection(I, J, ring: MultigradedRing, v=None,
+def ideal_intersection(ideals, ring: MultigradedRing, v=None,
                        limits: Limits = NO_LIMITS) -> list[PolyDict]:
-    """Reduced Groebner basis of I  intersect  J, sorted by leading term.
+    """Reduced Groebner basis of the intersection of the ideals, sorted by leading term.
 
-    I intersect J is the relation module of the single column (1, 1) of S^2
-    modulo I e_0 and J e_1: a (1, 1) lies in I e_0 + J e_1 exactly when a
-    lies in both I and J.
+    The intersection of I_0, ..., I_{k-1} is the relation module of the
+    single column (1, ..., 1) of S^k modulo the I_c e_c: a (1, ..., 1) lies
+    in the sum of the I_c e_c exactly when a lies in every I_c.
     """
     if v is None:
         v = find_positive_coarsening_vector(ring.degrees)
-    I = [f for f in I if f]
-    J = [g for g in J if g]
-    if not I or not J:
+    ideals = [[f for f in I if f] for I in ideals]
+    if not ideals:
+        raise InputError("no ideals to intersect")
+    if not all(ideals):
         return []
     zero, one = (0,) * ring.n, ring.field.one
-    ctx = ModuleCtx.for_vector(ring, ((0,) * ring.r,) * 2, v)
-    modulo = [poly_to_vec(f, 0) for f in I] + [poly_to_vec(g, 1) for g in J]
-    rels = relations(ctx, [{(0, zero): one, (1, zero): one}], modulo, limits)
+    ctx = ModuleCtx.for_vector(ring, ((0,) * ring.r,) * len(ideals), v)
+    modulo = [poly_to_vec(f, c) for c, I in enumerate(ideals) for f in I]
+    column = {(c, zero): one for c in range(len(ideals))}
+    rels = relations(ctx, [column], modulo, limits)
     return [vec_component(g, 0) for g in rels]
 
 

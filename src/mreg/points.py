@@ -146,7 +146,7 @@ def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing | None = Non
 
 def point_ideal(X: PointSet, ring: MultigradedRing | None = None,
                 limits: Limits = NO_LIMITS) -> list[PolyDict]:
-    """Generators of the vanishing ideal, intersecting point by point."""
+    """Generators of the vanishing ideal: one intersection of the point ideals."""
     if ring is None:
         ring = X.ring()
     K = ring.field
@@ -174,10 +174,9 @@ def point_ideal(X: PointSet, ring: MultigradedRing | None = None,
                     g[tuple(e_p)] = K.neg(coords[j])
                 gens.append(g)
         per_point.append(gens)
-    acc = per_point[0]
-    for gens in per_point[1:]:
-        acc = ideal_intersection(acc, gens, ring, limits=limits)
-    return acc
+    if len(per_point) == 1:
+        return per_point[0]
+    return ideal_intersection(per_point, ring, limits=limits)
 
 
 def quotient_presentation(X: PointSet, ring: MultigradedRing | None = None,

@@ -377,7 +377,7 @@ class MultigradedRing:
         return next(iter(degs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def monomials_of_weight(weights: tuple[int, ...], target: int) -> tuple[Mono, ...]:
     """All exponent tuples e with sum(e_i * weights_i) == target (weights >= 1)."""
     if target < 0:

@@ -34,6 +34,7 @@ from .grading import find_positive_coarsening_vector
 from .groebner import (
     ModuleCtx,
     Vec,
+    _minimal_colon,
     buchberger,
     element_degree,
     reduce_vec,
@@ -47,8 +48,6 @@ from .poly import (
     PolyDict,
     is_constant,
     mono_div,
-    mono_divides,
-    mono_lcm,
     mono_mul,
     pmul,
     pneg,
@@ -319,16 +318,7 @@ def _frame_syzygies(ctx: ModuleCtx, elems, leads, limits: Limits):
     aug_lts = [(t, K.one) for t in leads]
     out, out_leads = [], []
     for a, (ca, ma) in enumerate(leads):
-        colon: list = []  # (x^q, b): minimal generators of (lt_b : b > a) : lt_a
-        for b in range(a + 1, len(leads)):
-            cb, mb = leads[b]
-            if cb != ca:
-                continue
-            q = mono_div(mono_lcm(ma, mb), ma)
-            if any(mono_divides(p, q) for p, _ in colon):
-                continue
-            colon = [(p, c) for p, c in colon if not mono_divides(q, p)] + [(q, b)]
-        for q, b in sorted(colon, reverse=True):
+        for q, b in sorted(_minimal_colon(aug_lts, a, range(a + 1, len(leads))), reverse=True):
             lcm = mono_mul(q, ma)
             limits.check_degree("S-pair of coarse degree", ctx.term_wdeg((ca, lcm)))
             s = vsub_term_mul(vterm_mul(aug[a], q, K.one, K), aug[b],

@@ -33,7 +33,7 @@ from mreg import (
     vec_component,
 )
 from mreg.cli import run
-from mreg.groebner import vterm_mul
+from mreg.groebner import _minimal_colon, vterm_mul
 from mreg.linalg import matrix_rank
 from mreg.poly import mono_div, mono_divides, mono_lcm, monomials_of_weight, pmul
 from mreg.poly import padd as vadd
@@ -195,6 +195,31 @@ def test_gb_input_order_independence(p1p1):
     assert len(set(map(tuple, bases))) == 1
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_minimal_colon_matches_its_definition(seed):
+    """The S-pair rule of Buchberger and of the Schreyer frame, checked
+    against the minimal generators of (lt_b : b in others) : lt_a."""
+    rng = random.Random(seed)
+    pool = rng.sample(monomials_of_weight((1, 1, 1, 1), 3), 7)
+    # two components, lead terms repeated; lt_a's monomial occurs once
+    leads = [(rng.randrange(2), rng.choice(pool[1:])) for _ in range(15)]
+    a = rng.randrange(len(leads))
+    leads[a] = (leads[a][0], pool[0])
+    others = rng.sample([b for b in range(len(leads)) if b != a], 12)
+    ca, ma = leads[a]
+    quotient = {b: mono_div(mono_lcm(ma, leads[b][1]), ma) for b in others if leads[b][0] == ca}
+    colon = _minimal_colon([(t, 1) for t in leads], a, others)
+    qs = [q for q, _ in colon]
+    assert not any(i != j and mono_divides(p, q) for i, p in enumerate(qs) for j, q in enumerate(qs))
+    assert all(any(mono_divides(p, q) for p in qs) for q in quotient.values())
+    # each generator comes with the first b that gives it, in the order of others
+    first = {}
+    for b, q in quotient.items():
+        first.setdefault(q, b)
+    assert [b for _, b in colon] == [b for b in quotient if b == first[quotient[b]] and quotient[b] in qs]
+    assert all(quotient[b] == q for q, b in colon)
+
+
 def test_gb_rejects_non_homogeneous(p1p1):
     ctx = ideal_ctx(p1p1, (1, 1))
     from mreg import HomogeneityError
@@ -237,7 +262,7 @@ def test_entry_points_reject_components_outside_the_module(p1p1, entry, comp):
 def test_entry_points_reject_inhomogeneous_input(p1p1, tmp_path, entry):
     if entry == "ideal_intersection":
         with pytest.raises(HomogeneityError):
-            ideal_intersection([p1p1.parse("x1")], [p1p1.parse("x0 + y0")], p1p1)
+            ideal_intersection([[p1p1.parse("x1")], [p1p1.parse("x0 + y0")]], p1p1)
     elif entry == "ModulePresentation":
         # both entries are homogeneous, the column (x0, y0) is not
         with pytest.raises(HomogeneityError):
@@ -371,27 +396,25 @@ def test_intersection_point_ideals(p1p1):
         [p1p1.parse("x0"), p1p1.parse("y1")],
         [p1p1.parse("x0"), p1p1.parse("y0")],
     ]
-    acc = quads[0]
-    for J in quads[1:]:
-        acc = ideal_intersection(acc, J, p1p1)
+    acc = ideal_intersection(quads, p1p1)
     assert canonical(acc) == canonical([p1p1.parse("x0*x1"), p1p1.parse("y0*y1")])
 
 
 def test_intersection_idempotent_and_principal(p1p1):
     I = [p1p1.parse("x0*x1"), p1p1.parse("y0*y1")]
-    again = ideal_intersection(I, I, p1p1)
+    again = ideal_intersection([I, I], p1p1)
     ctx = ideal_ctx(p1p1, (1, 1))
     GI = groebner_basis(ctx, [poly_to_vec(g) for g in I])
     assert canonical(again) == canonical([vec_component(e, 0) for e in GI.elements])
 
-    prin = ideal_intersection([p1p1.parse("x0")], [p1p1.parse("y0")], p1p1)
+    prin = ideal_intersection([[p1p1.parse("x0")], [p1p1.parse("y0")]], p1p1)
     assert canonical(prin) == canonical([p1p1.parse("x0*y0")])
 
 
 def test_intersection_membership_invariants(p1p1):
     I = [p1p1.parse("x0*y0 - x1*y1"), p1p1.parse("x0^2")]
     J = [p1p1.parse("x0"), p1p1.parse("y0*y1")]
-    inter = ideal_intersection(I, J, p1p1)
+    inter = ideal_intersection([I, J], p1p1)
     ctx = ideal_ctx(p1p1, (1, 1))
     GI = groebner_basis(ctx, [poly_to_vec(g) for g in I])
     GJ = groebner_basis(ctx, [poly_to_vec(g) for g in J])
@@ -559,7 +582,7 @@ def test_relations_dimension_intersection(p1p1):
         rels = relations(ctx2, [{(0, zero): one, (1, zero): one}],
                          I + [{(1, m): c for (_, m), c in g.items()} for g in J])
         inter = [poly_to_vec(h) for h in ideal_intersection(
-            [vec_component(f, 0) for f in I], [vec_component(g, 0) for g in J], p1p1)]
+            [[vec_component(f, 0) for f in I], [vec_component(g, 0) for g in J]], p1p1)]
         for d in range(5):
             expected = span_dim(ctx1, I, d) + span_dim(ctx1, J, d) - span_dim(ctx1, I + J, d)
             assert span_dim(ctx1, rels, d) == expected

@@ -181,8 +181,8 @@ def test_connections_examples(four_points, eight_points):
 
 
 def test_point_ideal_obeys_the_degree_cap(eight_points, p1p1):
-    # the intersections of the eight points reduce S-pairs of coarse degree
-    # up to 6; higher pairs are dropped by the criteria before the cap
+    # the intersection of the eight point ideals reduces S-pairs of coarse
+    # degree up to 6; no higher pair is queued
     with pytest.raises(ResourceLimitError, match="^S-pair of coarse degree 6 exceeds the degree cap 5$"):
         point_ideal(eight_points, p1p1, Limits(max_degree=5))
     assert point_ideal(eight_points, p1p1, Limits(max_degree=6)) == point_ideal(eight_points, p1p1)

@@ -258,10 +258,10 @@ def test_ext_modules_run_one_groebner_basis_per_index(monkeypatch):
         _count_everywhere(monkeypatch, calls, mreg.groebner, name)
     _count_everywhere(monkeypatch, calls, ModuleCtx, "vec_degree")
     ext_modules(P)
-    # two Buchberger runs per kernel_of_map: its relations' basis, then the
-    # exactness check of an empty modulo; the vec_degree calls are
+    # one Buchberger run per kernel_of_map, its relations' basis: the
+    # exactness check of an empty modulo needs none; the vec_degree calls are
     # kernel_of_map checking the 1 + 12 + 17 columns of d_1^T, d_2^T, d_3^T
-    assert calls == {"_degree_ordered_basis": 6, "relations": 3, "vec_degree": 30}
+    assert calls == {"_degree_ordered_basis": 3, "relations": 3, "vec_degree": 30}
 
 
 def test_element_degrees_are_checked_once(monkeypatch):
@@ -296,7 +296,8 @@ def test_frame_s_pairs_obey_the_degree_cap(p1p1):
 
 def test_degree_cap_judges_the_s_pairs_the_criteria_keep():
     # the Buchberger run reduces S-pairs up to coarse degree 10, the frame up
-    # to 11; the pairs that the product and chain criteria drop are not judged
+    # to 11; only the queued pairs are judged, those of minimal colon
+    # generators that the product criterion does not cover
     P = _nine_generic_points()
     with pytest.raises(ResourceLimitError, match="^S-pair of coarse degree 11 exceeds the degree cap 10$"):
         minimal_free_resolution(P, limits=Limits(max_degree=10))
