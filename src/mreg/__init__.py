@@ -48,7 +48,6 @@ from .localcoh import (
     a_invariants_hochster,
     complex_from_squarefree_ideal,
     ext_modules,
-    hochster_support,
     hochster_supports,
     local_cohomology_piece_dimension,
     reduced_homology_ranks,
@@ -69,14 +68,10 @@ from .points import (
 )
 from .poly import (
     DEFAULT_FIELD,
-    EQ,
-    GT,
-    LT,
     FieldDescriptor,
     MultigradedRing,
     QQ,
     TermOrder,
-    compare_monomials,
 )
 from .problems import Problem, load_problem, problem_from_obj
 from .regularity import (
@@ -89,7 +84,6 @@ from .regularity import (
     degree_bound_sets,
     intersect_degree_bounds,
     minimal_coarsening_set,
-    minimal_generator_degrees,
     module_a_invariants,
     regnum_free,
     regnum_module,

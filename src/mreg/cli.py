@@ -14,6 +14,7 @@ import sys
 
 from .errors import InputError, Limits, MregError
 from .grading import check_positive_grading, find_positive_coarsening_vector
+from .groebner import vec_component
 from .localcoh import a_invariants_hochster, hochster_supports
 from .points import (
     b_regularity_region,
@@ -199,8 +200,9 @@ def _dispatch(args):
             if v is not None:
                 out["coarse_shifts"] = [list(level) for level in coarsen_resolution(F, v).shifts]
             out["differentials"] = [
-                [[ring.poly_str(entry) for entry in col] for col in diff]
-                for diff in F.differentials
+                [[ring.poly_str(vec_component(col, r)) for r in range(len(F.shifts[k]))]
+                 for col in diff]
+                for k, diff in enumerate(F.differentials)
             ]
             _emit(out, fmt)
         else:

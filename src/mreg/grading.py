@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -128,14 +127,12 @@ def positive_coarsening_candidates(degrees, box: int = 5) -> list[Multidegree]:
 class DegreeRegion:
     """A decidable region of Z^r.
 
-    kind "finite": `bases` is the (deduplicated, sorted) list of points and
-    `witnesses` retains one semigroup decomposition per point.
+    kind "finite": `bases` is the (deduplicated, sorted) list of points.
     kind "orthant": union of b + N^r over the base points b.
     """
 
     kind: str
     bases: tuple[Multidegree, ...]
-    witnesses: Mapping | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("finite", "orthant"):
@@ -153,77 +150,42 @@ class DegreeRegion:
         return any(all(x >= b for x, b in zip(a, base)) for base in self.bases)
 
 
-class _Witnesses(Mapping):
-    """point -> (base index, multiplicity per variable), rebuilt on lookup.
-
-    Each point stores only the point it was reached from and the variable
-    of that step; a base stores None and its index.
-    """
-
-    def __init__(self, steps: dict, n: int):
-        self._steps = steps
-        self._n = n
-
-    def __getitem__(self, pt):
-        counts = [0] * self._n
-        prev, i = self._steps[pt]
-        while prev is not None:
-            counts[i] += 1
-            prev, i = self._steps[prev]
-        return i, tuple(counts)
-
-    def __iter__(self):
-        return iter(self._steps)
-
-    def __len__(self):
-        return len(self._steps)
-
-
 def enumerate_bounded_region(bases, degrees, v, bound: int) -> DegreeRegion:
     """All points of  U_k (b_k + N{a_i})  with v-degree <= bound.
 
     The semigroup N{a_i} depends only on the distinct columns a_i, so the
     breadth-first closure steps along those alone, in ascending order of
     v-degree, and stops at the first step that leaves the bound; it
-    terminates because every column has positive v-degree.  Every point
-    keeps a witness (base index, multiplicity per variable), with each
-    step counted on the first variable of that degree.
+    terminates because every column has positive v-degree.
     """
     degrees = _validate_degree_matrix(degrees)
     v = tuple(int(x) for x in v)
     wdegs = [sum(map(mul, col, v)) for col in degrees]
     if any(w < 1 for w in wdegs):
         raise GradingError(f"{v} is not a positive coarsening vector for this matrix")
-    first: dict[Multidegree, int] = {}
-    for i, col in enumerate(degrees):
-        first.setdefault(col, i)
-    steps = sorted((wdegs[i], i, col) for col, i in first.items())
+    steps = sorted(set(zip(wdegs, degrees)))
 
-    reached: dict[Multidegree, tuple] = {}  # point -> (previous point, variable)
+    reached: set[Multidegree] = set()
     frontier = []
-    for k, b in enumerate(bases):
+    for b in bases:
         b = tuple(int(x) for x in b)
         d = sum(map(mul, b, v))
         if d <= bound and b not in reached:
-            reached[b] = (None, k)
+            reached.add(b)
             frontier.append((b, d))
     while frontier:
         nxt = []
         for pt, d in frontier:
-            for w, i, col in steps:
+            for w, col in steps:
                 e = d + w
                 if e > bound:
                     break
                 q = tuple(map(add, pt, col))
                 if q not in reached:
-                    reached[q] = (pt, i)
+                    reached.add(q)
                     nxt.append((q, e))
         frontier = nxt
-    return DegreeRegion(
-        kind="finite",
-        bases=tuple(sorted(reached)),
-        witnesses=_Witnesses(reached, len(degrees)),
-    )
+    return DegreeRegion(kind="finite", bases=tuple(sorted(reached)))
 
 
 def shifted_orthant_region(r: int, j: int) -> DegreeRegion:

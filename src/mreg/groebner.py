@@ -15,6 +15,11 @@ generators that enter form a minimal generating set.  S-pairs come from
 minimal colon generators, the Schreyer frame's rule too; only those the
 product criterion keeps are queued, and only queued pairs face the cap.
 
+These dicts are the package's one module-element type: the relations of a
+ModulePresentation and the columns of every FreeResolution differential
+are module elements over their target's generators, and the arithmetic
+here serves them all.
+
 One primitive, `relations`, serves kernels of maps between free modules
 (the Ext route's kernels among them) and ideal intersections: it reads the
 relations off one Groebner basis of augmented generators.
@@ -130,14 +135,18 @@ def vsub_term_mul(f: Vec, g: Vec, mono: Mono, c, K) -> Vec:
 
 
 def _isub_term_mul(out: Vec, g: Vec, mono: Mono, c, K) -> Vec:
-    """out -= c * x^mono * g, in place; returns out."""
+    """out -= c * x^mono * g for a nonzero c, in place; returns out."""
     for (comp, m), v in g.items():
         t = (comp, mono_mul(m, mono))
-        s = K.sub(out.get(t, K.zero), K.mul(v, c))
-        if s:
-            out[t] = s
+        old = out.get(t)
+        if old is None:
+            out[t] = K.neg(K.mul(v, c))
         else:
-            out.pop(t, None)
+            s = K.sub(old, K.mul(v, c))
+            if s:
+                out[t] = s
+            else:
+                del out[t]
     return out
 
 
@@ -147,13 +156,6 @@ def poly_to_vec(f: PolyDict, comp: int = 0) -> Vec:
 
 def vec_component(f: Vec, comp: int) -> PolyDict:
     return {m: c for (j, m), c in f.items() if j == comp}
-
-
-def vec_to_columns(f: Vec, rank: int) -> tuple[PolyDict, ...]:
-    cols = [dict() for _ in range(rank)]
-    for (j, m), c in f.items():
-        cols[j][m] = c
-    return tuple(cols)
 
 
 def leading_term(ctx: ModuleCtx, f: Vec):
@@ -504,8 +506,7 @@ def graded_piece_dimension(P, v, m: int, limits: Limits = NO_LIMITS) -> int:
     ring = P.ring
     v = tuple(v)
     ctx = ModuleCtx.for_vector(ring, P.shifts, v)
-    cols = [P.column_vec(j) for j in range(len(P.relations))]
-    _, lts = buchberger(ctx, cols, limits)
+    _, lts = buchberger(ctx, P.relations, limits)
     lt_by_comp: dict[int, list[Mono]] = {}
     for (comp, mono), _ in lts:
         lt_by_comp.setdefault(comp, []).append(mono)

@@ -34,7 +34,6 @@ from .groebner import (
     kernel_of_map,
     leading_term,
     reduce_vec,
-    vec_to_columns,
 )
 from .linalg import matrix_rank
 from .poly import FieldDescriptor, MultigradedRing
@@ -102,15 +101,10 @@ def _memo_ext_modules(P, limits):
 
     def transpose_columns(i: int) -> list[Vec]:
         """Columns of the dual map G_{i-1} -> G_i, q-th column = row q of d_i."""
-        d = F.differentials[i - 1]
-        src_rank = len(F.shifts[i - 1])
-        cols = []
-        for q in range(src_rank):
-            vec: Vec = {}
-            for c, col in enumerate(d):
-                for m, coeff in col[q].items():
-                    vec[(c, m)] = coeff
-            cols.append(vec)
+        cols: list[Vec] = [{} for _ in F.shifts[i - 1]]
+        for c, col in enumerate(F.differentials[i - 1]):
+            for (q, m), coeff in col.items():
+                cols[q][(c, m)] = coeff
         return cols
 
     out: list[ModulePresentation | None] = []
@@ -166,7 +160,7 @@ def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
             _isub_term_mul(acc, elems[i], m, c, K)
         if acc:
             raise ArithmeticError("Ext relation does not map to its image")
-    return ModulePresentation(ring, gens, tuple(vec_to_columns(r, len(elems)) for r in rels))
+    return ModulePresentation(ring, gens, tuple(rels))
 
 
 def a_invariants_ext(P: ModulePresentation, v, limits: Limits = NO_LIMITS) -> AInvariants:
@@ -285,22 +279,17 @@ def _homology_from_faces(faces: set[frozenset], vertex_order, field) -> dict[int
     return out
 
 
-def hochster_support(K: SimplicialComplex, R: MultigradedRing, i: int):
-    """Faces sigma with nonzero reduced homology of their link in degree i-|sigma|-1.
-
-    These index the summands of the fine Hilbert series of the i-th local
-    cohomology of the face ring: sigma contributes the degrees with support
-    exactly sigma and all exponents negative, the empty face contributes 0.
-    """
-    supports = hochster_supports(K, R)
-    return supports[i] if 0 <= i < len(supports) else []
-
-
 def hochster_supports(K: SimplicialComplex, R: MultigradedRing) -> list[list]:
-    """hochster_support for every i = 0..n, from one homology of each face's link.
+    """Per i = 0..n, the (face, rank) pairs of Hochster's formula.
 
-    A link of sigma has dimension at most n - |sigma| - 1, so the homology
-    degree d of that link lands in i = d + |sigma| + 1 within 0..n.
+    Entry i lists the faces sigma whose link has nonzero reduced homology
+    in degree i - |sigma| - 1, with that rank.  These index the summands
+    of the fine Hilbert series of the i-th local cohomology of the face
+    ring: sigma contributes the degrees with support exactly sigma and all
+    exponents negative, the empty face contributes 0.  One homology of
+    each face's link serves every i: a link of sigma has dimension at most
+    n - |sigma| - 1, so its homology degree d lands in i = d + |sigma| + 1
+    within 0..n.
     """
     for vtx in K.vertices:
         R.var_index(vtx)

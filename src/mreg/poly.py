@@ -20,8 +20,6 @@ Mono = tuple[int, ...]
 Multidegree = tuple[int, ...]
 PolyDict = dict  # Mono -> coefficient
 
-LT, EQ, GT = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class FieldDescriptor:
@@ -146,21 +144,9 @@ class TermOrder:
         return (self.wdeg(e), sum(e), tuple(-x for x in reversed(e)))
 
 
-def compare_monomials(order, m1: Mono, m2: Mono) -> int:
-    """Return LT, EQ or GT comparing m1 against m2 under the order."""
-    if len(m1) != len(m2):
-        raise InputError("cannot compare exponent vectors of different length")
-    k1, k2 = order.key(m1), order.key(m2)
-    if k1 < k2:
-        return LT
-    if k1 > k2:
-        return GT
-    return EQ
-
-
 # -- polynomial dict arithmetic ----------------------------------------------
 
-# padd, pneg and pscale never look inside their keys, so they serve module
+# padd and pscale never look inside their keys, so they serve module
 # vectors keyed by (component, monomial) as well.
 
 def padd(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
@@ -172,10 +158,6 @@ def padd(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
         else:
             out.pop(m, None)
     return out
-
-
-def pneg(f: PolyDict, K: FieldDescriptor) -> PolyDict:
-    return {m: K.neg(c) for m, c in f.items()}
 
 
 def pscale(f: PolyDict, c, K: FieldDescriptor) -> PolyDict:
@@ -195,11 +177,6 @@ def pmul(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
             else:
                 out.pop(mm, None)
     return out
-
-
-def is_constant(f: PolyDict) -> bool:
-    """True iff f is a nonzero constant."""
-    return len(f) == 1 and not any(next(iter(f)))
 
 
 # -- the ring ----------------------------------------------------------------

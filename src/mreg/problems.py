@@ -44,9 +44,7 @@ class Problem:
         """The module the payload denotes, as a cokernel presentation."""
         if self.kind == "ideal":
             return ModulePresentation.quotient_by_ideal(self.ring, self.payload)
-        if self.kind == "module":
-            return self.payload
-        if self.kind == "free":
+        if self.kind in ("module", "free"):
             return self.payload
         if self.kind == "complex":
             gens = stanley_reisner_ideal(self.payload, self.ring)
@@ -112,7 +110,8 @@ def problem_from_obj(obj, field_override: FieldDescriptor | None = None) -> Prob
         for col in rel_spec:
             if not isinstance(col, list) or len(col) != len(shifts):
                 raise InputError("each relation column needs one entry per shift")
-            rels.append(tuple(ring.parse(_expect_str(e, "relation entry")) for e in col))
+            rels.append({(i, m): c for i, e in enumerate(col)
+                         for m, c in ring.parse(_expect_str(e, "relation entry")).items()})
         return Problem(ring, "module", ModulePresentation(ring, shifts, tuple(rels)))
     if kind == "free":
         spec = obj["free"]

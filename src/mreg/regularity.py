@@ -15,6 +15,7 @@ from operator import mul
 
 from .errors import NO_LIMITS, GradingError, InputError, Limits, MregError, ZeroModuleError
 from .grading import enumerate_bounded_region, positive_coarsening_candidates
+from .groebner import vec_component
 from .localcoh import (
     AInvariants,
     a_invariants_ext,
@@ -28,7 +29,6 @@ from .resolution import (
     betti_table,
     cached_minimal_resolution,
     coarsen_resolution,
-    minimalize_presentation,
     regnum_lower_bound,
 )
 
@@ -88,7 +88,7 @@ def module_a_invariants(P: ModulePresentation, v, route: str = "ext",
 def _complex_of_quotient(P: ModulePresentation):
     if len(P.shifts) != 1 or any(P.shifts[0]):
         raise InputError("Hochster route needs a cyclic quotient S/I")
-    gens = [col[0] for col in P.relations]
+    gens = [vec_component(rel, 0) for rel in P.relations]
     return complex_from_squarefree_ideal(P.ring, gens)
 
 
@@ -132,11 +132,6 @@ def syzygy_degree_bound(regnum: int, constants: CoarseningConstants, i: int) -> 
     if i < 0:
         raise InputError("homological index must be nonnegative")
     return regnum + i * constants.s_v + constants.c_v - 1
-
-
-def minimal_generator_degrees(P: ModulePresentation) -> tuple[Multidegree, ...]:
-    """Multidegrees of a minimal generating set of coker(P)."""
-    return minimalize_presentation(P).shifts
 
 
 @dataclass(frozen=True)

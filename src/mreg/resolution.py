@@ -34,28 +34,16 @@ from .grading import find_positive_coarsening_vector
 from .groebner import (
     ModuleCtx,
     Vec,
+    _isub_term_mul,
     _minimal_colon,
     buchberger,
     element_degree,
+    poly_to_vec,
     reduce_vec,
-    vec_to_columns,
     vsub_term_mul,
     vterm_mul,
 )
-from .poly import (
-    Multidegree,
-    MultigradedRing,
-    PolyDict,
-    is_constant,
-    mono_div,
-    mono_mul,
-    pmul,
-    pneg,
-    padd,
-    pscale,
-)
-
-Column = tuple  # tuple of PolyDict, one entry per target generator
+from .poly import Multidegree, MultigradedRing, mono_div, mono_mul
 
 
 @dataclass(frozen=True)
@@ -63,49 +51,32 @@ class ModulePresentation:
     """coker of a homogeneous matrix between shifted free modules.
 
     `shifts` are the multidegrees of the ambient free generators and each
-    relation is a column of homogeneous polynomials (one per generator).
-    Construction checks every column once and keeps its degree in
-    `relation_degrees` (None for a zero column).
+    relation is a homogeneous module element over them, a dict mapping
+    (generator index, exponent tuple) to a coefficient.  Construction checks
+    every relation once and keeps its degree in `relation_degrees` (None
+    for a zero relation).
     """
 
     ring: MultigradedRing
     shifts: tuple[Multidegree, ...]
-    relations: tuple[Column, ...] = ()
+    relations: tuple[Vec, ...] = ()
     relation_degrees: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(tuple(s) for s in self.shifts))
-        rels = []
-        for col in self.relations:
-            col = tuple(dict(entry) for entry in col)
-            if len(col) != len(self.shifts):
-                raise InputError("relation column length does not match generators")
-            rels.append(col)
-        object.__setattr__(self, "relations", tuple(rels))
+        object.__setattr__(self, "relations", tuple(dict(rel) for rel in self.relations))
         if not self.shifts:
             raise InputError("presentation needs at least one ambient generator")
         for s in self.shifts:
             if len(s) != self.ring.r:
                 raise InputError("shift length does not match the grading rank")
         object.__setattr__(self, "relation_degrees", tuple(
-            element_degree(self.ring, self.shifts,
-                           ((i, m) for i, entry in enumerate(col) for m in entry))
-            if any(col) else None
-            for col in self.relations
+            element_degree(self.ring, self.shifts, rel) if rel else None
+            for rel in self.relations
         ))
 
-    def column_vec(self, j: int) -> Vec:
-        return {
-            (i, m): c
-            for i, entry in enumerate(self.relations[j])
-            for m, c in entry.items()
-        }
-
     def cache_key(self):
-        rels = tuple(
-            tuple(tuple(sorted(entry.items())) for entry in col)
-            for col in self.relations
-        )
+        rels = tuple(tuple(sorted(rel.items())) for rel in self.relations)
         return (self.ring, self.shifts, rels)
 
     def __hash__(self):
@@ -114,7 +85,7 @@ class ModulePresentation:
     @classmethod
     def quotient_by_ideal(cls, ring: MultigradedRing, gens) -> "ModulePresentation":
         """S/I for a list of homogeneous polynomials."""
-        return cls(ring, ((0,) * ring.r,), tuple((dict(g),) for g in gens))
+        return cls(ring, ((0,) * ring.r,), tuple(poly_to_vec(g) for g in gens))
 
     @classmethod
     def free_module(cls, ring: MultigradedRing, shifts) -> "ModulePresentation":
@@ -126,14 +97,15 @@ class FreeResolution:
     """Chain of shifted free modules; differentials map F_i -> F_{i-1}.
 
     `shifts[i]` lists the generator degrees of F_i; `differentials[i-1]`
-    holds the columns of d_i (each column is a tuple of polynomials indexed
-    by the generators of F_{i-1}).  Coarsened resolutions carry integer
-    shifts instead of tuples.
+    holds the columns of d_i, each a module element over the generators of
+    F_{i-1} (a dict mapping (generator index, exponent tuple) to a
+    coefficient).  Coarsened resolutions carry integer shifts instead of
+    tuples.
     """
 
     ring: MultigradedRing
     shifts: list[tuple]
-    differentials: list[list[Column]]
+    differentials: list[list[Vec]]
 
     @property
     def length(self) -> int:
@@ -195,7 +167,7 @@ def minimalize_presentation(P: ModulePresentation) -> ModulePresentation:
     if not M.shifts[0]:
         raise ZeroModuleError("presentation minimalized to the zero module")
     rels = M.differentials[0] if M.differentials else ()
-    return ModulePresentation(P.ring, M.shifts[0], tuple(c for c in rels if any(c)))
+    return ModulePresentation(P.ring, M.shifts[0], tuple(c for c in rels if c))
 
 
 def cached_minimal_resolution(P: ModulePresentation,
@@ -240,7 +212,8 @@ def _degree_sorted(F: FreeResolution, v) -> FreeResolution:
         shifts[i] = tuple(shifts[i][p] for p in perm)
         diffs[i - 1] = [diffs[i - 1][p] for p in perm]
         if i < len(diffs):
-            diffs[i] = [tuple(col[p] for p in perm) for col in diffs[i]]
+            row = {p: k for k, p in enumerate(perm)}
+            diffs[i] = [{(row[c], m): x for (c, m), x in col.items()} for col in diffs[i]]
     return FreeResolution(F.ring, shifts, diffs)
 
 
@@ -273,7 +246,7 @@ def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution
     """
     ring = P0.ring
     ctx = ModuleCtx.for_vector(ring, P0.shifts, v)
-    elems, lts = buchberger(ctx, [P0.column_vec(j) for j in range(len(P0.relations))], limits)
+    elems, lts = buchberger(ctx, P0.relations, limits)
     leads = [t for t, _ in lts]
     shifts, diffs = [P0.shifts], []
     below, below_leads = None, None
@@ -282,7 +255,7 @@ def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution
             raise MregError("resolution exceeds the variable-count length bound")
         src = shifts[-1]
         elems, leads, level = _frame_level(ring, src, elems, leads)
-        diffs.append([vec_to_columns(g, len(src)) for g in elems])
+        diffs.append(elems)
         shifts.append(level)
         if below is None:
             ctx = ModuleCtx.for_vector(ring, src + level, v)
@@ -338,20 +311,15 @@ def _assert_resolution_sane(F: FreeResolution):
         raise MregError("minimal resolution longer than the number of variables")
     for diff in F.differentials:
         for col in diff:
-            for entry in col:
-                if is_constant(entry):
-                    raise MregError("non-minimal differential: constant entry survived")
-    for i in range(1, len(F.differentials)):
-        prev, cur = F.differentials[i - 1], F.differentials[i]
+            if any(not any(m) for _, m in col):
+                raise MregError("non-minimal differential: constant entry survived")
+    for prev, cur in zip(F.differentials, F.differentials[1:]):
         for col in cur:
-            # rows of prev are indexed like entries of col
-            acc = [dict() for _ in range(len(F.shifts[i - 1]))]
-            for k, entry in enumerate(col):
-                if not entry:
-                    continue
-                for rr in range(len(acc)):
-                    acc[rr] = padd(acc[rr], pmul(entry, prev[k][rr], K), K)
-            if any(acc_entry for acc_entry in acc):
+            # the image of col under prev, accumulated negated, in place
+            image: Vec = {}
+            for (k, m), c in col.items():
+                _isub_term_mul(image, prev[k], m, c, K)
+            if image:
                 raise MregError("differentials do not compose to zero")
 
 
@@ -399,54 +367,47 @@ def regnum_lower_bound(Bz: BettiTable, c_v: int, s_v: int) -> int:
 def minimalize_complex(F: FreeResolution) -> FreeResolution:
     """Cancel constant entries of a (possibly non-minimal) complex.
 
-    Gaussian elimination on the complex: a constant entry of d_i pairs a
-    generator of F_i with one of F_{i-1}; removing both replaces d_i by its
-    Schur complement, drops the corresponding row of d_{i+1} and column of
-    d_{i-1}, and preserves homology.
+    Gaussian elimination on the complex: a constant c in row q of column p
+    of d_i pairs generator p of F_i with generator q of F_{i-1}; removing
+    both replaces d_i by its Schur complement, drops row p of d_{i+1} and
+    column q of d_{i-1}, and preserves homology.  One forward sweep finds
+    every pivot: levels in order, within a level columns first to last,
+    each pivoting on its lowest surviving row with a constant term.  A pivot
+    in d_i only deletes entries of d_{i-1} and d_{i+1}, and it subtracts
+    (col_s[q] / c) * pivot from a column s of d_i, which has a constant
+    term only if col_s[q] is constant; so a column the sweep has passed stays
+    free of constants.  Removed generators keep their indices, and their
+    leftover entries stay, until one renumbering at the end.
     """
     K = F.ring.field
-    shifts = [list(level) for level in F.shifts]
-    diffs = [[list(col) for col in diff] for diff in F.differentials]
-
-    def find_pivot():
-        for i, diff in enumerate(diffs):
-            for p, col in enumerate(diff):
-                for q, entry in enumerate(col):
-                    if is_constant(entry):
-                        return i, q, p
-        return None
-
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
-        i, q, p = hit
-        diff = diffs[i]
-        c = next(iter(diff[p][q].values()))
-        inv = K.inv(c)
-        pivot_col = diff[p]
-        for s, col in enumerate(diff):
-            if s == p:
+    zero = (0,) * F.ring.n
+    diffs = [[dict(col) for col in diff] for diff in F.differentials]
+    dead = [set() for _ in F.shifts]  # the removed generators of each F_i
+    for i, diff in enumerate(diffs):
+        rows_dead, cols_dead = dead[i], dead[i + 1]
+        for p, pivot in enumerate(diff):
+            q = min((r for r, m in pivot if not any(m) and r not in rows_dead), default=None)
+            if q is None:
                 continue
-            factor = pscale(col[q], inv, K)
-            if factor:
-                for rr in range(len(col)):
-                    col[rr] = padd(col[rr], pneg(pmul(factor, pivot_col[rr], K), K), K)
-        del diff[p]
-        for col in diff:
-            del col[q]
-        del shifts[i + 1][p]
-        del shifts[i][q]
-        if i + 1 < len(diffs):
-            for col in diffs[i + 1]:
-                del col[p]
-        if i > 0:
-            del diffs[i - 1][q]
-    while diffs and not shifts[-1]:
+            inv = K.inv(pivot[(q, zero)])
+            rows_dead.add(q)
+            cols_dead.add(p)
+            for s, col in enumerate(diff):
+                if s in cols_dead:
+                    continue
+                for m, a in [(m, a) for (r, m), a in col.items() if r == q]:
+                    _isub_term_mul(col, pivot, m, K.mul(a, inv), K)
+    keep = [[j for j in range(len(level)) if j not in gone] for level, gone in zip(F.shifts, dead)]
+    shifts = [tuple(level[j] for j in idx) for level, idx in zip(F.shifts, keep)]
+    out_diffs = []
+    for i, diff in enumerate(diffs):
+        row = {j: k for k, j in enumerate(keep[i])}
+        out_diffs.append([{(row[r], m): c for (r, m), c in diff[p].items() if r in row}
+                          for p in keep[i + 1]])
+    while out_diffs and not shifts[-1]:
         shifts.pop()
-        diffs.pop()
-    out = FreeResolution(F.ring, [tuple(s) for s in shifts],
-                         [[tuple(col) for col in diff] for diff in diffs])
+        out_diffs.pop()
+    out = FreeResolution(F.ring, shifts, out_diffs)
     _assert_resolution_sane(out)
     return out
 

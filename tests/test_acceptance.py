@@ -187,7 +187,7 @@ def test_criterion_11_oracle_duplication(p1p1, monomial_corpus):
     for P in monomial_corpus:
         v = find_positive_coarsening_vector(P.ring.degrees)
         weights = P.ring.vdegs(v)
-        gens = [next(iter(col[0])) for col in P.relations]
+        gens = [next(iter(rel))[1] for rel in P.relations]
         for m in range(0, 13):
             brute = sum(
                 1

@@ -52,7 +52,7 @@ class KoszulOracle:
         self.v = find_positive_coarsening_vector(ring.degrees)
         self.vdegs = ring.vdegs(self.v)
         ctx = ModuleCtx.for_vector(ring, P.shifts, self.v)
-        self.G = groebner_basis(ctx, [P.column_vec(j) for j in range(len(P.relations))])
+        self.G = groebner_basis(ctx, P.relations)
         self.leads: dict[int, list] = {}
         for (comp, mono), _ in self.G.leading_terms:
             self.leads.setdefault(comp, []).append(mono)

@@ -105,16 +105,9 @@ def test_enumerate_region_examples():
     assert enumerate_bounded_region([(0, 0)], std, (1, 1), -1).points() == ()
 
 
-def test_enumerate_region_witnesses_and_monotone():
+def test_enumerate_region_monotone():
     region = enumerate_bounded_region([(0, 0), (1, 1)], HIRZEBRUCH2, (1, 3), 4)
     for pt in region.points():
-        base_idx, counts = region.witnesses[pt]
-        base = [(0, 0), (1, 1)][base_idx]
-        rebuilt = list(base)
-        for col, k in zip(HIRZEBRUCH2, counts):
-            for t in range(len(rebuilt)):
-                rebuilt[t] += col[t] * k
-        assert tuple(rebuilt) == pt
         assert pt[0] * 1 + pt[1] * 3 <= 4
     smaller = set(enumerate_bounded_region([(0, 0), (1, 1)], HIRZEBRUCH2, (1, 3), 3).points())
     assert smaller <= set(region.points())
@@ -200,17 +193,7 @@ def test_enumerate_region_matches_brute_force():
         bound = rng.randint(-4, 10)
         region = enumerate_bounded_region(bases, degrees, v, bound)
         assert region.points() == _brute_force_region(bases, degrees, v, bound), (degrees, v, bases, bound)
-        first = {}
-        for i, col in enumerate(degrees):
-            first.setdefault(col, i)
         for pt in region.points():
-            base_idx, counts = region.witnesses[pt]
-            rebuilt = tuple(
-                x + sum(k * col[t] for k, col in zip(counts, degrees))
-                for t, x in enumerate(bases[base_idx])
-            )
-            assert rebuilt == pt
-            assert all(k == 0 or first[degrees[i]] == i for i, k in enumerate(counts))
             assert sum(a * b for a, b in zip(pt, v)) <= bound
 
 

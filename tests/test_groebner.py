@@ -242,11 +242,13 @@ def _vector_entry_points(ring, bad):
         "relations cols": lambda: relations(ctx, [good, bad]),
         "relations modulo": lambda: relations(ctx, [good], [good, bad]),
         "kernel_of_map": lambda: kernel_of_map(ctx, [good, {}, bad]),
+        "ModulePresentation": lambda: ModulePresentation(ring, ((0, 0),), (good, bad)),
     }
 
 
 VECTOR_ENTRY_POINTS = ("groebner_basis", "normal_form", "kernel_generators",
-                       "relations cols", "relations modulo", "kernel_of_map")
+                       "relations cols", "relations modulo", "kernel_of_map",
+                       "ModulePresentation")
 
 
 @pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS)
@@ -257,16 +259,16 @@ def test_entry_points_reject_components_outside_the_module(p1p1, entry, comp):
         _vector_entry_points(p1p1, bad)[entry]()
 
 
-@pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS + (
-    "ideal_intersection", "ModulePresentation", "cli module payload"))
+@pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS + ("ideal_intersection", "cli module payload"))
 def test_entry_points_reject_inhomogeneous_input(p1p1, tmp_path, entry):
     if entry == "ideal_intersection":
         with pytest.raises(HomogeneityError):
             ideal_intersection([[p1p1.parse("x1")], [p1p1.parse("x0 + y0")]], p1p1)
     elif entry == "ModulePresentation":
-        # both entries are homogeneous, the column (x0, y0) is not
+        # both entries are homogeneous, the relation x0 e_0 + y0 e_1 is not
+        rel = {**poly_to_vec(p1p1.parse("x0"), 0), **poly_to_vec(p1p1.parse("y0"), 1)}
         with pytest.raises(HomogeneityError):
-            ModulePresentation(p1p1, ((0, 0), (0, 0)), ((p1p1.parse("x0"), p1p1.parse("y0")),))
+            ModulePresentation(p1p1, ((0, 0), (0, 0)), (rel,))
     elif entry == "cli module payload":
         path = tmp_path / "inhomogeneous-column.json"
         path.write_text(json.dumps({
@@ -442,7 +444,7 @@ def exhaustive_monomial_count(P, v, m):
     """Monomials of coarse degree m avoiding every generator, raw divisibility."""
     ring = P.ring
     weights = ring.vdegs(v)
-    gens = [next(iter(col[0])) for col in P.relations]
+    gens = [next(iter(rel))[1] for rel in P.relations]
     count = 0
     for e in monomials_of_weight(weights, m):
         if not any(mono_divides(g, e) for g in gens):

@@ -20,7 +20,6 @@ from mreg import (
     ext_modules,
     find_positive_coarsening_vector,
     graded_piece_dimension,
-    hochster_support,
     hochster_supports,
     kernel_of_map,
     local_cohomology_piece_dimension,
@@ -29,7 +28,6 @@ from mreg import (
     relations,
     stanley_reisner_ideal,
 )
-from mreg.groebner import vec_to_columns
 from mreg.resolution import FreeResolution
 from tests.conftest import clear_memos, hirzebruch_ring
 from tests.test_betti_oracle import PROBLEMS, _module
@@ -61,20 +59,20 @@ def test_homology_of_sphere_boundary():
 
 
 def test_hochster_support_four_cycle(p1p1, four_cycle):
-    support = hochster_support(four_cycle, p1p1, 2)
-    sizes = sorted(len(f) for f, _ in support)
+    supports = hochster_supports(four_cycle, p1p1)
+    sizes = sorted(len(f) for f, _ in supports[2])
     assert sizes == [0, 1, 1, 1, 1, 2, 2, 2, 2]
-    assert all(rank == 1 for _, rank in support)
-    assert hochster_support(four_cycle, p1p1, 0) == []
-    assert hochster_support(four_cycle, p1p1, 1) == []
+    assert all(rank == 1 for _, rank in supports[2])
+    assert supports[0] == []
+    assert supports[1] == []
 
 
 def test_hochster_support_simplex(p1p1):
     simplex = SimplicialComplex(p1p1.variables, (p1p1.variables,))
-    top = hochster_support(simplex, p1p1, p1p1.n)
-    assert [(tuple(f), r) for f, r in top] == [(p1p1.variables, 1)]
+    supports = hochster_supports(simplex, p1p1)
+    assert [(tuple(f), r) for f, r in supports[p1p1.n]] == [(p1p1.variables, 1)]
     for i in range(p1p1.n):
-        assert hochster_support(simplex, p1p1, i) == []
+        assert supports[i] == []
 
 
 def test_a_invariants_hochster_examples(p1p1, four_cycle):
@@ -153,7 +151,8 @@ def _generic_ext_modules(P):
 
     def dual_map(i):
         """Columns of d_i^T: the q-th is row q of d_i."""
-        return [{(c, m): x for c, col in enumerate(F.differentials[i - 1]) for m, x in col[q].items()}
+        return [{(c, m): x for c, col in enumerate(F.differentials[i - 1])
+                 for (r, m), x in col.items() if r == q}
                 for q in range(F.rank(i - 1))]
 
     out = []
@@ -170,8 +169,7 @@ def _generic_ext_modules(P):
             out.append(None)
             continue
         rels = relations(ctx, kernel, dual_map(j) if j else [])
-        pres = ModulePresentation(ring, tuple(ctx.vec_degree(k) for k in kernel),
-                                  tuple(vec_to_columns(r, len(kernel)) for r in rels))
+        pres = ModulePresentation(ring, tuple(ctx.vec_degree(k) for k in kernel), tuple(rels))
         try:
             out.append(minimalize_presentation(pres))
         except ZeroModuleError:
@@ -206,9 +204,8 @@ def test_ext_relations_are_checked_against_the_complex(monkeypatch):
     P = _nine_generic_points()
     F = cached_minimal_resolution(P)
     col = F.differentials[1][0]
-    k = next(i for i, entry in enumerate(col) if entry)
-    bad = tuple({m: P.ring.field.add(c, c) for m, c in e.items()} if i == k else e
-                for i, e in enumerate(col))
+    k = min(r for r, _ in col)
+    bad = {(r, m): P.ring.field.add(c, c) if r == k else c for (r, m), c in col.items()}
     broken = FreeResolution(F.ring, F.shifts, [F.differentials[0], [bad] + F.differentials[1][1:],
                                                *F.differentials[2:]])
     monkeypatch.setattr(mreg.localcoh, "cached_minimal_resolution", lambda P, limits: broken)
@@ -271,7 +268,7 @@ def test_homology_field_independent_here(four_cycle):
 def test_hochster_needs_ring_variables(four_cycle):
     other = MultigradedRing(("a", "b"), ((1,), (1,)))
     with pytest.raises(InputError):
-        hochster_support(four_cycle, other, 2)
+        hochster_supports(four_cycle, other)
 
 
 def _support_one_index(K, R, i):
@@ -311,11 +308,11 @@ def test_hochster_supports_match_the_one_index_definition(p1p1):
     for K, ring in _hochster_corpus(p1p1):
         supports = hochster_supports(K, ring)
         assert len(supports) == ring.n + 1
-        for i in range(-1, ring.n + 2):
-            expected = _support_one_index(K, ring, i)
-            assert hochster_support(K, ring, i) == expected, (K.facets, i)
-            if 0 <= i <= ring.n:
-                assert supports[i] == expected
+        for i in range(ring.n + 1):
+            assert supports[i] == _support_one_index(K, ring, i), (K.facets, i)
+        # no face supports an index outside 0..n
+        for i in (-1, ring.n + 1):
+            assert _support_one_index(K, ring, i) == [], (K.facets, i)
         v = find_positive_coarsening_vector(ring.degrees)
         weights = dict(zip(ring.variables, ring.vdegs(v)))
         expected_ai = tuple(

@@ -20,7 +20,7 @@ from mreg import (
     load_problem,
     local_cohomology_piece_dimension,
     minimal_coarsening_set,
-    minimal_generator_degrees,
+    minimalize_presentation,
     positive_coarsening_candidates,
     regnum_free,
     regnum_module,
@@ -288,7 +288,7 @@ def test_rational_field_end_to_end():
 
 
 def test_generator_degrees_default_bases(eight_point_module):
-    gens = minimal_generator_degrees(eight_point_module)
+    gens = minimalize_presentation(eight_point_module).shifts
     assert gens == ((0, 0),)
     d = degree_bound_set(eight_point_module, (1, 1), 0)
     assert d.bases == ((0, 0),)

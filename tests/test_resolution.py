@@ -29,8 +29,8 @@ from mreg import (
     resolution_regularity_vector,
 )
 from mreg.grading import find_positive_coarsening_vector
-from mreg.poly import is_constant
-from mreg.resolution import FreeResolution, first_syzygy_presentation
+from mreg.groebner import _isub_term_mul
+from mreg.resolution import FreeResolution, _assert_resolution_sane, first_syzygy_presentation
 from tests.conftest import clear_memos
 
 
@@ -90,7 +90,7 @@ def test_differentials_compose_to_zero_and_minimal(full_corpus):
         assert F.length <= P.ring.n
         for diff in F.differentials:
             for col in diff:
-                assert not any(is_constant(entry) for entry in col)
+                assert all(any(m) for _, m in col), "constant entry"
 
 
 def test_euler_characteristic_matches_graded_pieces(koszul_module, hirzebruch_module):
@@ -147,7 +147,7 @@ def test_minimalize_presentation_pivots(p1p1):
     P = ModulePresentation(
         p1p1,
         ((0, 0), (1, 0)),
-        (({(0, 0, 0, 0): 1}, {}),),
+        ({(0, (0, 0, 0, 0)): 1},),
     )
     Q = minimalize_presentation(P)
     assert Q.shifts == ((1, 0),)
@@ -157,15 +157,77 @@ def test_minimalize_presentation_pivots(p1p1):
 def test_minimalize_complex_cancels(p1p1):
     # non-minimal complex: S(-a) --1--> S(-a) appended to a Koszul tail
     K = p1p1.field
-    one = {(0, 0, 0, 0): K.one}
+    one = {(0, (0, 0, 0, 0)): K.one}
     F = FreeResolution(
         p1p1,
         [((0, 0),), ((0, 0),)],
-        [[(one,)]],
+        [[one]],
     )
     M = minimalize_complex(F)
     assert M.length == 0
     assert M.shifts == [()] or M.shifts == [tuple()]
+
+
+def _disguised(F, rng):
+    """F plus S(-a) --1--> S(-a) at every level, in random constant bases per fine degree.
+
+    Two trivial summands per level, of one degree a drawn from that level's
+    shifts, are added as h_1 -> g_1 + g_2, h_2 -> g_1: when h_1 pivots on
+    g_1, the Schur update of h_2 creates a constant in row g_2.  Then every
+    level's basis is shuffled and mixed by elementary changes
+    e_w -> e_w + lam e_u within a fine degree, and d_k becomes
+    A_{k-1} d_k A_k^{-1}.
+    """
+    K = F.ring.field
+    zero = (0,) * F.ring.n
+    shifts = [list(level) for level in F.shifts] + [[]]
+    diffs = [[dict(col) for col in diff] for diff in F.differentials] + [[]]
+    for i in range(len(F.shifts)):
+        a = rng.choice(shifts[i])
+        g = len(shifts[i])
+        shifts[i] += [a, a]
+        shifts[i + 1] += [a, a]
+        if i > 0:
+            diffs[i - 1] += [{}, {}]
+        diffs[i] += [{(g, zero): K.one, (g + 1, zero): K.one}, {(g, zero): K.one}]
+    for k, level in enumerate(shifts):
+        perm = list(range(len(level)))
+        rng.shuffle(perm)
+        at = {old: new for new, old in enumerate(perm)}
+        level[:] = [level[p] for p in perm]
+        cols = diffs[k - 1] if k > 0 else None  # d_k, whose columns F_k indexes
+        if cols is not None:
+            cols[:] = [cols[p] for p in perm]
+        rows = diffs[k] if k < len(diffs) else []  # d_{k+1}, whose rows F_k indexes
+        rows[:] = [{(at[r], m): c for (r, m), c in col.items()} for col in rows]
+        for _ in range(len(level)):
+            u, w = rng.randrange(len(level)), rng.randrange(len(level))
+            if u == w or level[u] != level[w]:
+                continue
+            # e_w -> e_w + lam e_u: column w of d_k gains lam * column u,
+            # row u of d_{k+1} loses lam * row w
+            lam = K.of(rng.randint(1, 9))
+            if cols is not None:
+                _isub_term_mul(cols[w], cols[u], zero, K.neg(lam), K)
+            for col in rows:
+                row_w = {(u, m): c for (r, m), c in col.items() if r == w}
+                _isub_term_mul(col, row_w, zero, lam, K)
+    return FreeResolution(F.ring, [tuple(level) for level in shifts], diffs)
+
+
+def test_minimalize_complex_cancels_disguised_trivial_summands(full_corpus):
+    """Pivots in several levels, some on constants that earlier Schur updates created."""
+    rng = random.Random(1101)
+    for P in full_corpus:
+        F = minimal_free_resolution(P)
+        for _ in range(3):
+            raw = _disguised(F, rng)
+            levels = {k for k, diff in enumerate(raw.differentials)
+                      if any(not any(m) for col in diff for _, m in col)}
+            assert len(levels) > 1
+            slim = minimalize_complex(raw)
+            _assert_resolution_sane(slim)
+            assert betti_table(slim).as_dict() == betti_table(F).as_dict()
 
 
 def test_two_construction_paths_agree(full_corpus):
@@ -178,7 +240,7 @@ def test_two_construction_paths_agree(full_corpus):
     """
     from mreg import ModuleCtx, kernel_of_map
     from mreg.grading import find_positive_coarsening_vector
-    from mreg.groebner import groebner_basis, vec_to_columns
+    from mreg.groebner import groebner_basis
     from mreg.resolution import _assert_resolution_sane
 
     for P in full_corpus:
@@ -188,14 +250,14 @@ def test_two_construction_paths_agree(full_corpus):
         shifts = [P0.shifts]
         diffs = []
         ctx = ModuleCtx.for_vector(ring, P0.shifts, v)
-        cols = [P0.column_vec(j) for j in range(len(P0.relations))]
+        cols = list(P0.relations)
         guard = 0
         while cols and guard <= ring.n + 2:
             guard += 1
             # expand to the full Groebner basis: deliberately non-minimal
             G = groebner_basis(ctx, cols)
             level = tuple(ctx.vec_degree(g) for g in G.elements)
-            diffs.append([vec_to_columns(g, ctx.rank) for g in G.elements])
+            diffs.append(list(G.elements))
             shifts.append(level)
             nxt = ModuleCtx.for_vector(ring, level, v)
             cols = kernel_of_map(ctx, list(G.elements))
@@ -273,7 +335,7 @@ def test_element_degrees_are_checked_once(monkeypatch):
     F = minimal_free_resolution(P)
     assert calls["vec_degree"] == 0
     ctx = ModuleCtx.for_vector(P.ring, P.shifts, (1, 1))
-    cols = [P.column_vec(j) for j in range(4)]
+    cols = list(P.relations[:4])
     relations(ctx, cols[:2], cols[2:] + [{}])
     assert calls["vec_degree"] == 4
     # the bases come from the memoized resolution, not from a new minimalization
