@@ -8,11 +8,13 @@ are always integral and found by a deterministic expanding-box search.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .errors import GradingError, InputError
 from .poly import Multidegree
@@ -150,42 +152,147 @@ class DegreeRegion:
         return any(all(x >= b for x, b in zip(a, base)) for base in self.bases)
 
 
-def enumerate_bounded_region(bases, degrees, v, bound: int) -> DegreeRegion:
-    """All points of  U_k (b_k + N{a_i})  with v-degree <= bound.
+def _step(codes, delta):
+    """Every point of a layer moved one step along a column: one addition each."""
+    return [c + delta for c in codes]
 
-    The semigroup N{a_i} depends only on the distinct columns a_i, so the
-    breadth-first closure steps along those alone, in ascending order of
-    v-degree, and stops at the first step that leaves the bound; it
-    terminates because every column has positive v-degree.
+
+def _pack(p, width: int, off: int) -> int:
+    code = 0
+    for x in p:
+        code = (code << width) + x + off
+    return code
+
+
+class LatticeRegion:
+    """The points of  U_k (b_k + N{a_i})  grown one v-degree layer at a time.
+
+    Layer d holds the bases of v-degree d and, for each distinct column a,
+    layer d - v.a stepped by a.  Every column has positive v-degree, so a
+    layer depends on lower layers only: the region grown to a bound is a
+    prefix of the region at any higher bound, and `levels` answers every
+    lower bound from the layers already grown.  Only degrees reachable from
+    a base are visited, and only the last max_a v.a layers are kept as sets
+    for the recurrence.
+
+    A point p is stored as the integer  sum_k (p_k + off) 2^(width (r-1-k)),
+    off = 2^(width-1): a step is the addition of the column's code, and
+    integer order is the lexicographic order of the points.  The width fits
+    every point up to the grown bound; growing further re-encodes when the
+    coordinate bound needs more bits.
     """
-    degrees = _validate_degree_matrix(degrees)
-    v = tuple(int(x) for x in v)
-    wdegs = [sum(map(mul, col, v)) for col in degrees]
-    if any(w < 1 for w in wdegs):
-        raise GradingError(f"{v} is not a positive coarsening vector for this matrix")
-    steps = sorted(set(zip(wdegs, degrees)))
 
-    reached: set[Multidegree] = set()
-    frontier = []
-    for b in bases:
-        b = tuple(int(x) for x in b)
-        d = sum(map(mul, b, v))
-        if d <= bound and b not in reached:
-            reached.add(b)
-            frontier.append((b, d))
-    while frontier:
-        nxt = []
-        for pt, d in frontier:
-            for w, col in steps:
-                e = d + w
-                if e > bound:
-                    break
-                q = tuple(map(add, pt, col))
-                if q not in reached:
-                    reached.add(q)
-                    nxt.append((q, e))
-        frontier = nxt
-    return DegreeRegion(kind="finite", bases=tuple(sorted(reached)))
+    def __init__(self, bases, degrees, v):
+        degrees = _validate_degree_matrix(degrees)
+        self.r = r = len(degrees[0])
+        v = tuple(int(x) for x in v)
+        if len(v) != r:
+            raise InputError("coarsening vector has wrong length")
+        wdegs = [sum(map(mul, col, v)) for col in degrees]
+        if any(w < 1 for w in wdegs):
+            raise GradingError(f"{v} is not a positive coarsening vector for this matrix")
+        self.columns = sorted(set(zip(wdegs, degrees)))
+        self.weights = sorted(set(wdegs))
+        self.pending: dict[int, set] = {}  # v-degree -> bases not yet in a layer
+        for b in bases:
+            b = tuple(int(x) for x in b)
+            if len(b) != r:
+                raise InputError("base point has wrong length")
+            self.pending.setdefault(sum(map(mul, b, v)), set()).add(b)
+        self.lowest = min(self.pending, default=0)
+        self.base_abs = max((abs(x) for pts in self.pending.values() for b in pts for x in b),
+                            default=0)
+        self.col_abs = max(abs(x) for col in degrees for x in col)
+        self.queue = sorted(self.pending)  # a heap of the degrees to visit, with repeats
+        self.width = 1
+        self.deltas = self._deltas()
+        self.codes: list[int] = []  # every point, layer after layer
+        self.layer_degrees: list[int] = []
+        self.layer_ends: list[int] = []  # len(codes) after each layer
+        self.recent: dict[int, set] = {}  # the layers the recurrence still reads
+
+    def _deltas(self):
+        return [(w, _pack(col, self.width, 0)) for w, col in self.columns]
+
+    def _decode(self, codes) -> tuple[Multidegree, ...]:
+        width, r = self.width, self.r
+        mask, off = (1 << width) - 1, 1 << (width - 1)
+        coords = [[((c >> (width * (r - 1 - k))) & mask) - off for c in codes]
+                  for k in range(r)]
+        return tuple(zip(*coords))
+
+    def _widen(self, bound: int):
+        """Re-encode if a point of v-degree <= bound may need more bits."""
+        steps = (bound - self.lowest) // self.weights[0]
+        width = (self.base_abs + self.col_abs * steps).bit_length() + 1
+        if width <= self.width:
+            return
+        pts = self._decode(self.codes)
+        recent = {d: self._decode(layer) for d, layer in self.recent.items()}
+        self.width = width
+        off = 1 << (width - 1)
+        self.codes = [_pack(p, width, off) for p in pts]
+        self.recent = {d: {_pack(p, width, off) for p in layer} for d, layer in recent.items()}
+        self.deltas = self._deltas()
+
+    def grow(self, bound: int):
+        """Complete every layer of v-degree <= bound."""
+        queue = self.queue
+        if not queue or queue[0] > bound:
+            return
+        self._widen(bound)
+        off = 1 << (self.width - 1)
+        recent, span = self.recent, self.weights[-1]
+        while queue and queue[0] <= bound:
+            d = heapq.heappop(queue)
+            if self.layer_degrees and d == self.layer_degrees[-1]:
+                continue
+            layer = {_pack(b, self.width, off) for b in self.pending.pop(d, ())}
+            for w, delta in self.deltas:
+                prev = recent.get(d - w)
+                if prev:
+                    layer.update(_step(prev, delta))
+            self.codes.extend(layer)
+            self.layer_degrees.append(d)
+            self.layer_ends.append(len(self.codes))
+            recent[d] = layer
+            for w in self.weights:
+                heapq.heappush(queue, d + w)
+            for e in [e for e in recent if e <= d - span]:
+                del recent[e]
+
+    def _end(self, bound: int) -> int:
+        k = bisect.bisect_right(self.layer_degrees, bound)
+        return self.layer_ends[k - 1] if k else 0
+
+    def levels(self, bounds) -> list[tuple[Multidegree, ...]]:
+        """The sorted points of v-degree <= b for every b in bounds, growing
+        the layers if needed; the levels share their point tuples."""
+        self.grow(max(bounds))
+        ends = [self._end(b) for b in bounds]
+        codes = self.codes[:max(ends)]
+        codes.sort()
+        pts = self._decode(codes)
+        out = {len(codes): pts}
+        for end in ends:
+            if end not in out:
+                inside = set(self.codes[:end])
+                out[end] = tuple(p for c, p in zip(codes, pts) if c in inside)
+        return [out[end] for end in ends]
+
+    def points(self, bound: int) -> tuple[Multidegree, ...]:
+        """The sorted points of v-degree <= bound."""
+        return self.levels((bound,))[0]
+
+
+def enumerate_bounded_region(bases, degrees, v, bound: int) -> DegreeRegion:
+    """All points of  U_k (b_k + N{a_i})  with v-degree <= bound, sorted.
+
+    A fresh LatticeRegion grown to the bound; callers asking one module
+    and vector for several bounds keep the region instead (see
+    regularity.degree_bound_sets).
+    """
+    return DegreeRegion(kind="finite", bases=LatticeRegion(bases, degrees, v).points(bound))
 
 
 def shifted_orthant_region(r: int, j: int) -> DegreeRegion:

@@ -107,13 +107,18 @@ def element_degree(ring: MultigradedRing, shifts, terms) -> Multidegree:
     """Fine multidegree of a module element, given by its (component, monomial) terms.
 
     The one check of module elements: the element must be nonzero, every
-    component must index one of the shifts, and all terms must share one
-    degree.  Raises InputError or HomogeneityError otherwise.
+    component must index one of the shifts, every exponent must be ring.n
+    nonnegative integers, and all terms must share one degree.  Raises
+    InputError or HomogeneityError otherwise.
     """
     degs = set()
+    n = ring.n
     for comp, mono in terms:
         if not 0 <= comp < len(shifts):
             raise InputError(f"element lives outside the ambient module (component {comp})")
+        if type(mono) is not tuple or len(mono) != n or not all(
+                type(e) is int and e >= 0 for e in mono):
+            raise InputError(f"exponent {mono!r} is not {n} nonnegative integers")
         degs.add(tuple(a + b for a, b in zip(ring.mono_degree(mono), shifts[comp])))
     if len(degs) != 1:
         raise HomogeneityError(f"element is not homogeneous: degrees {sorted(degs)}"

@@ -10,11 +10,11 @@ implemented directly so they can serve as independent checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
-from operator import mul
 
 from .errors import NO_LIMITS, GradingError, InputError, Limits, MregError, ZeroModuleError
-from .grading import enumerate_bounded_region, positive_coarsening_candidates
+from .grading import LatticeRegion, positive_coarsening_candidates
 from .groebner import vec_component
 from .localcoh import (
     AInvariants,
@@ -158,22 +158,28 @@ class DegreeBoundSet:
 
 
 def degree_bound_set(P: ModulePresentation, v, i: int, bases=None) -> DegreeBoundSet:
-    """Enumerate the bounded region landing the degree bound for level i.
+    """The points of the bounded region within the degree bound for level i.
 
     Bases default to the minimal generator degrees of the module, which
     support its Hilbert series inside finitely many semigroup translates.
+    Asking for i = 0, 1, 2, ... in turn grows one memoized region; see
+    degree_bound_sets.
     """
     return degree_bound_sets(P, v, (i,), bases)[0]
 
 
 def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
                       limits: Limits = NO_LIMITS) -> tuple[DegreeBoundSet, ...]:
-    """degree_bound_set for every i in indices, from one region enumeration.
+    """degree_bound_set for every i in indices, from one grown region.
 
-    The level-i bound grows with i, so the region at the largest bound holds
-    every smaller one: level i keeps the points of v-degree at most its
-    bound.  The largest bound is checked against the limits before the
-    region is enumerated.  Default bases are F_0 of the memoized resolution.
+    The region of (P, bases, v) is kept in a one-entry memo and grown layer
+    by layer to the largest bound asked so far; level i reads the prefix of
+    v-degree at most its bound.  One entry serves the consecutive calls of
+    a sweep over i under one vector and keeps a single region alive.  The
+    key is the module, not the numbers: equal ideals in renamed variables
+    build regions of their own.  The largest bound is checked against the
+    limits before any layer is built.  Default bases are F_0 of the
+    memoized resolution.
     """
     indices = tuple(indices)
     if not indices:
@@ -182,20 +188,17 @@ def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
     cst = coarsening_constants(P.ring, v)
     regnum = regnum_module(P, v, limits=limits)
     bounds = [syzygy_degree_bound(regnum, cst, i) for i in indices]
-    top = max(bounds)
-    limits.check_degree("degree bound", top)
+    limits.check_degree("degree bound", max(bounds))
     if bases is None:
         bases = cached_minimal_resolution(P, limits).shifts[0]
     bases = tuple(tuple(b) for b in bases)
-    pts = enumerate_bounded_region(bases, P.ring.degrees, v, top).points()
-    vdegs = [sum(map(mul, p, v)) for p in pts] if min(bounds) < top else None
+    levels = _memo_region(P, bases, v).levels(bounds)
+    return tuple(DegreeBoundSet(i, v, pts, bases, b) for i, pts, b in zip(indices, levels, bounds))
 
-    def level(bound):
-        if bound == top:
-            return pts
-        return tuple(p for p, d in zip(pts, vdegs) if d <= bound)
 
-    return tuple(DegreeBoundSet(i, v, level(b), bases, b) for i, b in zip(indices, bounds))
+@lru_cache(maxsize=1)
+def _memo_region(P, bases, v):
+    return LatticeRegion(bases, P.ring.degrees, v)
 
 
 def intersect_degree_bounds(P: ModulePresentation, vectors, i: int) -> DegreeBoundSet:

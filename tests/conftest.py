@@ -40,9 +40,10 @@ def count_calls(monkeypatch):
 
 
 def clear_memos():
-    """Empty the resolution and Ext memos, so the next call computes from scratch."""
+    """Empty the resolution, Ext and region memos, so the next call computes from scratch."""
     mreg.resolution._memo_resolution.cache_clear()
     mreg.localcoh._memo_ext_modules.cache_clear()
+    mreg.regularity._memo_region.cache_clear()
 
 
 @pytest.fixture(scope="session")

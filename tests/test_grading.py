@@ -14,6 +14,7 @@ from mreg import (
     primitive_reduce,
     shifted_orthant_region,
 )
+from mreg.grading import LatticeRegion
 
 HIRZEBRUCH2 = ((1, 0), (-2, 1), (1, 0), (0, 1))
 
@@ -203,14 +204,41 @@ def test_enumerate_region_steps_once_per_distinct_column(monkeypatch):
     bases, v, bound = [(0, 0), (1, 1)], (1, 3), 12
     points = _brute_force_region(bases, HIRZEBRUCH2, v, bound)
     distinct = len(set(HIRZEBRUCH2))
-    limit = len(points) * distinct * 2  # coordinate additions: r = 2 per step
-    additions = 0
+    limit = len(points) * distinct  # each point steps at most once along each distinct column
+    original = mreg.grading._step
+    steps = 0
 
-    def counted(a, b):
-        nonlocal additions
-        additions += 1
-        assert additions <= limit, "the closure stepped past the bound or along duplicate columns"
-        return a + b
+    def counted(codes, delta):
+        nonlocal steps
+        steps += len(codes)
+        assert steps <= limit, "the kernel stepped past the bound or along duplicate columns"
+        return original(codes, delta)
 
-    monkeypatch.setattr(mreg.grading, "add", counted)
+    monkeypatch.setattr(mreg.grading, "_step", counted)
     assert enumerate_bounded_region(bases, HIRZEBRUCH2, v, bound).points() == points
+    assert steps > len(points) - len(bases)  # every point off the bases came from a step
+
+
+def test_grown_region_matches_brute_force_at_every_bound():
+    rng = random.Random(5151)
+    widened = 0
+    for case in range(120):
+        r = 1 + case % 3
+        if case % 4 == 0:
+            s = rng.randint(1, 4)
+            degrees, v = ((1, 0), (-s, 1), (1, 0), (0, 1)), (1, s + 1)  # Hirzebruch
+        else:
+            degrees, v = _random_positive_matrix(rng, r)
+        bases = [tuple(rng.randint(-3, 3) for _ in range(len(v))) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            bases.append(tuple((y < 0) - (y > 0) for y in v))  # v-degree -sum|v_k| < 0
+        region = LatticeRegion(bases, degrees, v)
+        width = region.width
+        bounds = [rng.randint(-6, 9) for _ in range(5)]
+        bounds.insert(rng.randrange(6), bounds[0])  # a repeated bound
+        for bound in bounds:
+            assert region.points(bound) == _brute_force_region(bases, degrees, v, bound), (
+                degrees, v, bases, bounds, bound)
+        widened += region.width > width
+    assert widened > 20
+

@@ -259,6 +259,15 @@ def test_entry_points_reject_components_outside_the_module(p1p1, entry, comp):
         _vector_entry_points(p1p1, bad)[entry]()
 
 
+@pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS)
+@pytest.mark.parametrize("mono", [(1, 0), (1, 0, 0, 0, 7), (1, -1, 0, 0), (1.0, 0, 0, 0), (True, 0, 0, 0)],
+                         ids=["short", "long", "negative", "float", "bool"])
+def test_entry_points_reject_malformed_exponents(p1p1, entry, mono):
+    bad = {(0, mono): p1p1.field.one}
+    with pytest.raises(InputError, match="is not 4 nonnegative integers"):
+        _vector_entry_points(p1p1, bad)[entry]()
+
+
 @pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS + ("ideal_intersection", "cli module payload"))
 def test_entry_points_reject_inhomogeneous_input(p1p1, tmp_path, entry):
     if entry == "ideal_intersection":

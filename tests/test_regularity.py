@@ -15,6 +15,7 @@ from mreg import (
     coarsening_constants,
     degree_bound_set,
     degree_bound_sets,
+    enumerate_bounded_region,
     find_positive_coarsening_vector,
     intersect_degree_bounds,
     load_problem,
@@ -31,6 +32,7 @@ from mreg import (
     vreg_membership,
 )
 import mreg.localcoh
+import mreg.regularity
 import mreg.resolution
 from mreg.resolution import first_syzygy_presentation
 from tests.conftest import clear_memos, hirzebruch_ring
@@ -408,20 +410,46 @@ def test_degree_bound_sets_equal_single_level_sets():
 
 
 def test_degree_bounds_meet_the_cap_before_any_enumeration(koszul_module, monkeypatch):
+    import mreg.grading
     import mreg.regularity
 
     top = degree_bound_set(koszul_module, (1, 1), 2).bound
-    enumerated = []
-    original = mreg.regularity.enumerate_bounded_region
+    clear_memos()
+    built, steps = [], []
+    region_class, step = mreg.regularity.LatticeRegion, mreg.grading._step
 
-    def counted(*args):
-        enumerated.append(args)
-        return original(*args)
+    def counted_region(*args):
+        built.append(args)
+        return region_class(*args)
 
-    monkeypatch.setattr(mreg.regularity, "enumerate_bounded_region", counted)
+    def counted_step(codes, delta):
+        steps.append(len(codes))
+        return step(codes, delta)
+
+    monkeypatch.setattr(mreg.regularity, "LatticeRegion", counted_region)
+    monkeypatch.setattr(mreg.grading, "_step", counted_step)
     with pytest.raises(ResourceLimitError):
         degree_bound_sets(koszul_module, (1, 1), (0, 1, 2), limits=Limits(max_degree=top - 1))
-    assert enumerated == []
+    assert built == [] and steps == []
     capped = degree_bound_sets(koszul_module, (1, 1), (0, 1, 2), limits=Limits(max_degree=top))
-    assert len(enumerated) == 1
+    assert len(built) == 1 and steps
     assert capped == degree_bound_sets(koszul_module, (1, 1), (0, 1, 2))
+    assert len(built) == 1
+
+
+def test_region_memo_keys_on_the_module_and_bases(p1p1):
+    renamed = MultigradedRing(("a0", "a1", "b0", "b1"), p1p1.degrees)
+    P = ModulePresentation.quotient_by_ideal(p1p1, [p1p1.parse("x0*x1"), p1p1.parse("y0*y1")])
+    Q = ModulePresentation.quotient_by_ideal(renamed, [renamed.parse("a0*a1"), renamed.parse("b0*b1")])
+    memo = mreg.regularity._memo_region
+    clear_memos()
+    sets = degree_bound_sets(P, (1, 1), (0, 1))
+    assert degree_bound_set(P, (1, 1), 2) == degree_bound_sets(P, (1, 1), (2,))[0]
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (2, 1)
+    assert degree_bound_sets(Q, (1, 1), (0, 1)) == sets  # equal numbers, a region of its own
+    assert memo.cache_info().misses == 2
+    assert memo(Q, sets[0].bases, (1, 1)) is not memo(P, sets[0].bases, (1, 1))
+    assert memo.cache_info().misses == 3
+    other = degree_bound_set(P, (1, 1), 0, bases=((1, 0),))  # explicit bases are part of the key
+    assert memo.cache_info().misses == 4
+    assert other.degrees == enumerate_bounded_region(((1, 0),), p1p1.degrees, (1, 1), other.bound).points()
