@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import NO_LIMITS, HomogeneityError, InputError, Limits
 from .grading import find_positive_coarsening_vector
@@ -507,21 +508,30 @@ def graded_piece_dimension(P, v, m: int, limits: Limits = NO_LIMITS) -> int:
 
     Counts standard monomials: per component, monomials of the right coarse
     degree not divisible by a leading term of the relation module's basis.
+    The leading terms are memoized per module, vector and limits, so one
+    Buchberger run serves every degree asked; a call the caps stop raises
+    and stores nothing.
     """
-    ring = P.ring
-    v = tuple(v)
-    ctx = ModuleCtx.for_vector(ring, P.shifts, v)
-    _, lts = buchberger(ctx, P.relations, limits)
-    lt_by_comp: dict[int, list[Mono]] = {}
-    for (comp, mono), _ in lts:
-        lt_by_comp.setdefault(comp, []).append(mono)
-    weights = ring.vdegs(v)
+    shift_wdegs, lt_by_comp = _memo_piece_leads(P, tuple(v), limits)
+    weights = P.ring.vdegs(v)
     count = 0
-    for j, swd in enumerate(ctx.shift_wdegs):
+    for swd, leads in zip(shift_wdegs, lt_by_comp):
         target = m - swd
         if target < 0:
             continue
         for e in monomials_of_weight(weights, target):
-            if not any(mono_divides(l, e) for l in lt_by_comp.get(j, ())):
+            if not any(mono_divides(l, e) for l in leads):
                 count += 1
     return count
+
+
+# Called positionally only: lru_cache keys f(P, v) and f(P, v, limits=NO_LIMITS) apart.
+@lru_cache(maxsize=128)
+def _memo_piece_leads(P, v, limits):
+    """Shift weights under v and the basis's leading monomials, per component."""
+    ctx = ModuleCtx.for_vector(P.ring, P.shifts, v)
+    _, lts = buchberger(ctx, P.relations, limits)
+    leads: list[list[Mono]] = [[] for _ in P.shifts]
+    for (comp, mono), _ in lts:
+        leads[comp].append(mono)
+    return ctx.shift_wdegs, tuple(map(tuple, leads))

@@ -7,6 +7,10 @@ minimal generators: dim H^i(M)_p = dim E^{n-i}_{-p} with E^j the j-th
 cohomology of Hom(F, omega).  E^j = ker d_{j+1}^T / im d_j^T is presented
 by reductions over one Groebner basis of the kernel: the basis's Schreyer
 syzygies, and the quotients of each image column divided by the basis.
+E^j vanishes for j < codim M (the grade of M; Bruns-Herzog, 1.2 and 2.1)
+and for j past the resolution's length, so only codim M <= j <= length are
+built; codim M is read off the Betti table, and E^codim must come out
+nonzero, a check that ties the Betti table to this route.
 
 Route two (square-free monomial quotients): Hochster's face-link formula for
 the fine Hilbert series of local cohomology.  Each supporting face sigma
@@ -41,7 +45,10 @@ from .resolution import (
     ModulePresentation,
     _frame_level,
     _frame_syzygies,
+    betti_table,
     cached_minimal_resolution,
+    codimension,
+    coarsen_resolution,
     minimalize_presentation,
 )
 
@@ -77,12 +84,16 @@ def ext_modules(P: ModulePresentation,
 
     omega is the shifted free module with generator degree the sum of all
     variable degrees.  Entries are None exactly when the Ext module is zero.
-    E^j is generated by a Groebner basis of ker d_{j+1}^T, one Buchberger
-    run for each j below the resolution's length and none at it, where the
-    kernel is the whole dual module; see _cohomology_presentation.  The fine
-    multigraded answer does not depend on any coarsening; the internal term
-    order is that of the default coarsening vector.  Like
-    cached_minimal_resolution, results are memoized per module and limits.
+    Nothing is built for j < codim M, where Ext vanishes; codim M is the
+    order of vanishing at t = 1 of the Betti table's Hilbert numerator (see
+    resolution.codimension), and an E^codim that minimalizes to zero raises
+    ArithmeticError.  E^j is generated by a Groebner basis of ker d_{j+1}^T,
+    one Buchberger run for each codim M <= j < length and none at the
+    length, where the kernel is the whole dual module; see
+    _cohomology_presentation.  The fine multigraded answer does not depend
+    on any coarsening; the internal term order is that of the default
+    coarsening vector.  Like cached_minimal_resolution, results are memoized
+    per module and limits.
     """
     return _memo_ext_modules(P, limits)
 
@@ -109,8 +120,9 @@ def _memo_ext_modules(P, limits):
 
     out: list[ModulePresentation | None] = []
     ell = F.length
+    codim = codimension(betti_table(coarsen_resolution(F, v0)))
     for j in range(ring.n + 1):
-        if j > ell:
+        if j < codim or j > ell:
             out.append(None)
             continue
         if j < ell:
@@ -119,15 +131,17 @@ def _memo_ext_modules(P, limits):
         else:
             zero = (0,) * ring.n
             kernel = [{(q, zero): ring.field.one} for q in range(len(dual_shifts[j]))]
-        if not kernel:
-            out.append(None)
-            continue
-        image = transpose_columns(j) if j > 0 else []
-        pres = _cohomology_presentation(ring, dual_shifts[j], v0, kernel, image, limits)
-        try:
-            out.append(minimalize_presentation(pres))
-        except ZeroModuleError:
-            out.append(None)
+        E = None
+        if kernel:
+            image = transpose_columns(j) if j > 0 else []
+            pres = _cohomology_presentation(ring, dual_shifts[j], v0, kernel, image, limits)
+            try:
+                E = minimalize_presentation(pres)
+            except ZeroModuleError:
+                pass
+        if E is None and j == codim:
+            raise ArithmeticError("Ext^codim minimalizes to zero")
+        out.append(E)
     return out
 
 

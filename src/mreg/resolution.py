@@ -18,6 +18,7 @@ trusted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -362,6 +363,31 @@ def regnum_lower_bound(Bz: BettiTable, c_v: int, s_v: int) -> int:
             raise InputError("lower bound needs a coarsened Betti table")
         vals.append(j - i * s_v - c_v + 1)
     return max(vals)
+
+
+def codimension(Bz: BettiTable) -> int:
+    """codim M from a Betti table coarsened under a vector positive on every variable.
+
+    With K(t) = sum (-1)^i beta_{i,j} t^j, the coarse Hilbert series is
+    K(t) / prod (1 - t^{v.a_k}), whose pole at t = 1 has order dim M
+    (Bruns-Herzog, Cohen-Macaulay Rings, 4.1).  So codim M = n - dim M is
+    the order of vanishing of K at t = 1: divide by (1 - t) while K(1) = 0,
+    each quotient's coefficients being the prefix sums of the dividend's.
+    """
+    if not all(isinstance(j, int) for (_, j), _ in Bz.entries):
+        raise InputError("codimension needs a coarsened Betti table")
+    degrees = [j for (_, j), _ in Bz.entries] or [0]
+    low = min(degrees)
+    coeffs = [0] * (max(degrees) - low + 1)
+    for (i, j), b in Bz.entries:
+        coeffs[j - low] += (-1) ** i * b
+    if not any(coeffs):
+        raise ZeroModuleError("the Betti table's Hilbert numerator vanishes: the zero module")
+    codim = 0
+    while sum(coeffs) == 0:
+        coeffs = list(itertools.accumulate(coeffs))[:-1]
+        codim += 1
+    return codim
 
 
 def minimalize_complex(F: FreeResolution) -> FreeResolution:

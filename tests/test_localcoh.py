@@ -1,21 +1,28 @@
 """Two independent local-cohomology routes and their cross-checks."""
 
+import itertools
 import random
 from operator import mul
 
 import pytest
 
 from mreg import (
+    BettiTable,
     FieldDescriptor,
     InputError,
+    Limits,
     ModuleCtx,
     ModulePresentation,
     MultigradedRing,
+    ResourceLimitError,
     SimplicialComplex,
     ZeroModuleError,
     a_invariants_ext,
     a_invariants_hochster,
+    betti_table,
     cached_minimal_resolution,
+    coarsen_resolution,
+    codimension,
     complex_from_squarefree_ideal,
     ext_modules,
     find_positive_coarsening_vector,
@@ -31,7 +38,7 @@ from mreg import (
 from mreg.resolution import FreeResolution
 from tests.conftest import clear_memos, hirzebruch_ring
 from tests.test_betti_oracle import PROBLEMS, _module
-from tests.test_resolution import _nine_generic_points
+from tests.test_resolution import _count_everywhere, _nine_generic_points
 
 
 def test_reduced_homology_examples(p1p1, four_cycle):
@@ -212,6 +219,105 @@ def test_ext_relations_are_checked_against_the_complex(monkeypatch):
     clear_memos()
     with pytest.raises(ArithmeticError, match="^image column does not lie in the kernel$"):
         ext_modules(P)
+
+
+def test_ext_at_codim_is_checked_to_be_nonzero(monkeypatch):
+    """E^codim minimalizing to zero contradicts the Betti table and raises."""
+    import mreg.localcoh
+
+    def zero(pres):
+        raise ZeroModuleError("presentation minimalized to the zero module")
+
+    monkeypatch.setattr(mreg.localcoh, "minimalize_presentation", zero)
+    clear_memos()
+    with pytest.raises(ArithmeticError, match=r"^Ext\^codim minimalizes to zero$"):
+        ext_modules(_nine_generic_points())
+
+
+def _codim(P, v=None):
+    v = v or find_positive_coarsening_vector(P.ring.degrees)
+    return codimension(betti_table(coarsen_resolution(cached_minimal_resolution(P), v)))
+
+
+def _positive_vectors(ring, box):
+    """Every vector in [-box, box]^r positive on each variable degree."""
+    return [v for v in itertools.product(range(-box, box + 1), repeat=ring.r)
+            if all(d >= 1 for d in ring.vdegs(v))]
+
+
+@pytest.mark.parametrize("case", EXT_CASES)
+def test_codimension_is_where_ext_starts(case, request):
+    """The first nonzero E^j of the generic construction sits at codim M."""
+    P = _nine_generic_points() if case == "nine-generic-points" else _module(case, request)
+    oracle = _generic_ext_modules(P)
+    assert next(j for j, E in enumerate(oracle) if E is not None) == _codim(P)
+
+
+def test_codimension_examples(p1p1, bigraded_xy, weighted44):
+    for case in ["problems/ex1-four-points.json", "problems/eight-points.json"] + [
+        f"gf32003-{c}-points" for c in (4, 5, 6)
+    ] + [f"qq-{c}-points" for c in (4, 5)]:
+        P = _module(case, None)
+        assert _codim(P) == 2, case
+    assert _codim(_nine_generic_points()) == 2
+    for ring in (p1p1, bigraded_xy, weighted44):
+        free = ModulePresentation.free_module(ring, [(0,) * ring.r, (1,) * ring.r])
+        assert _codim(free) == 0
+    hyperplane = ModulePresentation.quotient_by_ideal(p1p1, [p1p1.parse("x0")])
+    assert [_codim(hyperplane, v) for v in ((1, 1), (2, 5))] == [1, 1]
+
+
+def test_codimension_of_face_rings_is_n_minus_the_largest_facet(p1p1):
+    """codim k[Delta] = n - dim k[Delta], and dim k[Delta] is the largest facet size."""
+    trigraded = MultigradedRing(
+        ("x0", "x1", "y0", "y1", "z0", "z1"),
+        ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+    )
+    cycle = ("x0", "y0", "z0", "x1", "y1", "z1")
+    edges = [trigraded.parse(f"{a}*{b}") for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    six_cycle = complex_from_squarefree_ideal(trigraded, edges)
+    corpus = [(K, ring) for K, ring, _ in squarefree_corpus(p1p1)] + [(six_cycle, trigraded)]
+    for K, ring in corpus:
+        gens = stanley_reisner_ideal(K, ring)
+        P = (
+            ModulePresentation.quotient_by_ideal(ring, gens)
+            if gens
+            else ModulePresentation.free_module(ring, [(0,) * ring.r])
+        )
+        expected = ring.n - max(len(f) for f in K.facets)
+        vectors = _positive_vectors(ring, 4)
+        assert len(vectors) > 1
+        assert {_codim(P, v) for v in vectors} == {expected}, K.facets
+
+
+def test_codimension_rejects_fine_and_zero_tables(koszul_module):
+    F = cached_minimal_resolution(koszul_module)
+    with pytest.raises(InputError, match="coarsened Betti table"):
+        codimension(betti_table(F))
+    # K(t) = 1 + t^2 - (1 + 2t + t^2) + 2t vanishes identically: the zero module
+    zero = BettiTable((((0, 0), 1), ((0, 2), 1), ((1, 0), 1), ((1, 1), 2),
+                       ((1, 2), 1), ((2, 1), 2)))
+    with pytest.raises(ZeroModuleError):
+        codimension(zero)
+
+
+def test_graded_pieces_of_an_ext_module_share_one_basis(monkeypatch):
+    """Work guard: a window of 16 degrees on one Ext module makes one Buchberger run."""
+    import mreg.groebner
+
+    E = ext_modules(_nine_generic_points())[2]
+    clear_memos()
+    calls = {}
+    _count_everywhere(monkeypatch, calls, mreg.groebner, "_degree_ordered_basis")
+    dims = [graded_piece_dimension(E, (1, 1), m) for m in range(16)]
+    assert calls["_degree_ordered_basis"] == 1
+    # E^2 has nine generators of degree (1, 1) and no relation in coarse degree 2
+    assert dims[:3] == [0, 0, 9]
+    # a call the caps stop raises and stores nothing
+    before = mreg.groebner._memo_piece_leads.cache_info().currsize
+    with pytest.raises(ResourceLimitError):
+        graded_piece_dimension(E, (1, 1), 3, Limits(max_degree=0))
+    assert mreg.groebner._memo_piece_leads.cache_info().currsize == before
 
 
 def squarefree_corpus(p1p1):

@@ -311,7 +311,7 @@ def test_schreyer_frame_runs_one_groebner_basis(monkeypatch):
 
 
 def test_ext_modules_run_one_groebner_basis_per_index(monkeypatch):
-    """Work guard: each E^j with j < length costs one kernel_of_map, the rest is reduction."""
+    """Work guard: each E^j with codim <= j < length costs one kernel_of_map, the rest is reduction."""
     P = _nine_generic_points()
     clear_memos()
     cached_minimal_resolution(P)
@@ -320,10 +320,12 @@ def test_ext_modules_run_one_groebner_basis_per_index(monkeypatch):
         _count_everywhere(monkeypatch, calls, mreg.groebner, name)
     _count_everywhere(monkeypatch, calls, ModuleCtx, "vec_degree")
     ext_modules(P)
-    # one Buchberger run per kernel_of_map, its relations' basis: the
-    # exactness check of an empty modulo needs none; the vec_degree calls are
-    # kernel_of_map checking the 1 + 12 + 17 columns of d_1^T, d_2^T, d_3^T
-    assert calls == {"_degree_ordered_basis": 3, "relations": 3, "vec_degree": 30}
+    # nine points have codim 2 and length 3, so E^0 and E^1 are never built
+    # and E^3 needs no kernel: one Buchberger run, for the kernel_of_map of
+    # E^2, its relations' basis (the exactness check of an empty modulo needs
+    # none); the vec_degree calls are kernel_of_map checking the 17 columns
+    # of d_3^T
+    assert calls == {"_degree_ordered_basis": 1, "relations": 1, "vec_degree": 17}
 
 
 def test_element_degrees_are_checked_once(monkeypatch):
