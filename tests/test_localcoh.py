@@ -305,8 +305,8 @@ def test_graded_pieces_of_an_ext_module_share_one_basis(monkeypatch):
     """Work guard: a window of 16 degrees on one Ext module makes one Buchberger run."""
     import mreg.groebner
 
-    E = ext_modules(_nine_generic_points())[2]
     clear_memos()
+    E = ext_modules(_nine_generic_points())[2]
     calls = {}
     _count_everywhere(monkeypatch, calls, mreg.groebner, "_degree_ordered_basis")
     dims = [graded_piece_dimension(E, (1, 1), m) for m in range(16)]
