@@ -100,7 +100,6 @@ from .resolution import (
     betti_table,
     cached_minimal_resolution,
     coarsen_resolution,
-    codimension,
     first_syzygy_presentation,
     minimal_free_resolution,
     minimalize_complex,

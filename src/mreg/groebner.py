@@ -526,7 +526,8 @@ def graded_piece_dimension(P, v, m: int, limits: Limits = NO_LIMITS) -> int:
 
 
 # Called positionally only: lru_cache keys f(P, v) and f(P, v, limits=NO_LIMITS) apart.
-@lru_cache(maxsize=128)
+# One entry: every caller asks consecutive degrees of one (P, v).
+@lru_cache(maxsize=1)
 def _memo_piece_leads(P, v, limits):
     """Shift weights under v and the basis's leading monomials, per component."""
     ctx = ModuleCtx.for_vector(P.ring, P.shifts, v)

@@ -374,8 +374,6 @@ def codimension(Bz: BettiTable) -> int:
     the order of vanishing of K at t = 1: divide by (1 - t) while K(1) = 0,
     each quotient's coefficients being the prefix sums of the dividend's.
     """
-    if not all(isinstance(j, int) for (_, j), _ in Bz.entries):
-        raise InputError("codimension needs a coarsened Betti table")
     degrees = [j for (_, j), _ in Bz.entries] or [0]
     low = min(degrees)
     coeffs = [0] * (max(degrees) - low + 1)
