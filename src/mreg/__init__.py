@@ -28,14 +28,11 @@ from .grading import (
     shifted_orthant_region,
 )
 from .groebner import (
-    GroebnerBasis,
     ModuleCtx,
     graded_piece_dimension,
-    groebner_basis,
     ideal_intersection,
     kernel_generators,
     kernel_of_map,
-    normal_form,
     poly_to_vec,
     relations,
     vec_component,

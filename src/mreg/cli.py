@@ -167,6 +167,8 @@ def _require_v(args, ring):
 
 
 def _dispatch(args):
+    if args.imax is not None and args.imax < 0:
+        raise InputError("--imax must be nonnegative")
     field = parse_field(args.field) if args.field else None
     problem = load_problem(args.file, field)
     ring = problem.ring

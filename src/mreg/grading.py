@@ -19,7 +19,6 @@ from operator import mul
 from .errors import GradingError, InputError
 from .poly import Multidegree
 
-DEFAULT_BOX = 10
 _SEARCH_BOX_CAP = 64
 
 
@@ -77,7 +76,7 @@ def _box_vectors(r: int, box: int):
     return sorted(vs, key=lambda v: (sum(abs(x) for x in v), v))
 
 
-def find_positive_coarsening_vector(degrees, max_box: int = _SEARCH_BOX_CAP) -> Multidegree:
+def find_positive_coarsening_vector(degrees) -> Multidegree:
     """Smallest integral v (L1 norm, then lex) with v . a_i >= 1 for all i."""
     degrees = _validate_degree_matrix(degrees)
     if not check_positive_grading(degrees):
@@ -87,14 +86,14 @@ def find_positive_coarsening_vector(degrees, max_box: int = _SEARCH_BOX_CAP) -> 
     def feasible(v):
         return all(sum(a * b for a, b in zip(col, v)) >= 1 for col in degrees)
 
-    for box in range(1, max_box + 1):
+    for box in range(1, _SEARCH_BOX_CAP + 1):
         for v in _box_vectors(r, box):
             if feasible(v):
                 # every vector with smaller L1 norm fits in a box of that
                 # size, so one widened pass yields the global minimum
-                scan = min(max(box, sum(abs(x) for x in v)), max_box)
+                scan = min(max(box, sum(abs(x) for x in v)), _SEARCH_BOX_CAP)
                 return next(u for u in _box_vectors(r, scan) if feasible(u))
-    raise GradingError(f"no coarsening vector with coordinates up to {max_box}")
+    raise GradingError(f"no coarsening vector with coordinates up to {_SEARCH_BOX_CAP}")
 
 
 def primitive_reduce(v) -> Multidegree:

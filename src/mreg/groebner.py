@@ -220,29 +220,7 @@ def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
     return out
 
 
-def normal_form(f: Vec, G: "GroebnerBasis") -> Vec:
-    """Remainder of f with no term divisible by a leading term of G."""
-    if f:
-        G.ctx.vec_degree(f)
-    return reduce_vec(G.ctx, f, G.elements, G.leading_terms)
-
-
 # -- Buchberger ----------------------------------------------------------------
-
-@dataclass
-class GroebnerBasis:
-    """Reduced Groebner basis of a submodule of a shifted free module."""
-
-    ctx: ModuleCtx
-    elements: list[Vec]
-    leading_terms: list = field(repr=False)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
 
 def _single_component(f: Vec):
     comps = {c for (c, _) in f}
@@ -367,15 +345,6 @@ def _autoreduce(ctx: ModuleCtx, basis: list[Vec], lts):
     return kept, kept_lts
 
 
-def groebner_basis(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS) -> GroebnerBasis:
-    gens = list(gens)
-    for g in gens:
-        if g:
-            ctx.vec_degree(g)
-    basis, lts = buchberger(ctx, gens, limits)
-    return GroebnerBasis(ctx, basis, lts)
-
-
 # -- relations -----------------------------------------------------------------
 
 def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> list[Vec]:
@@ -478,16 +447,14 @@ def kernel_of_map(ctx_target: ModuleCtx, cols, limits: Limits = NO_LIMITS) -> li
 
 # -- ideal intersection ---------------------------------------------------------
 
-def ideal_intersection(ideals, ring: MultigradedRing, v=None,
-                       limits: Limits = NO_LIMITS) -> list[PolyDict]:
+def ideal_intersection(ideals, ring: MultigradedRing, limits: Limits = NO_LIMITS) -> list[PolyDict]:
     """Reduced Groebner basis of the intersection of the ideals, sorted by leading term.
 
     The intersection of I_0, ..., I_{k-1} is the relation module of the
     single column (1, ..., 1) of S^k modulo the I_c e_c: a (1, ..., 1) lies
     in the sum of the I_c e_c exactly when a lies in every I_c.
     """
-    if v is None:
-        v = find_positive_coarsening_vector(ring.degrees)
+    v = find_positive_coarsening_vector(ring.degrees)
     ideals = [[f for f in I if f] for I in ideals]
     if not ideals:
         raise InputError("no ideals to intersect")

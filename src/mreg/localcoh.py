@@ -319,9 +319,7 @@ def hochster_supports(K: SimplicialComplex, R: MultigradedRing) -> list[list]:
 
 def a_invariants_hochster(K: SimplicialComplex, R: MultigradedRing, v) -> AInvariants:
     """a^i as the best corner over the supporting faces (all exponents one)."""
-    v = tuple(v)
-    R.order(v)  # validates positivity
-    weights = dict(zip(R.variables, R.vdegs(v)))
+    weights = dict(zip(R.variables, R.order(tuple(v)).weights))
     vals = []
     for support in hochster_supports(K, R):
         if not support:

@@ -125,6 +125,8 @@ def _monomials_of_multidegree(dims, deg):
 def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing | None = None) -> int:
     """H_X(deg) as the rank of the evaluation map on degree-deg monomials."""
     deg = tuple(int(d) for d in deg)
+    if len(deg) != len(X.dims):
+        raise InputError(f"degree {list(deg)} needs one entry per factor ({len(X.dims)})")
     if any(d < 0 for d in deg):
         raise InputError("Hilbert function arguments must be componentwise nonnegative")
     K = (ring.field if ring is not None else DEFAULT_FIELD)

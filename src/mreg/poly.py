@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, sub
 
-from .errors import GradingError, HomogeneityError, InputError
+from .errors import GradingError, InputError
 
 Mono = tuple[int, ...]
 Multidegree = tuple[int, ...]
@@ -343,15 +343,6 @@ class MultigradedRing:
             parts.append(("- " if neg else "+ ") + body)
         s = " ".join(parts)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-    def multidegree_of(self, f: PolyDict) -> Multidegree:
-        """Common multidegree of all terms of a nonzero homogeneous f."""
-        if not f:
-            raise HomogeneityError("the zero polynomial has no well-defined degree")
-        degs = {self.mono_degree(m) for m in f}
-        if len(degs) > 1:
-            raise HomogeneityError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
-        return next(iter(degs))
 
 
 @lru_cache(maxsize=1024)

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import NO_LIMITS, InputError, Limits
+from .groebner import element_degree, poly_to_vec
 from .localcoh import SimplicialComplex, stanley_reisner_ideal
 from .points import PointSet, _integers, multiproj_ring, point_ideal
 from .poly import DEFAULT_FIELD, FieldDescriptor, MultigradedRing, QQ
@@ -96,7 +97,7 @@ def problem_from_obj(obj, field_override: FieldDescriptor | None = None) -> Prob
     if kind == "ideal":
         gens = _parse_poly_list(ring, obj["ideal"], "ideal")
         for g in gens:
-            ring.multidegree_of(g)
+            element_degree(ring, ((0,) * ring.r,), poly_to_vec(g))
         return Problem(ring, "ideal", gens)
     if kind == "module":
         spec = obj["module"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .errors import NO_LIMITS, GradingError, InputError, Limits, MregError, ZeroModuleError
+from .errors import NO_LIMITS, InputError, Limits, MregError, ZeroModuleError
 from .grading import LatticeRegion, positive_coarsening_candidates
 from .groebner import vec_component
 from .localcoh import (
@@ -49,9 +49,7 @@ class CoarseningConstants:
 def coarsening_constants(R: MultigradedRing, v) -> CoarseningConstants:
     """c_v = lcm of coarse variable degrees, sigma their sum, s_v the growth step."""
     v = tuple(int(x) for x in v)
-    w = R.vdegs(v)
-    if any(x < 1 for x in w):
-        raise GradingError(f"{v} is not a positive coarsening vector (vdegs {w})")
+    w = R.order(v).weights
     c = lcm(*w)
     sigma = sum(w)
     s = max(R.n * c - sigma, c)
@@ -157,18 +155,18 @@ class DegreeBoundSet:
         }
 
 
-def degree_bound_set(P: ModulePresentation, v, i: int, bases=None) -> DegreeBoundSet:
+def degree_bound_set(P: ModulePresentation, v, i: int) -> DegreeBoundSet:
     """The points of the bounded region within the degree bound for level i.
 
-    Bases default to the minimal generator degrees of the module, which
+    The bases are the minimal generator degrees of the module, which
     support its Hilbert series inside finitely many semigroup translates.
     Asking for i = 0, 1, 2, ... in turn grows one memoized region; see
     degree_bound_sets.
     """
-    return degree_bound_sets(P, v, (i,), bases)[0]
+    return degree_bound_sets(P, v, (i,))[0]
 
 
-def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
+def degree_bound_sets(P: ModulePresentation, v, indices,
                       limits: Limits = NO_LIMITS) -> tuple[DegreeBoundSet, ...]:
     """degree_bound_set for every i in indices, from one grown region.
 
@@ -178,8 +176,8 @@ def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
     a sweep over i under one vector and keeps a single region alive.  The
     key is the module, not the numbers: equal ideals in renamed variables
     build regions of their own.  The largest bound is checked against the
-    limits before any layer is built.  Default bases are F_0 of the
-    memoized resolution.
+    limits before any layer is built.  The bases are F_0 of the memoized
+    resolution.
     """
     indices = tuple(indices)
     if not indices:
@@ -189,9 +187,7 @@ def degree_bound_sets(P: ModulePresentation, v, indices, bases=None,
     regnum = regnum_module(P, v, limits=limits)
     bounds = [syzygy_degree_bound(regnum, cst, i) for i in indices]
     limits.check_degree("degree bound", max(bounds))
-    if bases is None:
-        bases = cached_minimal_resolution(P, limits).shifts[0]
-    bases = tuple(tuple(b) for b in bases)
+    bases = cached_minimal_resolution(P, limits).shifts[0]
     levels = _memo_region(P, bases, v).levels(bounds)
     return tuple(DegreeBoundSet(i, v, pts, bases, b) for i, pts, b in zip(indices, levels, bounds))
 
@@ -237,6 +233,8 @@ def minimal_coarsening_set(P: ModulePresentation, candidates=None,
     if not candidates:
         raise InputError("no candidate coarsening vectors")
     i_range = list(i_range)
+    if not i_range:
+        raise InputError("no homological indices to compare")
     dsets = {
         v: {
             s.i: frozenset(s.degrees)

@@ -331,6 +331,7 @@ def betti_table(F: FreeResolution) -> BettiTable:
 def coarsen_resolution(F: FreeResolution, v) -> FreeResolution:
     """Replace every shift by its dot product with v; differentials unchanged."""
     v = tuple(v)
+    F.ring.order(v)  # validates length and positivity
     coarse = [
         tuple(sum(a * b for a, b in zip(s, v)) for s in level)
         for level in F.shifts

@@ -3,7 +3,7 @@
 beta_{i,a}(M) = dim_k H_i(K(x) (x) M)_a.  The graded pieces of M come from
 one Groebner basis of the presentation: M_b has the standard monomials of
 fine degree b as a basis, and x_j acts by multiplication followed by
-normal_form.  Ranks come from linalg.matrix_rank.  The table is compared
+reduce_vec.  Ranks come from linalg.matrix_rank.  The table is compared
 with the minimal resolution's on a box that holds every resolution degree
 with a margin of one, and must vanish everywhere else in the box.
 """
@@ -25,13 +25,12 @@ from mreg import (
     check_positive_grading,
     degree_bound_sets,
     find_positive_coarsening_vector,
-    groebner_basis,
     load_problem,
     minimal_free_resolution,
     multiproj_ring,
-    normal_form,
     quotient_presentation,
 )
+from mreg.groebner import buchberger, reduce_vec
 from mreg.linalg import matrix_rank
 from mreg.poly import DEFAULT_FIELD, QQ, mono_divides, monomials_of_weight
 
@@ -51,10 +50,10 @@ class KoszulOracle:
         self.K = ring.field
         self.v = find_positive_coarsening_vector(ring.degrees)
         self.vdegs = ring.vdegs(self.v)
-        ctx = ModuleCtx.for_vector(ring, P.shifts, self.v)
-        self.G = groebner_basis(ctx, P.relations)
+        self.ctx = ModuleCtx.for_vector(ring, P.shifts, self.v)
+        self.G = buchberger(self.ctx, P.relations)
         self.leads: dict[int, list] = {}
-        for (comp, mono), _ in self.G.leading_terms:
+        for (comp, mono), _ in self.G[1]:
             self.leads.setdefault(comp, []).append(mono)
         self.pieces: dict = {}
         self.products: dict = {}
@@ -80,7 +79,7 @@ class KoszulOracle:
         if (j, term) not in self.products:
             comp, e = term
             shifted = (comp, tuple(x + u for x, u in zip(e, self.units[j])))
-            self.products[(j, term)] = normal_form({shifted: self.K.one}, self.G)
+            self.products[(j, term)] = reduce_vec(self.ctx, {shifted: self.K.one}, *self.G)
         return self.products[(j, term)]
 
     def chain(self, i: int, a):

@@ -95,8 +95,26 @@ def test_non_homogeneous_exits_4(tmp_path, capture):
             }
         )
     )
-    code, _, _ = capture(["betti", bad.as_posix()])
-    assert code == 4
+    # `check` builds no module: only the load-time check of the ideal stops it
+    for command in ("betti", "check"):
+        code, out, err = capture([command, bad.as_posix()])
+        assert (code, out) == (4, ""), command
+        assert err == "error: element is not homogeneous: degrees [(0, 1), (1, 0)]\n"
+
+
+@pytest.mark.parametrize("command", ["regnum", "bounds", "minvectors", "scalar-check"])
+def test_negative_imax_exits_2(capture, command):
+    code, out, err = capture([command, "--imax", "-1", str(PROBLEMS / "four-cycle.json")])
+    assert (code, out) == (2, "")
+    assert "--imax must be nonnegative" in err
+
+
+@pytest.mark.parametrize("degree", ["2", "2,0,5"])
+def test_points_hilbert_degree_of_the_wrong_length_exits_2(capture, degree):
+    argv = ["points", "hilbert", "--degree", degree, str(PROBLEMS / "eight-points.json")]
+    code, out, err = capture(argv)
+    assert (code, out) == (2, "")
+    assert "one entry per factor" in err
 
 
 def test_degree_cap_exits_5(capture):

@@ -19,12 +19,10 @@ from mreg import (
     MultigradedRing,
     PointSet,
     ResourceLimitError,
-    groebner_basis,
     minimal_free_resolution,
-    normal_form,
     quotient_presentation,
 )
-from mreg.groebner import leading_term, prune_to_minimal_generators, reduce_vec
+from mreg.groebner import buchberger, leading_term, prune_to_minimal_generators, reduce_vec
 from mreg.poly import QQ, DEFAULT_FIELD, mono_div, mono_divides, mono_mul, monomials_of_weight
 
 
@@ -144,7 +142,7 @@ def greedy_minimal_generators(ctx, cols):
     )
     kept = []
     for _, i in order:
-        if kept and not normal_form(cols[i], groebner_basis(ctx, [cols[j] for j in kept])):
+        if kept and not reduce_vec(ctx, cols[i], *buchberger(ctx, [cols[j] for j in kept])):
             continue
         kept.append(i)
     return kept

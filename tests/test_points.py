@@ -19,11 +19,9 @@ from mreg import (
     generic_position_check,
     generic_regularity_formula,
     graded_piece_dimension,
-    groebner_basis,
     hilbert_function_points,
     load_problem,
     multiproj_ring,
-    normal_form,
     point_ideal,
     poly_to_vec,
     quotient_presentation,
@@ -31,6 +29,7 @@ from mreg import (
     res_reg_vector_points,
     resolution_regularity_vector,
 )
+from mreg.groebner import buchberger, reduce_vec
 from tests.conftest import clear_memos
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
@@ -69,6 +68,14 @@ def test_hilbert_origin_and_cap(four_points, eight_points):
     for i in range(6):
         for j in range(5):
             assert hilbert_function_points(eight_points, (i, j)) <= 8
+
+
+@pytest.mark.parametrize("deg", [(2,), (2, 0, 5)])
+def test_hilbert_rejects_a_degree_of_the_wrong_length(eight_points, p1p1, deg):
+    with pytest.raises(InputError, match="one entry per factor"):
+        hilbert_function_points(eight_points, deg, p1p1)
+    with pytest.raises(InputError, match="one entry per factor"):
+        generic_position_check(eight_points, (3,) * len(deg), p1p1)
 
 
 def test_point_ideal_examples(four_points, p1p1):
@@ -237,7 +244,7 @@ def test_point_ideal_members_reduce_to_zero(eight_points, p1p1):
     # points must lie in the computed ideal
     gens = point_ideal(eight_points, p1p1)
     ctx = ModuleCtx.for_vector(p1p1, ((0, 0),), (1, 1))
-    G = groebner_basis(ctx, [poly_to_vec(g) for g in gens])
+    G = buchberger(ctx, [poly_to_vec(g) for g in gens])
     # x-degree 5 form through the five x-values times anything vanishes
     K = p1p1.field
     xs = [1, 2, 3, 4, 5]
@@ -252,4 +259,4 @@ def test_point_ideal_members_reduce_to_zero(eight_points, p1p1):
             m0[0] += 1
             new[tuple(m0)] = K.add(new.get(tuple(m0), K.zero), K.mul(K.neg(K.of(c)), coeff))
         poly = {m: c for m, c in new.items() if c}
-    assert normal_form(poly_to_vec(poly), G) == {}
+    assert reduce_vec(ctx, poly_to_vec(poly), *G) == {}

@@ -183,6 +183,11 @@ def test_minimal_coarsening_set_examples(koszul_module, p1p1):
     assert only == [(2, 3)]
 
 
+def test_minimal_coarsening_set_needs_a_homological_index(koszul_module):
+    with pytest.raises(InputError, match="no homological indices"):
+        minimal_coarsening_set(koszul_module, box=2, i_range=())
+
+
 def test_minimal_set_still_cuts_the_full_intersection(hirzebruch_module):
     i_range = (0, 1, 2)
     candidates = positive_coarsening_candidates(hirzebruch_module.ring.degrees, 4)
@@ -450,6 +455,6 @@ def test_region_memo_keys_on_the_module_and_bases(p1p1):
     assert memo.cache_info().misses == 2
     assert memo(Q, sets[0].bases, (1, 1)) is not memo(P, sets[0].bases, (1, 1))
     assert memo.cache_info().misses == 3
-    other = degree_bound_set(P, (1, 1), 0, bases=((1, 0),))  # explicit bases are part of the key
+    other = memo(P, ((1, 0),), (1, 1))  # the bases are part of the key
     assert memo.cache_info().misses == 4
-    assert other.degrees == enumerate_bounded_region(((1, 0),), p1p1.degrees, (1, 1), other.bound).points()
+    assert other.points(5) == enumerate_bounded_region(((1, 0),), p1p1.degrees, (1, 1), 5).points()

@@ -6,6 +6,7 @@ import pytest
 import mreg.groebner
 import mreg.resolution
 from mreg import (
+    GradingError,
     InputError,
     Limits,
     ModuleCtx,
@@ -136,6 +137,13 @@ def test_regnum_lower_bound_examples(eight_point_module, koszul_module, bigraded
     assert regnum_lower_bound(Bf, 15, 22) == -9
 
 
+@pytest.mark.parametrize("v, error", [((1,), InputError), ((1, 1, 5), InputError),
+                                      ((1, -1), GradingError)])
+def test_coarsen_resolution_checks_the_vector(koszul_module, v, error):
+    with pytest.raises(error):
+        coarsen_resolution(minimal_free_resolution(koszul_module), v)
+
+
 def test_lower_bound_needs_coarse_table(koszul_module):
     B = betti_table(minimal_free_resolution(koszul_module))
     with pytest.raises(InputError):
@@ -240,7 +248,7 @@ def test_two_construction_paths_agree(full_corpus):
     """
     from mreg import ModuleCtx, kernel_of_map
     from mreg.grading import find_positive_coarsening_vector
-    from mreg.groebner import groebner_basis
+    from mreg.groebner import buchberger
     from mreg.resolution import _assert_resolution_sane
 
     for P in full_corpus:
@@ -255,12 +263,12 @@ def test_two_construction_paths_agree(full_corpus):
         while cols and guard <= ring.n + 2:
             guard += 1
             # expand to the full Groebner basis: deliberately non-minimal
-            G = groebner_basis(ctx, cols)
-            level = tuple(ctx.vec_degree(g) for g in G.elements)
-            diffs.append(list(G.elements))
+            G, _ = buchberger(ctx, cols)
+            level = tuple(ctx.vec_degree(g) for g in G)
+            diffs.append(G)
             shifts.append(level)
             nxt = ModuleCtx.for_vector(ring, level, v)
-            cols = kernel_of_map(ctx, list(G.elements))
+            cols = kernel_of_map(ctx, G)
             # kernel_of_map wants the TARGET ctx; elements live over ctx
             cols = [c for c in cols if c]
             ctx = nxt
