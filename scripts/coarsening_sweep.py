@@ -16,6 +16,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from mreg import (
+    MregError,
     betti_table,
     cached_minimal_resolution,
     coarsen_resolution,
@@ -62,4 +63,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except MregError as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(e.exit_code)

@@ -1,5 +1,8 @@
 """Command-line front end: parse problem files, dispatch, emit JSON or tables.
 
+`COMMANDS` lists each subcommand once: `_build_parser` and `run` read it, and
+its handlers return their reports and call the library through module globals.
+
 Exit codes: 0 success, 2 a malformed command line, otherwise the `exit_code`
 of the package error raised (see `errors`).  Identical invocations produce
 byte-identical output; integers beyond 2^53 - 1 are serialized as strings so
@@ -13,7 +16,9 @@ import json
 import sys
 
 from .errors import InputError, Limits, MregError
-from .grading import check_positive_grading, find_positive_coarsening_vector
+from .grading import (
+    check_positive_grading, find_positive_coarsening_vector, positive_coarsening_candidates,
+)
 from .groebner import vec_component
 from .localcoh import a_invariants_hochster, hochster_supports
 from .points import (
@@ -33,11 +38,7 @@ from .regularity import (
     regularity_report,
     scalar_coarsening_report,
 )
-from .resolution import (
-    betti_table,
-    coarsen_resolution,
-    minimal_free_resolution,
-)
+from .resolution import betti_table, coarsen_resolution, minimal_free_resolution
 
 _MAX_SAFE_INT = 2**53 - 1
 
@@ -100,6 +101,168 @@ def _parse_vector(text: str):
         raise InputError(f"bad vector {text!r}; expected comma-separated integers") from None
 
 
+def _require_v(args, ring):
+    if args.v:
+        v = _parse_vector(args.v)
+        ring.order(v)  # validates positivity
+        return v
+    return find_positive_coarsening_vector(ring.degrees)
+
+
+def _or(value, default):
+    return value if value is not None else default
+
+
+def _check(problem, args, limits):
+    degrees = problem.ring.degrees
+    positive = check_positive_grading(degrees)
+    suggested = list(find_positive_coarsening_vector(degrees)) if positive else None
+    return {"positive": positive, "suggested_v": suggested}
+
+
+def _coarsen(problem, args, limits):
+    ring = problem.ring
+    v = _require_v(args, ring)
+    return {**coarsening_constants(ring, v).to_json(), "vdegs": list(ring.vdegs(v)),
+            "regnum_ring": regnum_ring(ring, v)}
+
+
+def _resolution(problem, args, limits):
+    v = _parse_vector(args.v) if args.v else None
+    return v, minimal_free_resolution(problem.presentation(limits), v=v, limits=limits)
+
+
+def _resolve(problem, args, limits):
+    v, F = _resolution(problem, args, limits)
+    out = {"length": F.length, "shifts": [[list(s) for s in level] for level in F.shifts]}
+    if v is not None:
+        out["coarse_shifts"] = [list(level) for level in coarsen_resolution(F, v).shifts]
+    out["differentials"] = [
+        [[problem.ring.poly_str(vec_component(col, r)) for r in range(len(F.shifts[k]))]
+         for col in diff]
+        for k, diff in enumerate(F.differentials)
+    ]
+    return out
+
+
+def _betti(problem, args, limits):
+    v, F = _resolution(problem, args, limits)
+    out = {"fine": betti_table(F).to_json()}
+    if v is not None:
+        out["coarse"] = betti_table(coarsen_resolution(F, v)).to_json()
+    return out
+
+
+def _regnum(problem, args, limits):
+    v = _require_v(args, problem.ring)
+    P = problem.presentation(limits)
+    return regularity_report(P, v, i_max=args.imax, route=args.route, limits=limits).to_json()
+
+
+def _bounds(problem, args, limits):
+    v = _require_v(args, problem.ring)
+    P = problem.presentation(limits)
+    indices = [args.i] if args.i is not None else list(range(_or(args.imax, 0) + 1))
+    return {"sets": [s.to_json() for s in degree_bound_sets(P, v, indices, limits=limits)]}
+
+
+def _minvectors(problem, args, limits):
+    P = problem.presentation(limits)
+    i_range = list(range(_or(args.imax, 2) + 1))
+    box = _or(args.box, 5)
+    kept = minimal_coarsening_set(P, i_range=i_range, box=box, limits=limits)
+    return {
+        "box": box,
+        "i_range": i_range,
+        "candidates": [list(u) for u in positive_coarsening_candidates(problem.ring.degrees, box)],
+        "minimal": [list(u) for u in kept],
+        "note": "minimal relative to the candidate family",
+    }
+
+
+def _scalar_check(problem, args, limits):
+    v = _require_v(args, problem.ring)
+    P = problem.presentation(limits)
+    i_range = range(_or(args.imax, 2) + 1)
+    return scalar_coarsening_report(P, v, args.d, i_range, limits=limits).to_json()
+
+
+def _hochster(problem, args, limits):
+    K, ring = problem.payload, problem.ring
+    v = _require_v(args, ring)
+    ai = a_invariants_hochster(K, ring, v)
+    supports = {str(i): [{"face": list(f), "rank": rk} for f, rk in faces]
+                for i, faces in enumerate(hochster_supports(K, ring)) if faces}
+    return {"v": list(v), "a_invariants": ai.to_json(), "supports": supports}
+
+
+def _points_hilbert(problem, args, limits):
+    X, ring = problem.payload, problem.ring
+    if args.degree:
+        deg = _parse_vector(args.degree)
+        return {"degree": list(deg), "value": hilbert_function_points(X, deg, ring)}
+    if len(X.dims) != 2:
+        raise InputError("matrix output implemented for two factors; use --degree")
+    window = min(_or(args.box, 10), len(X) + 2)
+    w = range(window + 1)
+    matrix = [[hilbert_function_points(X, (i, j), ring) for i in w] for j in w]
+    return {"window": window, "matrix": matrix}
+
+
+def _point_box(problem, args):
+    return (_or(args.box, 10),) * len(problem.payload.dims)
+
+
+def _points_bregularity(problem, args, limits):
+    box = _point_box(problem, args)
+    region = b_regularity_region(problem.payload, box, problem.ring)
+    return {"box": list(box), "minimal_elements": [list(b) for b in region.bases]}
+
+
+def _points_resvector(problem, args, limits):
+    return {"r_vector": list(res_reg_vector_points(problem.payload, problem.ring))}
+
+
+def _points_generic(problem, args, limits):
+    X = problem.payload
+    generic = generic_position_check(X, _point_box(problem, args), problem.ring)
+    return {"generic_position": generic,
+            "generic_formula": generic_regularity_formula(X.dims, len(X))}
+
+
+def _points_connections(problem, args, limits):
+    box = _point_box(problem, args)
+    return connections_check(problem.payload, box, problem.ring, limits=limits).to_json()
+
+
+# subcommand -> (help text, payload kind it needs or None, handler, or for
+# `points` its actions' handlers, and the options only it takes)
+COMMANDS = {
+    "check": ("positivity of the grading and a suggested coarsening vector", None, _check, {}),
+    "coarsen": ("coarsening constants c_v, s_v, sigma", None, _coarsen, {}),
+    "resolve": ("minimal free resolution shifts (and matrices)", None, _resolve, {}),
+    "betti": ("Betti table, optionally coarsened", None, _betti, {}),
+    "regnum": ("regularity report under a coarsening vector", None, _regnum,
+               {"--route": {"choices": ("ext", "hochster"), "default": "ext"}}),
+    "bounds": ("finite degree-bound sets for syzygies", None, _bounds, {}),
+    "minvectors": ("a minimal family of coarsening vectors", None, _minvectors, {}),
+    "scalar-check": ("scalar-multiple laws for d*v against v", None, _scalar_check,
+                     {"--d": {"type": int, "default": 2, "help": "scalar multiplier"}}),
+    "hochster": ("face supports and a-invariants of a face ring", "complex", _hochster, {}),
+    "points": ("point-set computations", "points", {
+        "hilbert": _points_hilbert,
+        "bregularity": _points_bregularity,
+        "resvector": _points_resvector,
+        "generic": _points_generic,
+        "connections": _points_connections,
+    }, {"--degree": {"help": "single multidegree for `points hilbert`, e.g. 2,1"}}),
+}
+_WRONG_PAYLOAD = {
+    "complex": "hochster needs a simplicial-complex payload",
+    "points": "points subcommands need a point-set payload",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--v", help="coarsening vector, e.g. 1,3")
@@ -116,38 +279,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = argparse.ArgumentParser(prog="mreg", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    for name, helptext in (
-        ("check", "positivity of the grading and a suggested coarsening vector"),
-        ("coarsen", "coarsening constants c_v, s_v, sigma"),
-        ("resolve", "minimal free resolution shifts (and matrices)"),
-        ("betti", "Betti table, optionally coarsened"),
-        ("regnum", "regularity report under a coarsening vector"),
-        ("bounds", "finite degree-bound sets for syzygies"),
-        ("minvectors", "a minimal family of coarsening vectors"),
-        ("scalar-check", "scalar-multiple laws for d*v against v"),
-        ("hochster", "face supports and a-invariants of a face ring"),
-    ):
+    for name, (helptext, _, handler, options) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=helptext)
+        if isinstance(handler, dict):
+            sp.add_argument("action", choices=tuple(handler))
         sp.add_argument("file")
-        if name == "scalar-check":
-            sp.add_argument("--d", type=int, default=2, help="scalar multiplier")
-        if name == "regnum":
-            sp.add_argument("--route", choices=("ext", "hochster"), default="ext")
-
-    pp = sub.add_parser("points", parents=[common], help="point-set computations")
-    pp.add_argument("action", choices=("hilbert", "bregularity", "resvector", "generic", "connections"))
-    pp.add_argument("file")
-    pp.add_argument("--degree", help="single multidegree for `points hilbert`, e.g. 2,1")
+        for flag, kwargs in options.items():
+            sp.add_argument(flag, **kwargs)
     return p
 
 
 def run(argv) -> int:
-    """Dispatch a CLI invocation; returns the exit code."""
+    """Run one CLI invocation; returns the exit code."""
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        _dispatch(args)
+        args = _build_parser().parse_args(argv)
+        for flag in ("imax", "box"):
+            if _or(getattr(args, flag), 0) < 0:
+                raise InputError(f"--{flag} must be nonnegative")
+        limits = Limits(args.max_degree, args.max_length)
+        _, kind, handler, _ = COMMANDS[args.command]
+        if "action" in args:
+            handler = handler[args.action]
+        problem = load_problem(args.file, parse_field(args.field) if args.field else None)
+        if kind is not None and problem.kind != kind:
+            raise InputError(_WRONG_PAYLOAD[kind])
+        _emit(handler(problem, args, limits), args.format)
         return 0
     except MregError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -156,169 +312,6 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-def _require_v(args, ring):
-    if args.v:
-        v = _parse_vector(args.v)
-        ring.order(v)  # validates positivity
-        return v
-    return find_positive_coarsening_vector(ring.degrees)
-
-
-def _dispatch(args):
-    if args.imax is not None and args.imax < 0:
-        raise InputError("--imax must be nonnegative")
-    field = parse_field(args.field) if args.field else None
-    problem = load_problem(args.file, field)
-    ring = problem.ring
-    fmt = args.format
-    limits = Limits(args.max_degree, args.max_length)
-
-    if args.command == "check":
-        positive = check_positive_grading(ring.degrees)
-        suggested = list(find_positive_coarsening_vector(ring.degrees)) if positive else None
-        _emit({"positive": positive, "suggested_v": suggested}, fmt)
-        return
-
-    if args.command == "coarsen":
-        v = _require_v(args, ring)
-        cst = coarsening_constants(ring, v)
-        out = cst.to_json()
-        out["vdegs"] = list(ring.vdegs(v))
-        out["regnum_ring"] = regnum_ring(ring, v)
-        _emit(out, fmt)
-        return
-
-    if args.command in ("resolve", "betti"):
-        v = _parse_vector(args.v) if args.v else None
-        P = problem.presentation(limits)
-        F = minimal_free_resolution(P, v=v, limits=limits)
-        if args.command == "resolve":
-            out = {
-                "length": F.length,
-                "shifts": [[list(s) for s in level] for level in F.shifts],
-            }
-            if v is not None:
-                out["coarse_shifts"] = [list(level) for level in coarsen_resolution(F, v).shifts]
-            out["differentials"] = [
-                [[ring.poly_str(vec_component(col, r)) for r in range(len(F.shifts[k]))]
-                 for col in diff]
-                for k, diff in enumerate(F.differentials)
-            ]
-            _emit(out, fmt)
-        else:
-            out = {"fine": betti_table(F).to_json()}
-            if v is not None:
-                out["coarse"] = betti_table(coarsen_resolution(F, v)).to_json()
-            _emit(out, fmt)
-        return
-
-    if args.command == "regnum":
-        v = _require_v(args, ring)
-        P = problem.presentation(limits)
-        report = regularity_report(P, v, i_max=args.imax, route=args.route, limits=limits)
-        _emit(report.to_json(), fmt)
-        return
-
-    if args.command == "bounds":
-        v = _require_v(args, ring)
-        P = problem.presentation(limits)
-        indices = [args.i] if args.i is not None else list(range((args.imax or 0) + 1))
-        sets = degree_bound_sets(P, v, indices, limits=limits)
-        _emit({"sets": [s.to_json() for s in sets]}, fmt)
-        return
-
-    if args.command == "minvectors":
-        P = problem.presentation(limits)
-        i_range = list(range((args.imax if args.imax is not None else 2) + 1))
-        box = args.box if args.box is not None else 5
-        kept = minimal_coarsening_set(P, i_range=i_range, box=box, limits=limits)
-        from .grading import positive_coarsening_candidates
-
-        _emit(
-            {
-                "box": box,
-                "i_range": i_range,
-                "candidates": [list(u) for u in positive_coarsening_candidates(ring.degrees, box)],
-                "minimal": [list(u) for u in kept],
-                "note": "minimal relative to the candidate family",
-            },
-            fmt,
-        )
-        return
-
-    if args.command == "scalar-check":
-        v = _require_v(args, ring)
-        P = problem.presentation(limits)
-        i_range = range((args.imax if args.imax is not None else 2) + 1)
-        report = scalar_coarsening_report(P, v, args.d, i_range, limits=limits)
-        _emit(report.to_json(), fmt)
-        return
-
-    if args.command == "hochster":
-        if problem.kind != "complex":
-            raise InputError("hochster needs a simplicial-complex payload")
-        K = problem.payload
-        v = _require_v(args, ring)
-        ai = a_invariants_hochster(K, ring, v)
-        supports = {
-            str(i): [{"face": list(f), "rank": rk} for f, rk in faces]
-            for i, faces in enumerate(hochster_supports(K, ring))
-            if faces
-        }
-        _emit({"v": list(v), "a_invariants": ai.to_json(), "supports": supports}, fmt)
-        return
-
-    if args.command == "points":
-        if problem.kind != "points":
-            raise InputError("points subcommands need a point-set payload")
-        X = problem.payload
-        r = len(X.dims)
-        box_size = args.box if args.box is not None else 10
-        box = (box_size,) * r
-        if args.action == "hilbert":
-            if args.degree:
-                deg = _parse_vector(args.degree)
-                _emit(
-                    {"degree": list(deg), "value": hilbert_function_points(X, deg, ring)},
-                    fmt,
-                )
-                return
-            if r != 2:
-                raise InputError("matrix output implemented for two factors; use --degree")
-            window = min(box_size, len(X) + 2)
-            matrix = [
-                [hilbert_function_points(X, (i, j), ring) for i in range(window + 1)]
-                for j in range(window + 1)
-            ]
-            _emit({"window": window, "matrix": matrix}, fmt)
-            return
-        if args.action == "bregularity":
-            region = b_regularity_region(X, box, ring)
-            _emit(
-                {"box": list(box), "minimal_elements": [list(b) for b in region.bases]},
-                fmt,
-            )
-            return
-        if args.action == "resvector":
-            _emit({"r_vector": list(res_reg_vector_points(X, ring))}, fmt)
-            return
-        if args.action == "generic":
-            generic = generic_position_check(X, box, ring)
-            _emit(
-                {
-                    "generic_position": generic,
-                    "generic_formula": generic_regularity_formula(X.dims, len(X)),
-                },
-                fmt,
-            )
-            return
-        if args.action == "connections":
-            report = connections_check(X, box, ring, limits=limits)
-            _emit(report.to_json(), fmt)
-            return
-    raise InputError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -59,11 +59,16 @@ class Limits:
     above it are still decided.  max_length bounds the length of every
     minimal free resolution.  A computation the caps stop raises
     ResourceLimitError; the memos key on the whole value, so a result is
-    never served to a call with other caps.
+    never served to a call with other caps.  A negative max_length raises
+    InputError; max_degree may be negative.
     """
 
     max_degree: int | None = None
     max_length: int | None = None
+
+    def __post_init__(self):
+        if self.max_length is not None and self.max_length < 0:
+            raise InputError(f"max_length must be nonnegative, not {self.max_length}")
 
     def check_degree(self, what: str, degree: int) -> None:
         if self.max_degree is not None and degree > self.max_degree:

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from mreg import (
     HomogeneityError,
     InputError,
     InsufficientBoxError,
+    Limits,
     MregError,
     ResourceLimitError,
     ZeroModuleError,
@@ -107,6 +109,39 @@ def test_negative_imax_exits_2(capture, command):
     code, out, err = capture([command, "--imax", "-1", str(PROBLEMS / "four-cycle.json")])
     assert (code, out) == (2, "")
     assert "--imax must be nonnegative" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["minvectors"], ["points", "hilbert"], ["points", "bregularity"], ["points", "generic"],
+    ["points", "connections"],
+], ids=" ".join)
+def test_negative_box_exits_2(capture, command):
+    path = PROBLEMS / ("four-cycle.json" if command == ["minvectors"] else "eight-points.json")
+    code, out, err = capture([*command, "--box", "-1", str(path)])
+    assert (code, out, err) == (2, "", "error: --box must be nonnegative\n")
+
+
+def test_negative_length_cap_exits_2(capture):
+    code, out, err = capture(["bounds", "--max-length", "-1", str(PROBLEMS / "four-cycle.json")])
+    assert (code, out, err) == (2, "", "error: max_length must be nonnegative, not -1\n")
+    with pytest.raises(InputError, match="max_length must be nonnegative"):
+        Limits(max_length=-1)
+
+
+def test_negative_degree_cap_is_a_cap(tmp_path, capture):
+    # the module's generator sits in degree (-4, 0); its S-pair x0^2, x0*x1 in (-1, 0)
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({
+        "ring": {"variables": ["x0", "x1", "y0", "y1"],
+                 "degrees": [[1, 0], [1, 0], [0, 1], [0, 1]]},
+        "module": {"shifts": [[-4, 0]], "relations": [["x0^2"], ["x0*x1"]]},
+    }))
+    code, out, err = capture(["betti", "--max-degree", "-1", str(path)])
+    assert code == 0, err
+    assert json.loads(out)["fine"][0] == {"i": 0, "degree": [-4, 0], "beta": 1}
+    code, out, err = capture(["betti", "--max-degree", "-2", str(path)])
+    assert (code, out) == (5, "")
+    assert err == "error: S-pair of coarse degree -1 exceeds the degree cap -2\n"
 
 
 @pytest.mark.parametrize("degree", ["2", "2,0,5"])
@@ -212,8 +247,18 @@ def test_byte_determinism(capture):
     assert t1 == t2
 
 
-def test_all_reports_validate_against_schema(capture):
-    commands = [
+def readme_invocations():
+    """The argument lists of the `mreg` lines of README's "Command line" block."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("mreg ")]
+
+
+def test_all_reports_validate_against_schema(capture, monkeypatch):
+    monkeypatch.chdir(ROOT)  # README's paths are relative to the repository
+    assert len(readme_invocations()) == 13
+    commands = readme_invocations() + [
         ["check", str(PROBLEMS / "weighted-44.json")],
         ["coarsen", "--v", "1,3", str(PROBLEMS / "hirzebruch-s2.json")],
         ["resolve", "--v", "1,1", str(PROBLEMS / "ex1-four-points.json")],
@@ -231,8 +276,8 @@ def test_all_reports_validate_against_schema(capture):
         ["points", "generic", "--box", "6", str(PROBLEMS / "ex1-four-points.json")],
         ["points", "connections", str(PROBLEMS / "eight-points.json")],
     ]
-    for argv in commands:
-        obj = run_json(capture, argv)
+    reports = [run_json(capture, argv) for argv in commands]
+    for obj in reports:
         validate(obj)
 
 

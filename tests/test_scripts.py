@@ -37,6 +37,16 @@ def test_coarsening_sweep_family_matches_minvectors():
     assert [list(v) for v in family] == json.loads(cli.stdout)["minimal"]
 
 
+@pytest.mark.parametrize("argv", [["problems/four-cycle.json", "--imax", "-1"],
+                                  ["problems/no-such-file.json"]], ids=["imax", "missing"])
+def test_coarsening_sweep_reports_errors_as_the_cli_does(argv):
+    proc = run_script("coarsening_sweep.py", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_every_traced_name_resolves():
     # `perfbench/run.py --trace 1` wraps these by name; a renamed or removed
     # function breaks the traced benchmark, so a src change must keep them.
