@@ -101,168 +101,6 @@ def _parse_vector(text: str):
         raise InputError(f"bad vector {text!r}; expected comma-separated integers") from None
 
 
-def _require_v(args, ring):
-    if args.v:
-        v = _parse_vector(args.v)
-        ring.order(v)  # validates positivity
-        return v
-    return find_positive_coarsening_vector(ring.degrees)
-
-
-def _or(value, default):
-    return value if value is not None else default
-
-
-def _check(problem, args, limits):
-    degrees = problem.ring.degrees
-    positive = check_positive_grading(degrees)
-    suggested = list(find_positive_coarsening_vector(degrees)) if positive else None
-    return {"positive": positive, "suggested_v": suggested}
-
-
-def _coarsen(problem, args, limits):
-    ring = problem.ring
-    v = _require_v(args, ring)
-    return {**coarsening_constants(ring, v).to_json(), "vdegs": list(ring.vdegs(v)),
-            "regnum_ring": regnum_ring(ring, v)}
-
-
-def _resolution(problem, args, limits):
-    v = _parse_vector(args.v) if args.v else None
-    return v, minimal_free_resolution(problem.presentation(limits), v=v, limits=limits)
-
-
-def _resolve(problem, args, limits):
-    v, F = _resolution(problem, args, limits)
-    out = {"length": F.length, "shifts": [[list(s) for s in level] for level in F.shifts]}
-    if v is not None:
-        out["coarse_shifts"] = [list(level) for level in coarsen_resolution(F, v).shifts]
-    out["differentials"] = [
-        [[problem.ring.poly_str(vec_component(col, r)) for r in range(len(F.shifts[k]))]
-         for col in diff]
-        for k, diff in enumerate(F.differentials)
-    ]
-    return out
-
-
-def _betti(problem, args, limits):
-    v, F = _resolution(problem, args, limits)
-    out = {"fine": betti_table(F).to_json()}
-    if v is not None:
-        out["coarse"] = betti_table(coarsen_resolution(F, v)).to_json()
-    return out
-
-
-def _regnum(problem, args, limits):
-    v = _require_v(args, problem.ring)
-    P = problem.presentation(limits)
-    return regularity_report(P, v, i_max=args.imax, route=args.route, limits=limits).to_json()
-
-
-def _bounds(problem, args, limits):
-    v = _require_v(args, problem.ring)
-    P = problem.presentation(limits)
-    indices = [args.i] if args.i is not None else list(range(_or(args.imax, 0) + 1))
-    return {"sets": [s.to_json() for s in degree_bound_sets(P, v, indices, limits=limits)]}
-
-
-def _minvectors(problem, args, limits):
-    P = problem.presentation(limits)
-    i_range = list(range(_or(args.imax, 2) + 1))
-    box = _or(args.box, 5)
-    kept = minimal_coarsening_set(P, i_range=i_range, box=box, limits=limits)
-    return {
-        "box": box,
-        "i_range": i_range,
-        "candidates": [list(u) for u in positive_coarsening_candidates(problem.ring.degrees, box)],
-        "minimal": [list(u) for u in kept],
-        "note": "minimal relative to the candidate family",
-    }
-
-
-def _scalar_check(problem, args, limits):
-    v = _require_v(args, problem.ring)
-    P = problem.presentation(limits)
-    i_range = range(_or(args.imax, 2) + 1)
-    return scalar_coarsening_report(P, v, args.d, i_range, limits=limits).to_json()
-
-
-def _hochster(problem, args, limits):
-    K, ring = problem.payload, problem.ring
-    v = _require_v(args, ring)
-    ai = a_invariants_hochster(K, ring, v)
-    supports = {str(i): [{"face": list(f), "rank": rk} for f, rk in faces]
-                for i, faces in enumerate(hochster_supports(K, ring)) if faces}
-    return {"v": list(v), "a_invariants": ai.to_json(), "supports": supports}
-
-
-def _points_hilbert(problem, args, limits):
-    X, ring = problem.payload, problem.ring
-    if args.degree:
-        deg = _parse_vector(args.degree)
-        return {"degree": list(deg), "value": hilbert_function_points(X, deg, ring)}
-    if len(X.dims) != 2:
-        raise InputError("matrix output implemented for two factors; use --degree")
-    window = min(_or(args.box, 10), len(X) + 2)
-    w = range(window + 1)
-    matrix = [[hilbert_function_points(X, (i, j), ring) for i in w] for j in w]
-    return {"window": window, "matrix": matrix}
-
-
-def _point_box(problem, args):
-    return (_or(args.box, 10),) * len(problem.payload.dims)
-
-
-def _points_bregularity(problem, args, limits):
-    box = _point_box(problem, args)
-    region = b_regularity_region(problem.payload, box, problem.ring)
-    return {"box": list(box), "minimal_elements": [list(b) for b in region.bases]}
-
-
-def _points_resvector(problem, args, limits):
-    return {"r_vector": list(res_reg_vector_points(problem.payload, problem.ring))}
-
-
-def _points_generic(problem, args, limits):
-    X = problem.payload
-    generic = generic_position_check(X, _point_box(problem, args), problem.ring)
-    return {"generic_position": generic,
-            "generic_formula": generic_regularity_formula(X.dims, len(X))}
-
-
-def _points_connections(problem, args, limits):
-    box = _point_box(problem, args)
-    return connections_check(problem.payload, box, problem.ring, limits=limits).to_json()
-
-
-# subcommand -> (help text, payload kind it needs or None, handler, or for
-# `points` its actions' handlers, and the options only it takes)
-COMMANDS = {
-    "check": ("positivity of the grading and a suggested coarsening vector", None, _check, {}),
-    "coarsen": ("coarsening constants c_v, s_v, sigma", None, _coarsen, {}),
-    "resolve": ("minimal free resolution shifts (and matrices)", None, _resolve, {}),
-    "betti": ("Betti table, optionally coarsened", None, _betti, {}),
-    "regnum": ("regularity report under a coarsening vector", None, _regnum,
-               {"--route": {"choices": ("ext", "hochster"), "default": "ext"}}),
-    "bounds": ("finite degree-bound sets for syzygies", None, _bounds, {}),
-    "minvectors": ("a minimal family of coarsening vectors", None, _minvectors, {}),
-    "scalar-check": ("scalar-multiple laws for d*v against v", None, _scalar_check,
-                     {"--d": {"type": int, "default": 2, "help": "scalar multiplier"}}),
-    "hochster": ("face supports and a-invariants of a face ring", "complex", _hochster, {}),
-    "points": ("point-set computations", "points", {
-        "hilbert": _points_hilbert,
-        "bregularity": _points_bregularity,
-        "resvector": _points_resvector,
-        "generic": _points_generic,
-        "connections": _points_connections,
-    }, {"--degree": {"help": "single multidegree for `points hilbert`, e.g. 2,1"}}),
-}
-_WRONG_PAYLOAD = {
-    "complex": "hochster needs a simplicial-complex payload",
-    "points": "points subcommands need a point-set payload",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--v", help="coarsening vector, e.g. 1,3")
@@ -312,6 +150,164 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+def _require_v(args, ring):
+    if args.v:
+        v = _parse_vector(args.v)
+        ring.order(v)  # validates positivity
+        return v
+    return find_positive_coarsening_vector(ring.degrees)
+
+
+def _or(value, default):
+    return value if value is not None else default
+
+
+def _check(problem, args, limits):
+    degrees = problem.ring.degrees
+    positive = check_positive_grading(degrees)
+    suggested = find_positive_coarsening_vector(degrees) if positive else None
+    return {"positive": positive, "suggested_v": suggested}
+
+
+def _coarsen(problem, args, limits):
+    ring = problem.ring
+    v = _require_v(args, ring)
+    return {**coarsening_constants(ring, v).to_json(), "vdegs": ring.vdegs(v),
+            "regnum_ring": regnum_ring(ring, v)}
+
+
+def _resolution(problem, args, limits):
+    v = _parse_vector(args.v) if args.v else None
+    return v, minimal_free_resolution(problem.presentation(limits), v=v, limits=limits)
+
+
+def _resolve(problem, args, limits):
+    v, F = _resolution(problem, args, limits)
+    out = {"length": F.length, "shifts": F.shifts}
+    if v is not None:
+        out["coarse_shifts"] = coarsen_resolution(F, v).shifts
+    out["differentials"] = [
+        [[problem.ring.poly_str(vec_component(col, r)) for r in range(len(F.shifts[k]))]
+         for col in diff]
+        for k, diff in enumerate(F.differentials)
+    ]
+    return out
+
+
+def _betti(problem, args, limits):
+    v, F = _resolution(problem, args, limits)
+    out = {"fine": betti_table(F).to_json()}
+    if v is not None:
+        out["coarse"] = betti_table(coarsen_resolution(F, v)).to_json()
+    return out
+
+
+def _regnum(problem, args, limits):
+    v = _require_v(args, problem.ring)
+    P = problem.presentation(limits)
+    return regularity_report(P, v, i_max=args.imax, route=args.route, limits=limits).to_json()
+
+
+def _bounds(problem, args, limits):
+    v = _require_v(args, problem.ring)
+    P = problem.presentation(limits)
+    indices = [args.i] if args.i is not None else list(range(_or(args.imax, 0) + 1))
+    return {"sets": [s.to_json() for s in degree_bound_sets(P, v, indices, limits=limits)]}
+
+
+def _minvectors(problem, args, limits):
+    P = problem.presentation(limits)
+    i_range = list(range(_or(args.imax, 2) + 1))
+    box = _or(args.box, 5)
+    kept = minimal_coarsening_set(P, i_range=i_range, box=box, limits=limits)
+    return {"box": box, "i_range": i_range,
+            "candidates": positive_coarsening_candidates(problem.ring.degrees, box),
+            "minimal": kept, "note": "minimal relative to the candidate family"}
+
+
+def _scalar_check(problem, args, limits):
+    v = _require_v(args, problem.ring)
+    P = problem.presentation(limits)
+    i_range = range(_or(args.imax, 2) + 1)
+    return scalar_coarsening_report(P, v, args.d, i_range, limits=limits).to_json()
+
+
+def _hochster(problem, args, limits):
+    K, ring = problem.payload, problem.ring
+    v = _require_v(args, ring)
+    ai = a_invariants_hochster(K, ring, v)
+    supports = {str(i): [{"face": f, "rank": rk} for f, rk in faces]
+                for i, faces in enumerate(hochster_supports(K, ring)) if faces}
+    return {"v": v, "a_invariants": ai.to_json(), "supports": supports}
+
+
+def _points_hilbert(problem, args, limits):
+    X, ring = problem.payload, problem.ring
+    if args.degree:
+        deg = _parse_vector(args.degree)
+        return {"degree": deg, "value": hilbert_function_points(X, deg, ring)}
+    if len(X.dims) != 2:
+        raise InputError("matrix output implemented for two factors; use --degree")
+    window = min(_or(args.box, 10), len(X) + 2)
+    w = range(window + 1)
+    matrix = [[hilbert_function_points(X, (i, j), ring) for i in w] for j in w]
+    return {"window": window, "matrix": matrix}
+
+
+def _point_box(problem, args):
+    return (_or(args.box, 10),) * len(problem.payload.dims)
+
+
+def _points_bregularity(problem, args, limits):
+    box = _point_box(problem, args)
+    region = b_regularity_region(problem.payload, box, problem.ring)
+    return {"box": box, "minimal_elements": region.bases}
+
+
+def _points_resvector(problem, args, limits):
+    return {"r_vector": res_reg_vector_points(problem.payload, problem.ring)}
+
+
+def _points_generic(problem, args, limits):
+    X = problem.payload
+    generic = generic_position_check(X, _point_box(problem, args), problem.ring)
+    return {"generic_position": generic,
+            "generic_formula": generic_regularity_formula(X.dims, len(X))}
+
+
+def _points_connections(problem, args, limits):
+    box = _point_box(problem, args)
+    return connections_check(problem.payload, box, problem.ring, limits=limits).to_json()
+
+
+# subcommand -> (help text, payload kind it needs or None, handler, or for
+# `points` its actions' handlers, and the options only it takes)
+COMMANDS = {
+    "check": ("positivity of the grading and a suggested coarsening vector", None, _check, {}),
+    "coarsen": ("coarsening constants c_v, s_v, sigma", None, _coarsen, {}),
+    "resolve": ("minimal free resolution shifts (and matrices)", None, _resolve, {}),
+    "betti": ("Betti table, optionally coarsened", None, _betti, {}),
+    "regnum": ("regularity report under a coarsening vector", None, _regnum,
+               {"--route": {"choices": ("ext", "hochster"), "default": "ext"}}),
+    "bounds": ("finite degree-bound sets for syzygies", None, _bounds, {}),
+    "minvectors": ("a minimal family of coarsening vectors", None, _minvectors, {}),
+    "scalar-check": ("scalar-multiple laws for d*v against v", None, _scalar_check,
+                     {"--d": {"type": int, "default": 2, "help": "scalar multiplier"}}),
+    "hochster": ("face supports and a-invariants of a face ring", "complex", _hochster, {}),
+    "points": ("point-set computations", "points", {
+        "hilbert": _points_hilbert,
+        "bregularity": _points_bregularity,
+        "resvector": _points_resvector,
+        "generic": _points_generic,
+        "connections": _points_connections,
+    }, {"--degree": {"help": "single multidegree for `points hilbert`, e.g. 2,1"}}),
+}
+_WRONG_PAYLOAD = {
+    "complex": "hochster needs a simplicial-complex payload",
+    "points": "points subcommands need a point-set payload",
+}
 
 
 if __name__ == "__main__":
