@@ -257,8 +257,9 @@ def readme_invocations():
 
 def test_all_reports_validate_against_schema(capture, monkeypatch):
     monkeypatch.chdir(ROOT)  # README's paths are relative to the repository
-    assert len(readme_invocations()) == 13
-    commands = readme_invocations() + [
+    readme = readme_invocations()
+    assert len(readme) == 13
+    commands = readme + [
         ["check", str(PROBLEMS / "weighted-44.json")],
         ["coarsen", "--v", "1,3", str(PROBLEMS / "hirzebruch-s2.json")],
         ["resolve", "--v", "1,1", str(PROBLEMS / "ex1-four-points.json")],
