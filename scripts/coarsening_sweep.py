@@ -16,6 +16,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from mreg import (
+    InputError,
     MregError,
     betti_table,
     cached_minimal_resolution,
@@ -42,6 +43,11 @@ def main():
     ring = prob.ring
     candidates = positive_coarsening_candidates(ring.degrees, args.box)
     i_range = list(range(args.imax + 1))
+    # the checks minimal_coarsening_set makes, before any row is printed
+    if not candidates:
+        raise InputError("no candidate coarsening vectors")
+    if not i_range:
+        raise InputError("no homological indices to compare")
     F = cached_minimal_resolution(P)
 
     header = ["v", "c", "s", "sigma", "regnum", "lower"] + [f"|D_{i}|" for i in i_range]

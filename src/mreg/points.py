@@ -1,10 +1,11 @@
 """Finite reduced point sets in products of projective spaces.
 
-Hilbert function values are ranks of evaluation matrices: monomials of the
-requested multidegree evaluated at fixed affine representatives (first
-nonzero coordinate scaled to one).  Vanishing ideals come from intersecting
-the per-point linear ideals with the Groebner elimination routine, folded in
-input order.
+H_X(d) is the dimension of V_d, the space of degree-d forms evaluated at
+fixed affine representatives (first nonzero coordinate scaled to one) as
+vectors in k^X.  V_0 is spanned by the constants, and V_d is the span of the
+coordinatewise products of V_{d-e_f} with the coordinates of factor f, so
+one sweep of such products serves every degree of a box.  The vanishing
+ideal is one intersection of the per-point linear ideals.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from itertools import product
 from math import comb, prod
 
 from .errors import NO_LIMITS, InputError, InsufficientBoxError, Limits, MregError
-from .grading import DegreeRegion, _compositions
+from .grading import DegreeRegion
 from .groebner import ideal_intersection
-from .linalg import matrix_rank
 from .poly import (
     DEFAULT_FIELD,
     FieldDescriptor,
@@ -113,37 +113,68 @@ class PointSet:
         return reps
 
 
-def _monomials_of_multidegree(dims, deg):
-    """Exponent tuples of multidegree deg, factor blocks concatenated."""
-    blocks = [tuple(_compositions(d, n + 1)) for d, n in zip(deg, dims)]
-    out = [()]
-    for block in blocks:
-        out = [e + b for e in out for b in block]
-    return out
-
-
-def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing | None = None) -> int:
-    """H_X(deg) as the rank of the evaluation map on degree-deg monomials."""
+def _checked_degree(X: PointSet, deg) -> Multidegree:
+    """deg as a tuple, one nonnegative entry per factor of X."""
     deg = tuple(int(d) for d in deg)
     if len(deg) != len(X.dims):
         raise InputError(f"degree {list(deg)} needs one entry per factor ({len(X.dims)})")
     if any(d < 0 for d in deg):
         raise InputError("Hilbert function arguments must be componentwise nonnegative")
-    K = (ring.field if ring is not None else DEFAULT_FIELD)
+    return deg
+
+
+def _coordinate_values(X: PointSet, K: FieldDescriptor):
+    """Per factor, the vectors x_{f,j}(X) in k^X at the normalized points."""
     reps = X.normalized(K)
-    monos = _monomials_of_multidegree(X.dims, deg)
-    rows = []
-    for pt in reps:
-        flat = [c for factor in pt for c in factor]
-        row = []
-        for e in monos:
-            val = K.one
-            for c, k in zip(flat, e):
-                for _ in range(k):
-                    val = K.mul(val, c)
-            row.append(val)
-        rows.append(row)
-    return matrix_rank(rows, K)
+    return [list(zip(*(pt[f] for pt in reps))) for f in range(len(X.dims))]
+
+
+def _times_linear_forms(space: dict, columns, K: FieldDescriptor) -> dict:
+    """Echelon basis {pivot: row} of the span of c * v over the columns c and
+    the rows v of space, products taken coordinatewise.  A full space maps to
+    itself: every normalized point has a coordinate 1 in each factor."""
+    n = len(columns[0])
+    if len(space) == n:
+        return space
+    out = {}
+    for v in space.values():
+        for c in columns:
+            w = [K.mul(a, b) if a else a for a, b in zip(c, v)]
+            for i in range(n):
+                if w[i]:
+                    if i not in out:
+                        inv = K.inv(w[i])
+                        out[i] = [K.mul(x, inv) if x else x for x in w]
+                        break
+                    w = [K.sub(x, K.mul(w[i], y)) if y else x for x, y in zip(w, out[i])]
+            if len(out) == n:
+                return out
+    return out
+
+
+def _hilbert_sweep(X: PointSet, box, ring: MultigradedRing | None) -> dict:
+    """H_X at every degree of the box, in product order: V_d is the product
+    of V_{d-e_f} with the linear forms of the first factor f where d_f > 0."""
+    K = (ring.field if ring is not None else DEFAULT_FIELD)
+    values_of = _coordinate_values(X, K)
+    spaces = {}
+    for deg in product(*(range(b + 1) for b in box)):
+        f = next((k for k, d in enumerate(deg) if d), None)
+        spaces[deg] = {0: [K.one] * len(X)} if f is None else _times_linear_forms(
+            spaces[deg[:f] + (deg[f] - 1,) + deg[f + 1:]], values_of[f], K)
+    return {deg: len(space) for deg, space in spaces.items()}
+
+
+def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing | None = None) -> int:
+    """H_X(deg): the dimension of the degree-deg evaluations in k^X, grown
+    one linear form at a time from the constants along a single chain."""
+    deg = _checked_degree(X, deg)
+    K = (ring.field if ring is not None else DEFAULT_FIELD)
+    space = {0: [K.one] * len(X)}
+    for f, values_of in enumerate(_coordinate_values(X, K)):
+        for _ in range(deg[f]):
+            space = _times_linear_forms(space, values_of, K)
+    return len(space)
 
 
 def point_ideal(X: PointSet, ring: MultigradedRing | None = None,
@@ -204,9 +235,7 @@ def b_regularity_region(X: PointSet, box=None, ring: MultigradedRing | None = No
     r = len(X.dims)
     if len(box) != r or any(b < 0 for b in box):
         raise InputError("box must be a componentwise nonnegative multidegree")
-    values = {}
-    for deg in product(*(range(b + 1) for b in box)):
-        values[deg] = hilbert_function_points(X, deg, ring)
+    values = _hilbert_sweep(X, box, ring)
     target = len(X)
     inside = {deg for deg, h in values.items() if h == target}
     if tuple(box) not in inside:
@@ -234,20 +263,15 @@ def b_regularity_region(X: PointSet, box=None, ring: MultigradedRing | None = No
 
 def res_reg_vector_points(X: PointSet, ring: MultigradedRing | None = None) -> Multidegree:
     """t_i = least t with H_X(t e_i) equal to the distinct i-th projections."""
-    K = (ring.field if ring is not None else DEFAULT_FIELD)
-    reps = X.normalized(K)
+    reps = X.normalized(ring.field if ring is not None else DEFAULT_FIELD)
     out = []
     for f in range(len(X.dims)):
         proj = {pt[f] for pt in reps}
-        t = 0
-        while True:
-            deg = tuple(t if k == f else 0 for k in range(len(X.dims)))
-            if hilbert_function_points(X, deg, ring) == len(proj):
-                out.append(t)
-                break
-            t += 1
-            if t > len(X) + 1:
-                raise MregError("projection Hilbert function failed to stabilize")
+        ray = tuple(len(X) + 1 if k == f else 0 for k in range(len(X.dims)))
+        values = _hilbert_sweep(X, ray, ring)
+        out.append(next((deg[f] for deg, h in values.items() if h == len(proj)), None))
+        if out[-1] is None:
+            raise MregError("projection Hilbert function failed to stabilize")
     return tuple(out)
 
 
@@ -258,17 +282,12 @@ def dim_of_graded_piece(dims, deg) -> int:
 
 def generic_position_check(X: PointSet, box=None, ring: MultigradedRing | None = None) -> bool:
     """Does H_X agree with min(dim S_deg, |X|) everywhere in the box?"""
-    box = _default_box(X) if box is None else tuple(int(b) for b in box)
-    corner = hilbert_function_points(X, box, ring)
-    if corner != len(X):
-        raise InsufficientBoxError(
-            f"insufficient box {box}: Hilbert function is {corner} < {len(X)} at the corner"
-        )
-    for deg in product(*(range(b + 1) for b in box)):
-        expect = min(dim_of_graded_piece(X.dims, deg), len(X))
-        if hilbert_function_points(X, deg, ring) != expect:
-            return False
-    return True
+    box = _checked_degree(X, _default_box(X) if box is None else box)
+    values = _hilbert_sweep(X, box, ring)
+    if values[box] != len(X):
+        raise InsufficientBoxError(f"insufficient box {box}: Hilbert function is "
+                                   f"{values[box]} < {len(X)} at the corner")
+    return all(h == min(dim_of_graded_piece(X.dims, deg), len(X)) for deg, h in values.items())
 
 
 def generic_regularity_formula(dims, count: int) -> int:

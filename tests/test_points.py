@@ -1,5 +1,7 @@
 import pathlib
 import random
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -10,6 +12,7 @@ from mreg import (
     InsufficientBoxError,
     Limits,
     ModuleCtx,
+    MregError,
     PointSet,
     ResourceLimitError,
     b_regularity_region,
@@ -30,6 +33,8 @@ from mreg import (
     resolution_regularity_vector,
 )
 from mreg.groebner import buchberger, reduce_vec
+from mreg.linalg import matrix_rank
+from mreg.poly import QQ, FieldDescriptor
 from tests.conftest import clear_memos
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
@@ -76,6 +81,101 @@ def test_hilbert_rejects_a_degree_of_the_wrong_length(eight_points, p1p1, deg):
         hilbert_function_points(eight_points, deg, p1p1)
     with pytest.raises(InputError, match="one entry per factor"):
         generic_position_check(eight_points, (3,) * len(deg), p1p1)
+
+
+def test_hilbert_respects_the_field():
+    # (1,0,0), (1,1,1), (1,2,7) span a plane over QQ but lie on a line mod 5
+    X = PointSet((2,), (((1, 0, 0),), ((1, 1, 1),), ((1, 2, 7),)))
+    assert hilbert_function_points(X, (1,), multiproj_ring((2,), FieldDescriptor("prime", 5))) == 2
+    assert hilbert_function_points(X, (1,), multiproj_ring((2,), QQ)) == 3
+
+
+def test_hilbert_far_along_one_factor(eight_points):
+    # H(t, 0) counts the distinct x-projections for large t; the degree walk
+    # is a loop, so a degree this large needs no deep recursion
+    assert hilbert_function_points(eight_points, (2000, 0)) == 5
+
+
+# -- the evaluation-matrix oracle ----------------------------------------------
+# H_X(d) as the rank of the matrix of all degree-d monomials evaluated at the
+# normalized points, and the region and generic checks read off those ranks
+# one degree at a time: an independent route to every value of the sweep.
+
+def oracle_hilbert(X, deg, K):
+    blocks = [[e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d]
+              for d, n in zip(deg, X.dims)]
+    rows = []
+    for pt in X.normalized(K):
+        row = []
+        for exps in product(*blocks):
+            val = K.one
+            for coords, e in zip(pt, exps):
+                for c, k in zip(coords, e):
+                    for _ in range(k):
+                        val = K.mul(val, c)
+            row.append(val)
+        rows.append(row)
+    return matrix_rank(rows, K)
+
+
+def oracle_region(X, box, K):
+    values = {deg: oracle_hilbert(X, deg, K) for deg in product(*(range(b + 1) for b in box))}
+    inside = {deg for deg, h in values.items() if h == len(X)}
+    if box not in inside:
+        raise InsufficientBoxError(
+            f"insufficient box {box}: the Hilbert function has not stabilized; use a larger box")
+    for deg in inside:
+        for k in range(len(box)):
+            up = deg[:k] + (deg[k] + 1,) + deg[k + 1:]
+            if up in values and up not in inside:
+                raise InsufficientBoxError("region is not upward closed inside the box; enlarge the box")
+    minimal = sorted(d for d in inside if not any(o != d and all(map(int.__le__, o, d)) for o in inside))
+    for m in minimal:
+        if any(m[k] == box[k] > 0 for k in range(len(box))):
+            raise InsufficientBoxError(
+                f"minimal element {m} touches the box boundary; enlarge the box to certify it")
+    return tuple(minimal)
+
+
+def oracle_generic(X, box, K):
+    corner = oracle_hilbert(X, box, K)
+    if corner != len(X):
+        raise InsufficientBoxError(
+            f"insufficient box {box}: Hilbert function is {corner} < {len(X)} at the corner")
+    return all(oracle_hilbert(X, deg, K) == min(prod(map(comb, map(sum, zip(X.dims, deg)), X.dims)), len(X))
+               for deg in product(*(range(b + 1) for b in box)))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MregError as e:
+        return type(e).__name__, str(e)
+
+
+ORACLE_FIELDS = {"gf32003": FieldDescriptor("prime", 32003), "gf5": FieldDescriptor("prime", 5),
+                 "gf2": FieldDescriptor("prime", 2), "qq": QQ}
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 1, 1)], ids=str)
+def test_sweep_matches_the_evaluation_matrix_oracle(dims, field):
+    K = ORACLE_FIELDS[field]
+    ring = multiproj_ring(dims, K)
+    rng = random.Random(f"{dims}:{field}")
+    for _ in range(8):
+        box = (rng.randint(1, 4),) * 2 if len(dims) == 2 else (rng.randint(1, 2),) * 3
+        # small coordinates, so that coincidences, special position and
+        # repeated points over the small fields all occur
+        pts = tuple(tuple(tuple(rng.randint(0, 3) for _ in range(n + 1)) for n in dims)
+                    for _ in range(rng.randint(1, 7)))
+        pts = tuple(pt for pt in pts if all(any(c) for c in pt)) or (tuple((1,) + (0,) * n for n in dims),)
+        X = PointSet(dims, pts)
+        for deg in product(*(range(b + 1) for b in box)):
+            assert outcome(hilbert_function_points, X, deg, ring) == outcome(oracle_hilbert, X, deg, K)
+        region = outcome(b_regularity_region, X, box, ring)
+        assert (region.bases if hasattr(region, "bases") else region) == outcome(oracle_region, X, box, K)
+        assert outcome(generic_position_check, X, box, ring) == outcome(oracle_generic, X, box, K)
 
 
 def test_point_ideal_examples(four_points, p1p1):

@@ -47,6 +47,17 @@ def test_coarsening_sweep_reports_errors_as_the_cli_does(argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--imax", "-1", "--box", "3"], "error: no homological indices to compare"),
+    (["--box", "-1"], "error: no candidate coarsening vectors"),
+], ids=["imax", "box"])
+def test_coarsening_sweep_rejects_flags_before_printing(flags, message):
+    proc = run_script("coarsening_sweep.py", "problems/four-cycle.json", *flags)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [message]
+    assert proc.stdout == ""
+
+
 def test_every_traced_name_resolves():
     # `perfbench/run.py --trace 1` wraps these by name; a renamed or removed
     # function breaks the traced benchmark, so a src change must keep them.
