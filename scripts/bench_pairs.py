@@ -10,7 +10,11 @@ change first when k is odd.  Per workload, the file records, for every
 end-to-end metric, the per-pair values of both sides, each side's median
 and quartiles, and the number of pairs the change won (ties count for
 neither side); per side it records `failed`/`attempted` of every run and
-the `commit` and `src_lines` read from perfbench's details line.
+the `commit` and `src_lines` read from perfbench's details line.  A metric
+is `resolved` when the parent's quartiles span at most the metric's
+`bound` in BENCHMARK.json, as a share of the parent's median; the
+unresolved ones are also printed to stderr, since one run of pairs cannot
+tell a change of that size from noise.
 """
 
 from __future__ import annotations
@@ -46,12 +50,12 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, better: dict) -> dict:
+def summarize(pairs, better: dict, bounds: dict) -> dict:
     """Aggregate one workload's pairs: [{"parent": (details, result), "change": ...}, ...].
 
     Each pair's keys are in the order the sides ran.  `better` maps each
-    end-to-end metric to "lower" or "higher".  Quartiles are those of
-    statistics.quantiles (exclusive method).
+    end-to-end metric to "lower" or "higher", `bounds` to its relative
+    bound.  Quartiles are those of statistics.quantiles (exclusive method).
     """
     out = {"pairs": len(pairs), "first": [next(iter(p)) for p in pairs], "metrics": {}}
     for side in SIDES:
@@ -68,11 +72,17 @@ def summarize(pairs, better: dict) -> dict:
         values = {side: [p[side][1]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         sign = 1 if direction == "lower" else -1
         won = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        sides = {side: {"values": values[side], **spread(values[side])} for side in SIDES}
+        parent = sides["parent"]
+        width = parent["q3"] - parent["q1"]
+        rel = width / parent["median"] if width else 0.0
         out["metrics"][name] = {
             "unit": pairs[0]["parent"][1]["metrics"][name]["unit"],
             "better": direction,
-            **{side: {"values": values[side], **spread(values[side])} for side in SIDES},
+            **sides,
             "change_won": won,
+            "parent_spread": rel,
+            "resolved": rel <= bounds[name],
         }
     return out
 
@@ -90,6 +100,7 @@ def main(argv=None):
     first, last = (int(x) for x in args.seeds.split("-"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {"seconds": args.seconds, "workloads": {}}
     for workload in args.workload:
@@ -101,7 +112,12 @@ def main(argv=None):
             wall = {side: pair[side][1]["metrics"]["wall_s"]["value"] for side in SIDES}
             print(f"{workload} seed {seed}: wall_s parent {wall['parent']:.4f} "
                   f"change {wall['change']:.4f}", file=sys.stderr)
-        report["workloads"][workload] = summarize(pairs, better)
+        report["workloads"][workload] = summary = summarize(pairs, better, bounds)
+        for name, metric in summary["metrics"].items():
+            if not metric["resolved"]:
+                print(f"{workload} {name}: unresolved, the parent's quartiles span "
+                      f"{metric['parent_spread']:.1%} of its median, over the bound "
+                      f"{bounds[name]:.0%}", file=sys.stderr)
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 

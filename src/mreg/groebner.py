@@ -132,6 +132,8 @@ def element_degree(ring: MultigradedRing, shifts, terms) -> Multidegree:
 def vterm_mul(f: Vec, mono: Mono, c, K) -> Vec:
     if not c:
         return {}
+    if c == K.one:
+        return {(comp, mono_mul(m, mono)): v for (comp, m), v in f.items()}
     return {(comp, mono_mul(m, mono)): K.mul(v, c) for (comp, m), v in f.items()}
 
 
@@ -146,9 +148,9 @@ def _isub_term_mul(out: Vec, g: Vec, mono: Mono, c, K) -> Vec:
         t = (comp, mono_mul(m, mono))
         old = out.get(t)
         if old is None:
-            out[t] = K.neg(K.mul(v, c))
+            out[t] = K.negmul(v, c)
         else:
-            s = K.sub(old, K.mul(v, c))
+            s = K.submul(old, v, c)
             if s:
                 out[t] = s
             else:
@@ -181,9 +183,10 @@ def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
     place and pushes only the terms it creates.  A cancelled term keeps its
     entry, which is skipped when it surfaces with the term gone; a term
     cancelled and re-created has two entries, and the second to surface is
-    skipped.
+    skipped.  A monic reducer, as Buchberger and the frame pass, divides by nothing.
     """
     K = ctx.ring.field
+    one = K.one
     keys, key = ctx.term_keys, ctx.term_key
     reducers: dict[int, list] = {}
     for g, ((lcomp, lmono), lc) in zip(basis, lts):
@@ -200,15 +203,15 @@ def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
         comp, mono = t
         for lmono, g, lc in reducers.get(comp, ()):
             if mono_divides(lmono, mono):
-                q, a = mono_div(mono, lmono), K.div(c, lc)
+                q, a = mono_div(mono, lmono), c if lc == one else K.div(c, lc)
                 for (gcomp, gmono), v in g.items():
                     nt = (gcomp, mono_mul(gmono, q))
                     old = work.get(nt)
                     if old is None:
-                        work[nt] = K.neg(K.mul(v, a))
+                        work[nt] = K.negmul(v, a)
                         heapq.heappush(heap, (keys.get(nt) or key(nt), nt))
                     else:
-                        s = K.sub(old, K.mul(v, a))
+                        s = K.submul(old, v, a)
                         if s:
                             work[nt] = s
                         else:
@@ -475,17 +478,18 @@ def graded_piece_dimension(P, v, m: int, limits: Limits = NO_LIMITS) -> int:
 
     Counts standard monomials: per component, monomials of the right coarse
     degree not divisible by a leading term of the relation module's basis.
-    The leading terms are memoized per module, vector and limits, so one
-    Buchberger run serves every degree asked; a call the caps stop raises
-    and stores nothing.
+    The basis is memoized per module, vector and limits, so one Buchberger
+    run serves every degree asked, and the Schreyer frame of the same module
+    too; a call the caps stop raises and stores nothing.
     """
-    shift_wdegs, lt_by_comp = _memo_piece_leads(P, tuple(v), limits)
+    _, lts = _memo_basis(P, tuple(v), limits)
     weights = P.ring.vdegs(v)
     count = 0
-    for swd, leads in zip(shift_wdegs, lt_by_comp):
-        target = m - swd
+    for comp, shift in enumerate(P.shifts):
+        target = m - sum(a * b for a, b in zip(shift, v))
         if target < 0:
             continue
+        leads = [mono for (c, mono), _ in lts if c == comp]
         for e in monomials_of_weight(weights, target):
             if not any(mono_divides(l, e) for l in leads):
                 count += 1
@@ -493,13 +497,10 @@ def graded_piece_dimension(P, v, m: int, limits: Limits = NO_LIMITS) -> int:
 
 
 # Called positionally only: lru_cache keys f(P, v) and f(P, v, limits=NO_LIMITS) apart.
-# One entry: every caller asks consecutive degrees of one (P, v).
+# One entry: a resolution and the graded pieces after it ask one (P, v) in a row.
 @lru_cache(maxsize=1)
-def _memo_piece_leads(P, v, limits):
-    """Shift weights under v and the basis's leading monomials, per component."""
-    ctx = ModuleCtx.for_vector(P.ring, P.shifts, v)
-    _, lts = buchberger(ctx, P.relations, limits)
-    leads: list[list[Mono]] = [[] for _ in P.shifts]
-    for (comp, mono), _ in lts:
-        leads[comp].append(mono)
-    return ctx.shift_wdegs, tuple(map(tuple, leads))
+def _memo_basis(P, v, limits):
+    """The reduced Groebner basis of P's relations under v and its leading
+    terms, as tuples; every caller only reads them."""
+    basis, lts = buchberger(ModuleCtx.for_vector(P.ring, P.shifts, v), P.relations, limits)
+    return tuple(basis), tuple(lts)

@@ -26,7 +26,7 @@ def matrix_rank(rows, K: FieldDescriptor) -> int:
         for i in range(nrows):
             if i != rank and m[i][col]:
                 f = m[i][col]
-                m[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(m[i], m[rank])]
+                m[i] = [K.submul(x, f, y) for x, y in zip(m[i], m[rank])]
         rank += 1
         if rank == nrows:
             break

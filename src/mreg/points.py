@@ -146,7 +146,8 @@ def _times_linear_forms(space: dict, columns, K: FieldDescriptor) -> dict:
                         inv = K.inv(w[i])
                         out[i] = [K.mul(x, inv) if x else x for x in w]
                         break
-                    w = [K.sub(x, K.mul(w[i], y)) if y else x for x, y in zip(w, out[i])]
+                    wi = w[i]
+                    w = [K.submul(x, y, wi) if y else x for x, y in zip(w, out[i])]
             if len(out) == n:
                 return out
     return out

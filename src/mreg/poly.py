@@ -3,13 +3,18 @@
 Polynomials are plain dicts mapping dense exponent tuples to nonzero field
 elements (Fraction for the rationals, int in [1, p) for a prime field).  The
 zero polynomial is the empty dict.  All arithmetic goes through a
-FieldDescriptor so there is no floating point anywhere.
+FieldDescriptor so there is no floating point anywhere.  Every elimination
+loop updates a coefficient by the fused `submul(a, b, c) = a - b*c` (or
+`negmul(b, c) = -b*c` for a new term): one modular expression over GF(p),
+and over QQ one Fraction built from integer numerators and denominators,
+so one gcd in place of two normalized products (Henrici's rule, Knuth,
+TAOCP Vol. 2, 4.5.1).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, sub
@@ -27,6 +32,8 @@ class FieldDescriptor:
 
     kind: str  # "rational" | "prime"
     p: int | None = None
+    zero: object = field(init=False, repr=False, compare=False)
+    one: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("rational", "prime"):
@@ -36,6 +43,8 @@ class FieldDescriptor:
                 raise InputError(f"characteristic must be prime, got {self.p}")
         elif self.p is not None:
             raise InputError("rational field takes no characteristic")
+        object.__setattr__(self, "zero", 0 if self.p else Fraction(0))
+        object.__setattr__(self, "one", 1 if self.p else Fraction(1))
 
     # -- arithmetic ---------------------------------------------------------
     def of(self, x) -> object:
@@ -50,14 +59,6 @@ class FieldDescriptor:
             return x % self.p
         return Fraction(x)
 
-    @property
-    def zero(self):
-        return 0 if self.kind == "prime" else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.kind == "prime" else Fraction(1)
-
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "prime" else a + b
 
@@ -66,6 +67,19 @@ class FieldDescriptor:
 
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "prime" else a * b
+
+    def submul(self, a, b, c):
+        """a - b*c, exactly as sub(a, mul(b, c)), in one step."""
+        if self.p:
+            return (a - b * c) % self.p
+        da, dbc = a.denominator, b.denominator * c.denominator
+        return Fraction(a.numerator * dbc - b.numerator * c.numerator * da, da * dbc)
+
+    def negmul(self, b, c):
+        """-b*c, exactly as neg(mul(b, c)): submul for a term not yet present."""
+        if self.p:
+            return (-b * c) % self.p
+        return Fraction(-b.numerator * c.numerator, b.denominator * c.denominator)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "prime" else -a

@@ -36,8 +36,8 @@ from .groebner import (
     ModuleCtx,
     Vec,
     _isub_term_mul,
+    _memo_basis,
     _minimal_colon,
-    buchberger,
     element_degree,
     poly_to_vec,
     reduce_vec,
@@ -55,13 +55,14 @@ class ModulePresentation:
     relation is a homogeneous module element over them, a dict mapping
     (generator index, exponent tuple) to a coefficient.  Construction checks
     every relation once and keeps its degree in `relation_degrees` (None
-    for a zero relation).
+    for a zero relation), and hashes the cache key once, for the memos.
     """
 
     ring: MultigradedRing
     shifts: tuple[Multidegree, ...]
     relations: tuple[Vec, ...] = ()
     relation_degrees: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(tuple(s) for s in self.shifts))
@@ -75,13 +76,14 @@ class ModulePresentation:
             element_degree(self.ring, self.shifts, rel) if rel else None
             for rel in self.relations
         ))
+        object.__setattr__(self, "_hash", hash(self.cache_key()))
 
     def cache_key(self):
         rels = tuple(tuple(sorted(rel.items())) for rel in self.relations)
         return (self.ring, self.shifts, rels)
 
     def __hash__(self):
-        return hash(self.cache_key())
+        return self._hash
 
     @classmethod
     def quotient_by_ideal(cls, ring: MultigradedRing, gens) -> "ModulePresentation":
@@ -244,10 +246,10 @@ def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution
 
     Every element of the frame is monic: buchberger returns a monic basis,
     and a syzygy's leading coefficient is that of its S-vector's first term.
+    The first level is the basis graded_piece_dimension memoizes.
     """
     ring = P0.ring
-    ctx = ModuleCtx.for_vector(ring, P0.shifts, v)
-    elems, lts = buchberger(ctx, P0.relations, limits)
+    elems, lts = _memo_basis(P0, v, limits)
     leads = [t for t, _ in lts]
     shifts, diffs = [P0.shifts], []
     below, below_leads = None, None

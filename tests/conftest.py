@@ -40,11 +40,11 @@ def count_calls(monkeypatch):
 
 
 def clear_memos():
-    """Empty the resolution, Ext, region and graded-piece memos, so the next call starts cold."""
+    """Empty the resolution, Ext, region and basis memos, so the next call starts cold."""
     mreg.resolution._memo_resolution.cache_clear()
     mreg.localcoh._memo_ext_modules.cache_clear()
     mreg.regularity._memo_region.cache_clear()
-    mreg.groebner._memo_piece_leads.cache_clear()
+    mreg.groebner._memo_basis.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -310,10 +310,10 @@ def test_graded_pieces_of_an_ext_module_share_one_basis(monkeypatch):
     # E^2 has nine generators of degree (1, 1) and no relation in coarse degree 2
     assert dims[:3] == [0, 0, 9]
     # a call the caps stop raises and stores nothing
-    before = mreg.groebner._memo_piece_leads.cache_info().currsize
+    before = mreg.groebner._memo_basis.cache_info().currsize
     with pytest.raises(ResourceLimitError):
         graded_piece_dimension(E, (1, 1), 3, Limits(max_degree=0))
-    assert mreg.groebner._memo_piece_leads.cache_info().currsize == before
+    assert mreg.groebner._memo_basis.cache_info().currsize == before
 
 
 def squarefree_corpus(p1p1):

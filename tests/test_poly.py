@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,42 @@ def test_field_descriptors():
         FieldDescriptor("real")
     with pytest.raises(InputError):
         FieldDescriptor("prime", 2).of(Fraction(1, 2))
+
+
+def _field_elements(K):
+    """Field elements of K, with zero, -1 and (over GF(p)) p - 1 and unreduced ints."""
+    if K.p:
+        return st.one_of(st.sampled_from([0, 1, K.p - 1]), st.integers(0, K.p - 1),
+                         st.integers(-3 * K.p, 3 * K.p))
+    big = 10 ** 40
+    return st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                     st.fractions(max_denominator=1000),
+                     st.builds(Fraction, st.integers(-big, big), st.integers(1, big)))
+
+
+@pytest.mark.parametrize("K", [FieldDescriptor("prime", 2), FieldDescriptor("prime", 5),
+                               FieldDescriptor("prime", 32003), QQ],
+                         ids=["GF2", "GF5", "GF32003", "QQ"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_fused_submul_equals_sub_of_mul(K, data):
+    a, b, c = (data.draw(_field_elements(K)) for _ in range(3))
+    for got, want in ((K.submul(a, b, c), K.sub(a, K.mul(b, c))),
+                      (K.negmul(b, c), K.neg(K.mul(b, c)))):
+        assert got == want
+        if K.p:
+            assert type(got) is int and 0 <= got < K.p
+        else:
+            assert type(got) is Fraction and got.denominator > 0
+            assert math.gcd(got.numerator, got.denominator) == 1
+
+
+def test_field_constants_are_built_once():
+    for K in (FieldDescriptor("prime", 7), QQ):
+        assert K.one is K.one and K.zero is K.zero
+        assert (K.zero, K.one) == (0, 1) and type(K.one) is (int if K.p else Fraction)
+    assert FieldDescriptor("prime", 7) == FieldDescriptor("prime", 7)
+    assert repr(QQ) == "FieldDescriptor(kind='rational', p=None)"
 
 
 def test_multidegree_examples(p1p1, hirzebruch):

@@ -30,7 +30,9 @@ from mreg import (
     resolution_regularity_vector,
 )
 from mreg.grading import find_positive_coarsening_vector
-from mreg.groebner import _isub_term_mul
+from mreg.errors import NO_LIMITS
+from mreg.groebner import _isub_term_mul, buchberger
+from mreg.poly import QQ
 from mreg.resolution import FreeResolution, _assert_resolution_sane, first_syzygy_presentation
 from tests.conftest import clear_memos
 
@@ -310,12 +312,45 @@ def _count_everywhere(monkeypatch, calls, owner, name):
 def test_schreyer_frame_runs_one_groebner_basis(monkeypatch):
     """Work guard: one Buchberger run per resolution, no kernel or pruning runs."""
     P = _nine_generic_points()
+    clear_memos()
     calls = {}
     for name in ("_degree_ordered_basis", "relations", "prune_to_minimal_generators"):
         _count_everywhere(monkeypatch, calls, mreg.groebner, name)
     F = minimal_free_resolution(P)
     assert [F.rank(i) for i in range(F.length + 1)] == [1, 12, 17, 6]
     assert calls == {"_degree_ordered_basis": 1, "relations": 0, "prune_to_minimal_generators": 0}
+
+
+def test_resolution_and_graded_pieces_share_one_basis(monkeypatch):
+    """Work guard: a resolution and three graded pieces of one point ideal make one Buchberger run."""
+    P = _nine_generic_points()
+    clear_memos()
+    calls = {}
+    _count_everywhere(monkeypatch, calls, mreg.groebner, "_degree_ordered_basis")
+    minimal_free_resolution(P)
+    # nine generic points: H_X(a, b) = min(9, (a + 1)(b + 1)), summed over a + b = m
+    assert [graded_piece_dimension(P, (1, 1), m) for m in (1, 2, 3)] == [4, 10, 20]
+    assert calls["_degree_ordered_basis"] == 1
+    # every caller only reads the shared basis: it still equals a fresh run's
+    basis, lts = mreg.groebner._memo_basis(P, (1, 1), NO_LIMITS)
+    fresh = buchberger(ModuleCtx.for_vector(P.ring, P.shifts, (1, 1)), P.relations)
+    assert (list(basis), list(lts)) == fresh
+    # the limits are part of the key
+    assert graded_piece_dimension(P, (1, 1), 3, Limits(max_degree=50)) == 20
+    assert calls["_degree_ordered_basis"] == 3
+
+
+def test_presentation_hash_is_its_cache_key_hash(p1p1, count_calls):
+    ring = multiproj_ring((1, 1), QQ)
+    for R in (p1p1, ring):
+        gens = [R.parse("x0*y1 - 3/7*x1*y0"), R.parse("2*y0^2 - y0*y1 + 5*y1^2")]
+        P = ModulePresentation.quotient_by_ideal(R, gens)
+        # the same relations, their terms inserted in the opposite order
+        Q = ModulePresentation.quotient_by_ideal(R, [dict(reversed(g.items())) for g in gens])
+        assert P == Q and hash(P) == hash(Q) == hash(P.cache_key())
+    calls = count_calls(ModulePresentation, "cache_key")
+    hash(P)
+    assert calls == []  # hashed once, at construction
 
 
 def test_ext_modules_run_one_groebner_basis_per_index(monkeypatch):

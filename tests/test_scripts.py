@@ -77,7 +77,8 @@ def test_bench_pairs_aggregates_canned_runs():
         sides = [("parent", "a1", p, 0), ("change", "b2", c, int(seed == 2))]
         pairs.append({side: bench["parse_run"](run_output(seed, commit, wall, failed))
                       for side, commit, wall, failed in (sides if seed % 2 == 0 else sides[::-1])})
-    out = bench["summarize"](pairs, {"wall_s": "lower", "peak_rss_mb": "lower"})
+    better = {"wall_s": "lower", "peak_rss_mb": "lower"}
+    out = bench["summarize"](pairs, better, {"wall_s": 0.25, "peak_rss_mb": 0.1})
     assert out["pairs"] == 4 and out["first"] == ["parent", "change"] * 2
     wall = out["metrics"]["wall_s"]
     assert wall["parent"]["values"] == [0.45, 0.46, 0.44, 0.47]
@@ -90,3 +91,9 @@ def test_bench_pairs_aggregates_canned_runs():
     assert out["parent"]["seeds"] == [0, 1, 2, 3]
     assert (out["parent"]["commit"], out["parent"]["src_lines"]) == (["a1"], [100])
     assert (out["change"]["commit"], out["change"]["src_lines"]) == (["b2"], [90])
+    # the parent's quartiles span 0.025 / 0.455 = 5.5 % of its median
+    assert wall["parent_spread"] == pytest.approx(0.025 / 0.455)
+    assert wall["resolved"] and out["metrics"]["peak_rss_mb"]["resolved"]
+    tight = bench["summarize"](pairs, better, {"wall_s": 0.05, "peak_rss_mb": 0.0})
+    assert not tight["metrics"]["wall_s"]["resolved"]
+    assert tight["metrics"]["peak_rss_mb"]["resolved"]  # no spread at all
