@@ -22,7 +22,8 @@ here serves them all.
 
 One primitive, `relations`, serves kernels of maps between free modules
 (the Ext route's kernels among them) and ideal intersections: it reads the
-relations off one Groebner basis of augmented generators.
+relations off one Groebner basis of augmented generators.  One image check,
+`residual`, serves relations, resolutions (d o d = 0) and Ext presentations.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class ModuleCtx:
         """Sort key of a term: ascending keys list terms in descending order.
 
         The component comes first (position-over-term), then the negated
-        TermOrder.key of the monomial, flattened into one tuple of ints.
+        TermOrder.key of the monomial, flattened into one tuple of ints; its
+        revlex part negates the reversed exponents, so here they stand as is.
         """
         key = self.term_keys.get(t)
         if key is None:
@@ -91,8 +93,7 @@ class ModuleCtx:
 
     def _build_term_key(self, t):
         comp, mono = t
-        wdeg, deg, revlex = self.order.key(mono)
-        return (comp, -wdeg, -deg, *(-x for x in revlex))
+        return (comp, -self.order.wdeg(mono), -sum(mono), *reversed(mono))
 
     def term_wdeg(self, t) -> int:
         """Coarse degree of a term, so of a homogeneous element with that term."""
@@ -368,18 +369,12 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     modulo = [g for g in modulo if g]
     for g in modulo:
         ctx.vec_degree(g)
-    return _relations(ctx, cols, [ctx.vec_degree(c) for c in cols], modulo, limits)
-
-
-def _relations(ctx: ModuleCtx, cols, degrees, modulo, limits: Limits) -> list[Vec]:
-    """relations for checked input: nonzero cols of the given fine degrees."""
-    if not cols:
-        return []
+    degrees = tuple(ctx.vec_degree(c) for c in cols)
     K = ctx.ring.field
     rank, zero = ctx.rank, (0,) * ctx.ring.n
     aug = ModuleCtx(
         ctx.ring,
-        ctx.shifts + tuple(degrees),
+        ctx.shifts + degrees,
         ctx.order,
         ctx.shift_wdegs + tuple(ctx.term_wdeg(next(iter(c))) for c in cols),
     )
@@ -392,14 +387,19 @@ def _relations(ctx: ModuleCtx, cols, degrees, modulo, limits: Limits) -> list[Ve
     ]
 
     # exactness check: each relation maps into span(modulo), an empty modulo
-    # being its own basis; the image is accumulated negated, in place
+    # being its own basis
     mod_basis, mod_lts = buchberger(ctx, modulo, limits) if modulo else ([], [])
     for a in out:
-        image: Vec = {}
-        for (j, m), c in a.items():
-            _isub_term_mul(image, cols[j], m, c, K)
-        if reduce_vec(ctx, image, mod_basis, mod_lts):
+        if reduce_vec(ctx, residual({}, cols, a, K), mod_basis, mod_lts):
             raise ArithmeticError("relation does not map into the span of the modulo elements")
+    return out
+
+
+def residual(target: Vec, cols, a: Vec, K) -> Vec:
+    """target - sum of c * x^m * cols[j] over the terms ((j, m), c) of a: {} iff a maps to target."""
+    out = dict(target)
+    for (j, m), c in a.items():
+        _isub_term_mul(out, cols[j], m, c, K)
     return out
 
 
@@ -424,10 +424,11 @@ def kernel_generators(ctx: ModuleCtx, cols, limits: Limits = NO_LIMITS):
     components match kept_indices, with shifts the degrees of those columns.
     """
     cols = list(cols)
-    degrees = [ctx.vec_degree(c) if c else None for c in cols]
+    for c in cols:
+        if c:
+            ctx.vec_degree(c)
     kept_idx = prune_to_minimal_generators(ctx, cols, limits)
-    return kept_idx, _relations(ctx, [cols[i] for i in kept_idx],
-                                [degrees[i] for i in kept_idx], [], limits)
+    return kept_idx, relations(ctx, [cols[i] for i in kept_idx], limits=limits)
 
 
 def kernel_of_map(ctx_target: ModuleCtx, cols, limits: Limits = NO_LIMITS) -> list[Vec]:
@@ -435,7 +436,8 @@ def kernel_of_map(ctx_target: ModuleCtx, cols, limits: Limits = NO_LIMITS) -> li
 
     Unlike kernel_generators, the source components are fixed: zero columns
     contribute basis syzygies and no pruning happens, so the result lives in
-    the free module whose q-th generator maps to cols[q].
+    the free module whose q-th generator maps to cols[q].  All-zero columns,
+    such as those of a map into the zero module, make no Groebner basis.
     """
     K = ctx_target.ring.field
     zero = (0,) * ctx_target.ring.n
@@ -443,8 +445,9 @@ def kernel_of_map(ctx_target: ModuleCtx, cols, limits: Limits = NO_LIMITS) -> li
         {(q, zero): K.one} for q, c in enumerate(cols) if not c
     ]
     nonzero = [q for q, c in enumerate(cols) if c]
-    for s in relations(ctx_target, [cols[q] for q in nonzero], limits=limits):
-        out.append({(nonzero[j], m): c for (j, m), c in s.items()})
+    if nonzero:
+        for s in relations(ctx_target, [cols[q] for q in nonzero], limits=limits):
+            out.append({(nonzero[j], m): c for (j, m), c in s.items()})
     return out
 
 

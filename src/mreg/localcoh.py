@@ -5,8 +5,9 @@ resolution into the canonical module, take cohomology presentations of the
 dual complex, and read the top nonvanishing local cohomology degree off the
 minimal generators: dim H^i(M)_p = dim E^{n-i}_{-p} with E^j the j-th
 cohomology of Hom(F, omega).  E^j = ker d_{j+1}^T / im d_j^T is presented
-by reductions over one Groebner basis of the kernel: the basis's Schreyer
-syzygies, and the quotients of each image column divided by the basis.
+by one Schreyer level over a Groebner basis of the kernel
+(resolution._cohomology_presentation): the basis's Schreyer syzygies, and
+the quotients of each image column divided by the basis.
 E^j vanishes for j < codim M (the grade of M; Bruns-Herzog, 1.2 and 2.1)
 and for j past the resolution's length, so only codim M <= j <= length are
 built; codim M is read off the Betti table, and E^codim must come out
@@ -30,21 +31,12 @@ from functools import lru_cache
 
 from .errors import NO_LIMITS, InputError, Limits, ZeroModuleError
 from .grading import find_positive_coarsening_vector
-from .groebner import (
-    ModuleCtx,
-    Vec,
-    _isub_term_mul,
-    graded_piece_dimension,
-    kernel_of_map,
-    leading_term,
-    reduce_vec,
-)
+from .groebner import ModuleCtx, graded_piece_dimension, kernel_of_map
 from .linalg import matrix_rank
 from .poly import FieldDescriptor, MultigradedRing
 from .resolution import (
     ModulePresentation,
-    _frame_level,
-    _frame_syzygies,
+    _cohomology_presentation,
     betti_table,
     cached_minimal_resolution,
     codimension,
@@ -89,10 +81,10 @@ def ext_modules(P: ModulePresentation,
     resolution.codimension), and an E^codim that minimalizes to zero raises
     ArithmeticError.  E^j is generated by a Groebner basis of ker d_{j+1}^T,
     one Buchberger run for each codim M <= j < length and none at the
-    length, where the kernel is the whole dual module; see
-    _cohomology_presentation.  The fine multigraded answer does not depend
-    on any coarsening; the internal term order is that of the default
-    coarsening vector.  Like cached_minimal_resolution, results are memoized
+    length, where d_{j+1}^T maps to zero and its kernel is the whole dual
+    module; see resolution._cohomology_presentation.  The fine multigraded
+    answer does not depend on any coarsening; the internal term order is
+    that of the default coarsening vector.  Like cached_minimal_resolution, results are memoized
     per module and limits.
     """
     return _memo_ext_modules(P, limits)
@@ -105,76 +97,34 @@ def _memo_ext_modules(P, limits):
     v0 = find_positive_coarsening_vector(ring.degrees)
     F = cached_minimal_resolution(P, limits)
     w = tuple(sum(col[k] for col in ring.degrees) for k in range(ring.r))
+    # G_i = Hom(F_i, omega) for i = 0..length, and G_{length+1} = 0
     dual_shifts = [
         tuple(tuple(wk - ak for wk, ak in zip(w, a)) for a in level)
         for level in F.shifts
-    ]
-
-    def transpose_columns(i: int) -> list[Vec]:
-        """Columns of the dual map G_{i-1} -> G_i, q-th column = row q of d_i."""
-        cols: list[Vec] = [{} for _ in F.shifts[i - 1]]
-        for c, col in enumerate(F.differentials[i - 1]):
+    ] + [()]
+    # dual[i] holds the columns of d_i^T: G_{i-1} -> G_i, the q-th being row q
+    # of d_i; G_{-1} = 0 makes dual[0] empty, G_{length+1} = 0 makes every
+    # column of dual[length + 1] zero
+    dual = [[]] + [[{} for _ in level] for level in F.shifts]
+    for i, diff in enumerate(F.differentials, 1):
+        for c, col in enumerate(diff):
             for (q, m), coeff in col.items():
-                cols[q][(c, m)] = coeff
-        return cols
+                dual[i][q][(c, m)] = coeff
 
-    out: list[ModulePresentation | None] = []
-    ell = F.length
+    out: list[ModulePresentation | None] = [None] * (ring.n + 1)
     codim = codimension(betti_table(coarsen_resolution(F, v0)))
-    for j in range(ring.n + 1):
-        if j < codim or j > ell:
-            out.append(None)
-            continue
-        if j < ell:
-            ctx_next = ModuleCtx.for_vector(ring, dual_shifts[j + 1], v0)
-            kernel = kernel_of_map(ctx_next, transpose_columns(j + 1), limits)
-        else:
-            zero = (0,) * ring.n
-            kernel = [{(q, zero): ring.field.one} for q in range(len(dual_shifts[j]))]
-        E = None
+    for j in range(codim, F.length + 1):
+        ctx_next = ModuleCtx.for_vector(ring, dual_shifts[j + 1], v0)
+        kernel = kernel_of_map(ctx_next, dual[j + 1], limits)
         if kernel:
-            image = transpose_columns(j) if j > 0 else []
-            pres = _cohomology_presentation(ring, dual_shifts[j], v0, kernel, image, limits)
+            pres = _cohomology_presentation(ring, dual_shifts[j], v0, kernel, dual[j], limits)
             try:
-                E = minimalize_presentation(pres)
+                out[j] = minimalize_presentation(pres)
             except ZeroModuleError:
                 pass
-        if E is None and j == codim:
-            raise ArithmeticError("Ext^codim minimalizes to zero")
-        out.append(E)
+    if out[codim] is None:
+        raise ArithmeticError("Ext^codim minimalizes to zero")
     return out
-
-
-def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
-    """span(kernel) / span(image) presented by reductions only.
-
-    `kernel` is a monic Groebner basis in the position-over-term order of
-    the free module with these shifts under v.  The relations are its
-    Schreyer syzygies and each nonzero image column's division quotients;
-    each is checked to map to zero, or to its column.
-    """
-    K = ring.field
-    ctx = ModuleCtx.for_vector(ring, shifts, v)
-    elems, leads, gens = _frame_level(ring, shifts, kernel,
-                                      [leading_term(ctx, g)[0] for g in kernel])
-    ctx = ModuleCtx.for_vector(ring, shifts + gens, v)
-    rels, _ = _frame_syzygies(ctx, elems, leads, limits)
-    targets = [{}] * len(rels) + [col for col in image if col]
-    base = len(shifts)
-    aug = [{**g, (base + i, (0,) * ring.n): K.one} for i, g in enumerate(elems)]
-    aug_lts = [(t, K.one) for t in leads]
-    for col in targets[len(rels):]:
-        rem = reduce_vec(ctx, col, aug, aug_lts)
-        if any(comp < base for comp, _ in rem):
-            raise ArithmeticError("image column does not lie in the kernel")
-        rels.append({(comp - base, m): K.neg(c) for (comp, m), c in rem.items()})
-    for rel, target in zip(rels, targets):
-        acc = dict(target)
-        for (i, m), c in rel.items():
-            _isub_term_mul(acc, elems[i], m, c, K)
-        if acc:
-            raise ArithmeticError("Ext relation does not map to its image")
-    return ModulePresentation(ring, gens, tuple(rels))
 
 
 def a_invariants_ext(P: ModulePresentation, v, limits: Limits = NO_LIMITS) -> AInvariants:

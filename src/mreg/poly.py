@@ -160,37 +160,13 @@ class TermOrder:
 
 # -- polynomial dict arithmetic ----------------------------------------------
 
-# padd and pscale never look inside their keys, so they serve module
-# vectors keyed by (component, monomial) as well.
-
-def padd(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
-    out = dict(f)
-    for m, c in g.items():
-        s = K.add(out.get(m, K.zero), c)
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
+# pscale never looks inside its keys, so it serves module vectors keyed by
+# (component, monomial) as well.
 
 def pscale(f: PolyDict, c, K: FieldDescriptor) -> PolyDict:
     if not c:
         return {}
     return {m: K.mul(v, c) for m, v in f.items()}
-
-
-def pmul(f: PolyDict, g: PolyDict, K: FieldDescriptor) -> PolyDict:
-    out: PolyDict = {}
-    for m, c in f.items():
-        for m2, c2 in g.items():
-            mm = mono_mul(m, m2)
-            s = K.add(out.get(mm, K.zero), K.mul(c, c2))
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-    return out
 
 
 # -- the ring ----------------------------------------------------------------

@@ -14,6 +14,10 @@ is a free resolution of length at most the number of variables, but not
 minimal.  Second, minimalize_complex cancels its constant entries.  The
 d o d = 0 and minimality asserts run on the result rather than being
 trusted.
+
+The Ext route presents span(kernel) / span(image) by one more such level:
+the division that yields the kernel basis's syzygies also divides the image
+columns, and their quotients are the other relations.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from .groebner import (
     _memo_basis,
     _minimal_colon,
     element_degree,
+    leading_term,
     poly_to_vec,
     reduce_vec,
+    residual,
     vsub_term_mul,
     vterm_mul,
 )
@@ -265,7 +271,7 @@ def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution
         else:
             ctx = SchreyerCtx.for_vector(ring, src + level, v, below=below, leads=below_leads)
         below, below_leads = ctx, leads
-        elems, leads = _frame_syzygies(ctx, elems, leads, limits)
+        elems, leads = _frame_syzygies(ctx, elems, leads, (), limits)
     return FreeResolution(ring, shifts, diffs)
 
 
@@ -277,15 +283,18 @@ def _frame_level(ring: MultigradedRing, shifts, elems, leads):
     return [elems[i] for i in order], leads, degrees
 
 
-def _frame_syzygies(ctx: ModuleCtx, elems, leads, limits: Limits):
+def _frame_syzygies(ctx: ModuleCtx, elems, leads, image, limits: Limits):
     """The next frame level: one syzygy per minimal colon generator, by reduction.
 
     `ctx` is F_{k-1} (+) F_k; the elements are the monic columns of d_k and
     `leads` their lead terms under ctx.  Each element enters the reduction
     with its own F_k generator attached, so reducing an S-vector to zero
     leaves the syzygy in the F_k components.  The syzygies come out with
-    lead terms x^q e_a, per a in order and q lexicographically descending.
-    The Ext route passes kernel bases in place of d_k.
+    lead terms x^q e_a, per a in order and q lexicographically descending,
+    and these lead terms are returned too.  Each `image` column of F_{k-1}
+    is then divided the same way, and the negated F_k part of its remainder,
+    which maps to the column, is appended; a remainder in F_{k-1} raises.
+    The Ext route passes a kernel basis in place of d_k, with its image.
     """
     K = ctx.ring.field
     base = ctx.rank - len(elems)
@@ -304,12 +313,38 @@ def _frame_syzygies(ctx: ModuleCtx, elems, leads, limits: Limits):
                 raise ArithmeticError("frame S-vector does not reduce to zero")
             out.append({(comp - base, m): c for (comp, m), c in rem.items()})
             out_leads.append((a, q))
+    for col in image:
+        rem = reduce_vec(ctx, col, aug, aug_lts)
+        if any(comp < base for comp, _ in rem):
+            raise ArithmeticError("image column does not lie in the kernel")
+        out.append({(comp - base, m): K.neg(c) for (comp, m), c in rem.items()})
     return out, out_leads
+
+
+def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
+    """span(kernel) / span(image) presented by one Schreyer level.
+
+    `kernel` is a monic Groebner basis in the position-over-term order of
+    the free module with these shifts under v, and the image columns are
+    elements of that module.  The relations are the basis's Schreyer
+    syzygies and each nonzero image column's division quotients, both from
+    _frame_syzygies; each is checked to map to zero, or to its column.
+    """
+    ctx = ModuleCtx.for_vector(ring, shifts, v)
+    elems, leads, gens = _frame_level(ring, shifts, kernel,
+                                      [leading_term(ctx, g)[0] for g in kernel])
+    image = [col for col in image if col]
+    ctx = ModuleCtx.for_vector(ring, shifts + gens, v)
+    rels, _ = _frame_syzygies(ctx, elems, leads, image, limits)
+    targets = [{}] * (len(rels) - len(image)) + image
+    for rel, target in zip(rels, targets):
+        if residual(target, elems, rel, ring.field):
+            raise ArithmeticError("Ext relation does not map to its image")
+    return ModulePresentation(ring, gens, tuple(rels))
 
 
 def _assert_resolution_sane(F: FreeResolution):
     ring = F.ring
-    K = ring.field
     if F.length > ring.n:
         raise MregError("minimal resolution longer than the number of variables")
     for diff in F.differentials:
@@ -318,11 +353,7 @@ def _assert_resolution_sane(F: FreeResolution):
                 raise MregError("non-minimal differential: constant entry survived")
     for prev, cur in zip(F.differentials, F.differentials[1:]):
         for col in cur:
-            # the image of col under prev, accumulated negated, in place
-            image: Vec = {}
-            for (k, m), c in col.items():
-                _isub_term_mul(image, prev[k], m, c, K)
-            if image:
+            if residual({}, prev, col, ring.field):
                 raise MregError("differentials do not compose to zero")
 
 

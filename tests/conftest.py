@@ -19,6 +19,7 @@ from mreg import (
     SimplicialComplex,
     point_ideal,
 )
+from mreg.poly import mono_mul
 
 
 @pytest.fixture
@@ -37,6 +38,32 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def padd(f, g, K):
+    """f + g for polynomials or module vectors: an oracle sharing no code with groebner."""
+    out = dict(f)
+    for m, c in g.items():
+        s = K.add(out.get(m, K.zero), c)
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def pmul(f, g, K):
+    """f * g for polynomials, term by term: an oracle sharing no code with groebner."""
+    out = {}
+    for m, c in f.items():
+        for m2, c2 in g.items():
+            mm = mono_mul(m, m2)
+            s = K.add(out.get(mm, K.zero), K.mul(c, c2))
+            if s:
+                out[mm] = s
+            else:
+                out.pop(mm, None)
+    return out
 
 
 def clear_memos():

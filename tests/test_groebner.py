@@ -33,8 +33,9 @@ from mreg import (
 from mreg.cli import run
 from mreg.groebner import _minimal_colon, buchberger, element_degree, reduce_vec, vterm_mul
 from mreg.linalg import matrix_rank
-from mreg.poly import mono_div, mono_divides, mono_lcm, monomials_of_weight, pmul
-from mreg.poly import padd as vadd
+from mreg.poly import mono_div, mono_divides, mono_lcm, monomials_of_weight
+from tests.conftest import padd as vadd
+from tests.conftest import pmul
 
 
 def ideal_ctx(ring, v):
@@ -554,6 +555,21 @@ def test_kernel_generators_prunes_then_relates(p1p1):
     assert kept == [1, 2]
     assert syzygies == relations(ctx, [cols[1], cols[2]])
     assert len(syzygies) == 1
+
+
+def test_relations_are_checked_to_map_into_the_modulo_span(p1p1, monkeypatch):
+    """A modulo basis that lost its elements makes the exactness check fire."""
+    import mreg.groebner
+
+    real = mreg.groebner.buchberger
+    # the relations' basis lives in the augmented module of rank 2, the modulo basis in rank 1
+    monkeypatch.setattr(mreg.groebner, "buchberger",
+                        lambda ctx, gens, limits: real(ctx, gens, limits) if ctx.rank > 1 else ([], []))
+    ctx = ModuleCtx.for_vector(p1p1, ((0, 0),), (1, 1))
+    column = {(0, (0, 0, 0, 0)): p1p1.field.one}
+    with pytest.raises(ArithmeticError,
+                       match="^relation does not map into the span of the modulo elements$"):
+        relations(ctx, [column], [poly_to_vec(p1p1.parse("x0"))])
 
 
 def test_relations_dimension_modulo(p1p1):

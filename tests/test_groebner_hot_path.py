@@ -12,6 +12,8 @@ import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mreg import (
     Limits,
@@ -19,6 +21,7 @@ from mreg import (
     MultigradedRing,
     PointSet,
     ResourceLimitError,
+    TermOrder,
     minimal_free_resolution,
     quotient_presentation,
 )
@@ -131,6 +134,20 @@ def test_term_key_orders_like_the_module_order():
     by_order = sorted(terms, key=lambda t: (-t[0], ctx.order.key(t[1])), reverse=True)
     assert by_key == by_order
     assert ctx.term_keys  # memoized on the context
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_term_key_is_the_flattened_negated_order_key(data):
+    n = data.draw(st.integers(1, 6))
+    weights = tuple(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    ring = MultigradedRing(tuple(f"x{i}" for i in range(n)), ((1,),) * n, DEFAULT_FIELD)
+    ctx = ModuleCtx(ring, ((0,),) * 4, TermOrder(weights), (0,) * 4)
+    terms = data.draw(st.lists(st.tuples(
+        st.integers(0, 3), st.tuples(*[st.integers(0, 12)] * n)), min_size=1, max_size=20))
+    for comp, mono in terms:
+        wdeg, deg, revlex = ctx.order.key(mono)
+        assert ctx.term_key((comp, mono)) == (comp, -wdeg, -deg, *(-x for x in revlex))
 
 
 def greedy_minimal_generators(ctx, cols):

@@ -220,6 +220,25 @@ def test_ext_relations_are_checked_against_the_complex(monkeypatch):
         ext_modules(P)
 
 
+def test_ext_relations_are_checked_to_map_to_their_image(monkeypatch):
+    """Image quotients that do not map back to their column make ext_modules raise."""
+    import mreg.resolution
+
+    real = mreg.resolution._frame_syzygies
+
+    def skewed(ctx, elems, leads, image, limits):
+        rels, rel_leads = real(ctx, elems, leads, image, limits)
+        if image:  # only the Ext route passes image columns
+            t, c = next(iter(rels[-1].items()))
+            rels[-1][t] = ctx.ring.field.add(c, c)
+        return rels, rel_leads
+
+    monkeypatch.setattr(mreg.resolution, "_frame_syzygies", skewed)
+    clear_memos()
+    with pytest.raises(ArithmeticError, match="^Ext relation does not map to its image$"):
+        ext_modules(_nine_generic_points())
+
+
 def test_ext_at_codim_is_checked_to_be_nonzero(monkeypatch):
     """E^codim minimalizing to zero contradicts the Betti table and raises."""
     import mreg.localcoh

@@ -14,7 +14,8 @@ from mreg import (
     TermOrder,
 )
 from mreg.groebner import element_degree, poly_to_vec
-from mreg.poly import monomials_of_weight, pmul
+from mreg.poly import monomials_of_weight
+from tests.conftest import pmul
 
 
 def degree(R, f):

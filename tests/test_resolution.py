@@ -11,6 +11,7 @@ from mreg import (
     Limits,
     ModuleCtx,
     ModulePresentation,
+    MregError,
     MultigradedRing,
     PointSet,
     ResourceLimitError,
@@ -238,6 +239,15 @@ def test_minimalize_complex_cancels_disguised_trivial_summands(full_corpus):
             slim = minimalize_complex(raw)
             _assert_resolution_sane(slim)
             assert betti_table(slim).as_dict() == betti_table(F).as_dict()
+
+
+def test_differentials_that_do_not_compose_to_zero_raise(p1p1):
+    """d_1 d_2 = x0 x1 with no constant entry: only the d o d = 0 check can fire."""
+    one = p1p1.field.one
+    F = FreeResolution(p1p1, [((0, 0),), ((1, 0),), ((2, 0),)],
+                       [[{(0, (1, 0, 0, 0)): one}], [{(0, (0, 1, 0, 0)): one}]])
+    with pytest.raises(MregError, match="^differentials do not compose to zero$"):
+        _assert_resolution_sane(F)
 
 
 def test_two_construction_paths_agree(full_corpus):
