@@ -6,7 +6,8 @@ its handlers return their reports and call the library through module globals.
 Exit codes: 0 success, 2 a malformed command line, otherwise the `exit_code`
 of the package error raised (see `errors`).  Identical invocations produce
 byte-identical output; integers beyond 2^53 - 1 are serialized as strings so
-no consumer silently rounds.
+no consumer silently rounds, in full at any length (through Decimal, since
+str(int) stops at the interpreter's digit limit).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 from .errors import InputError, Limits, MregError
 from .grading import (
@@ -47,7 +49,7 @@ def _jsonable(x):
     if isinstance(x, bool) or x is None:
         return x
     if isinstance(x, int):
-        return x if abs(x) <= _MAX_SAFE_INT else str(x)
+        return x if abs(x) <= _MAX_SAFE_INT else str(Decimal(x))
     if isinstance(x, (list, tuple)):
         return [_jsonable(e) for e in x]
     if isinstance(x, dict):

@@ -15,6 +15,10 @@ generators that enter form a minimal generating set.  S-pairs come from
 minimal colon generators, the Schreyer frame's rule too; only those the
 product criterion keeps are queued, and only queued pairs face the cap.
 
+Every basis reduce_vec divides by is monic, and lead-term lists hold plain
+(component, monomial) terms: _degree_ordered_basis scales each element to
+lead coefficient one as it enters, the one place a basis is normalized.
+
 These dicts are the package's one module-element type: the relations of a
 ModulePresentation and the columns of every FreeResolution differential
 are module elements over their target's generators, and the arithmetic
@@ -45,7 +49,6 @@ from .poly import (
     mono_lcm,
     mono_mul,
     monomials_of_weight,
-    pscale,
 )
 
 Vec = dict  # (component, Mono) -> coefficient
@@ -130,17 +133,12 @@ def element_degree(ring: MultigradedRing, shifts, terms) -> Multidegree:
 
 # -- vector arithmetic ---------------------------------------------------------
 
-def vterm_mul(f: Vec, mono: Mono, c, K) -> Vec:
-    if not c:
-        return {}
-    if c == K.one:
-        return {(comp, mono_mul(m, mono)): v for (comp, m), v in f.items()}
-    return {(comp, mono_mul(m, mono)): K.mul(v, c) for (comp, m), v in f.items()}
-
-
-def vsub_term_mul(f: Vec, g: Vec, mono: Mono, c, K) -> Vec:
-    """f - c * x^mono * g, in place on a copy of f."""
-    return _isub_term_mul(dict(f), g, mono, c, K)
+def s_vector(f: Vec, mf: Mono, g: Vec, mg: Mono, K) -> Vec:
+    """x^(l/mf) f - x^(l/mg) g, l = lcm(mf, mg): the S-vector of monic f, g led by mf, mg."""
+    lcm = mono_lcm(mf, mg)
+    qf = mono_div(lcm, mf)
+    out = {(comp, mono_mul(m, qf)): v for (comp, m), v in f.items()}
+    return _isub_term_mul(out, g, mono_div(lcm, mg), K.one, K)
 
 
 def _isub_term_mul(out: Vec, g: Vec, mono: Mono, c, K) -> Vec:
@@ -168,30 +166,29 @@ def vec_component(f: Vec, comp: int) -> PolyDict:
 
 
 def leading_term(ctx: ModuleCtx, f: Vec):
-    t = min(f, key=ctx.term_key)
-    return t, f[t]
+    return min(f, key=ctx.term_key)
 
 
 # -- reduction -----------------------------------------------------------------
 
 def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
-    """Full normal form of f modulo basis.
+    """Full normal form of f modulo a monic basis.
 
-    `lts` are the basis elements' leading terms as returned by leading_term,
-    cached by the caller.  Reducers are tried in list order, which keeps the
-    division deterministic.  The pending terms sit in a heap keyed by
-    term_key and pop in descending order.  A subtraction updates them in
-    place and pushes only the terms it creates.  A cancelled term keeps its
-    entry, which is skipped when it surfaces with the term gone; a term
-    cancelled and re-created has two entries, and the second to surface is
-    skipped.  A monic reducer, as Buchberger and the frame pass, divides by nothing.
+    `lts` are the basis elements' leading terms, cached by the caller.  Each
+    element must have coefficient one there: a non-monic reducer gives a
+    wrong normal form, unchecked.  Reducers are tried in list order, which
+    keeps the division deterministic.  The pending terms sit in a heap
+    keyed by term_key and pop in descending order.  A subtraction updates
+    them in place and pushes only the terms it creates.  A cancelled term
+    keeps its entry, which is skipped when it surfaces with the term gone; a
+    term cancelled and re-created has two entries, and the second to surface
+    is skipped.
     """
     K = ctx.ring.field
-    one = K.one
     keys, key = ctx.term_keys, ctx.term_key
     reducers: dict[int, list] = {}
-    for g, ((lcomp, lmono), lc) in zip(basis, lts):
-        reducers.setdefault(lcomp, []).append((lmono, g, lc))
+    for g, (lcomp, lmono) in zip(basis, lts):
+        reducers.setdefault(lcomp, []).append((lmono, g))
     work = dict(f)
     heap = [(keys.get(t) or key(t), t) for t in work]
     heapq.heapify(heap)
@@ -202,17 +199,17 @@ def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
         if c is None:
             continue
         comp, mono = t
-        for lmono, g, lc in reducers.get(comp, ()):
+        for lmono, g in reducers.get(comp, ()):
             if mono_divides(lmono, mono):
-                q, a = mono_div(mono, lmono), c if lc == one else K.div(c, lc)
+                q = mono_div(mono, lmono)
                 for (gcomp, gmono), v in g.items():
                     nt = (gcomp, mono_mul(gmono, q))
                     old = work.get(nt)
                     if old is None:
-                        work[nt] = K.negmul(v, a)
+                        work[nt] = K.negmul(v, c)
                         heapq.heappush(heap, (keys.get(nt) or key(nt), nt))
                     else:
-                        s = K.submul(old, v, a)
+                        s = K.submul(old, v, c)
                         if s:
                             work[nt] = s
                         else:
@@ -232,7 +229,7 @@ def _single_component(f: Vec):
 
 
 def buchberger(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS):
-    """Reduced Groebner basis of the given generators.
+    """Reduced Groebner basis of the given generators, every element monic.
 
     Returns (basis, leading_terms): each leading term is computed once, when
     its element enters the basis, and is reused by every later reduction.
@@ -246,17 +243,17 @@ def buchberger(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS):
 def _minimal_colon(lts, a, others):
     """Minimal generators of the colon ideal (lt_b : b in others) : lt_a.
 
-    `lts` are leading terms as returned by leading_term; a b counts only
-    when lt_b shares lt_a's component.  Returns (x^q, b) per minimal
-    generator x^q = lcm(lt_a, lt_b) / lt_a, in the order of `others`; when
-    several b give one generator the first wins.  One S-pair per returned b
+    `lts` are (component, monomial) terms; a b counts only when lt_b shares
+    lt_a's component.  Returns (x^q, b) per minimal generator
+    x^q = lcm(lt_a, lt_b) / lt_a, in the order of `others`; when several b
+    give one generator the first wins.  One S-pair per returned b
     is all Buchberger's new pairs need (Gebauer and Moeller 1988) and all a
     Schreyer frame needs (Eisenbud, Commutative Algebra, Cor. 15.11).
     """
-    (ca, ma), _ = lts[a]
+    ca, ma = lts[a]
     colon: list = []
     for b in others:
-        (cb, mb), _ = lts[b]
+        cb, mb = lts[b]
         if cb != ca:
             continue
         q = mono_div(mono_lcm(ma, mb), ma)
@@ -267,14 +264,15 @@ def _minimal_colon(lts, a, others):
 
 
 def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
-    """Unreduced Groebner basis and the indices of the generators in it.
+    """Unreduced monic Groebner basis, its lead terms, and which generators entered it.
 
-    Element j is paired with the earlier elements _minimal_colon picks for
-    it; a pair the product criterion covers still counts in that choice but
-    is never queued.  Generators and S-pairs are popped by coarse degree; at
-    equal degree the S-pairs come first.  When a degree-d generator is
-    popped, every queued pair of degree <= d has been treated, so the basis
-    is complete through degree d and the generator's normal form is zero
+    Every element is scaled to lead coefficient one as it enters.  Element j
+    is paired with the earlier elements _minimal_colon picks for it; a pair
+    the product criterion covers still counts in that choice but is never
+    queued.  Generators and S-pairs are popped by coarse degree; at equal
+    degree the S-pairs come first.  When a degree-d generator is popped,
+    every queued pair of degree <= d has been treated, so the basis is
+    complete through degree d and the generator's normal form is zero
     exactly when it lies in the submodule generated by the generators that
     entered before it.  Only queued pairs face the degree cap, each just
     before its S-vector is formed.  Like buchberger, it trusts its callers
@@ -296,14 +294,15 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
 
     def add(g):
         nonlocal seq
-        t, lc = leading_term(ctx, g)
-        basis.append(pscale(g, K.inv(lc), K))
-        lts.append((t, K.one))
+        t = leading_term(ctx, g)
+        inv = K.inv(g[t])
+        basis.append({u: K.mul(c, inv) for u, c in g.items()})
+        lts.append(t)
         single.append(_single_component(g))
         j = len(basis) - 1
         for q, i in _minimal_colon(lts, j, range(j)):
             # product criterion, valid when both elements live in one component
-            if single[i] is not None and single[i] == single[j] and mono_coprime(lts[i][0][1], t[1]):
+            if single[i] is not None and single[i] == single[j] and mono_coprime(lts[i][1], t[1]):
                 continue
             heapq.heappush(heap, (ctx.term_wdeg((t[0], mono_mul(q, t[1]))), 0, seq, i, j))
             seq += 1
@@ -316,12 +315,8 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
                 entered.append(i)
                 add(nf)
             continue
-        mi, mj = lts[i][0][1], lts[j][0][1]
-        lcm = mono_lcm(mi, mj)
         limits.check_degree("S-pair of coarse degree", deg)
-        s = vsub_term_mul(vterm_mul(basis[i], mono_div(lcm, mi), K.one, K), basis[j],
-                          mono_div(lcm, mj), K.one, K)
-        nf = reduce_vec(ctx, s, basis, lts)
+        nf = reduce_vec(ctx, s_vector(basis[i], lts[i][1], basis[j], lts[j][1], K), basis, lts)
         if nf:
             add(nf)
 
@@ -334,12 +329,12 @@ def _autoreduce(ctx: ModuleCtx, basis: list[Vec], lts):
     Tail reduction never touches a leading term, so the given leading terms
     stay valid and are returned alongside the reduced elements.
     """
-    order_idx = sorted(range(len(basis)), key=lambda i: ctx.term_key(lts[i][0]), reverse=True)
+    order_idx = sorted(range(len(basis)), key=lambda i: ctx.term_key(lts[i]), reverse=True)
     kept: list[Vec] = []
     kept_lts: list = []
     for i in order_idx:
-        comp, mono = lts[i][0]
-        if any(c == comp and mono_divides(m, mono) for (c, m), _ in kept_lts):
+        comp, mono = lts[i]
+        if any(c == comp and mono_divides(m, mono) for c, m in kept_lts):
             continue
         kept.append(basis[i])
         kept_lts.append(lts[i])
@@ -360,7 +355,8 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     original components dominate, so the basis elements whose leading
     component is a trailing one are free of the original components and
     their trailing parts generate the relation module (the elimination
-    property of a position-over-term order).  The columns must be nonzero;
+    property of a position-over-term order).  Only these elements can reduce
+    one another, so they alone are autoreduced.  The columns must be nonzero;
     the relations live in the free module whose j-th generator maps to
     cols[j], and each is verified to map into span(modulo).  Every column
     and nonzero modulo element is checked once, here.
@@ -379,12 +375,10 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
         ctx.shift_wdegs + tuple(ctx.term_wdeg(next(iter(c))) for c in cols),
     )
     gens = [{**c, (rank + j, zero): K.one} for j, c in enumerate(cols)] + modulo
-    basis, lts = buchberger(aug, gens, limits)
-    out = [
-        {(comp - rank, m): c for (comp, m), c in g.items()}
-        for g, ((lcomp, _), _) in zip(basis, lts)
-        if lcomp >= rank
-    ]
+    basis, lts, _ = _degree_ordered_basis(aug, gens, limits)
+    trailing = [i for i, (lcomp, _) in enumerate(lts) if lcomp >= rank]
+    basis, _ = _autoreduce(aug, [basis[i] for i in trailing], [lts[i] for i in trailing])
+    out = [{(comp - rank, m): c for (comp, m), c in g.items()} for g in basis]
 
     # exactness check: each relation maps into span(modulo), an empty modulo
     # being its own basis
@@ -492,7 +486,7 @@ def graded_piece_dimension(P, v, m: int, limits: Limits = NO_LIMITS) -> int:
         target = m - sum(a * b for a, b in zip(shift, v))
         if target < 0:
             continue
-        leads = [mono for (c, mono), _ in lts if c == comp]
+        leads = [mono for c, mono in lts if c == comp]
         for e in monomials_of_weight(weights, target):
             if not any(mono_divides(l, e) for l in leads):
                 count += 1

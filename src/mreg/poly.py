@@ -158,17 +158,6 @@ class TermOrder:
         return (self.wdeg(e), sum(e), tuple(-x for x in reversed(e)))
 
 
-# -- polynomial dict arithmetic ----------------------------------------------
-
-# pscale never looks inside its keys, so it serves module vectors keyed by
-# (component, monomial) as well.
-
-def pscale(f: PolyDict, c, K: FieldDescriptor) -> PolyDict:
-    if not c:
-        return {}
-    return {m: K.mul(v, c) for m, v in f.items()}
-
-
 # -- the ring ----------------------------------------------------------------
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -290,6 +279,8 @@ class MultigradedRing:
                     q = Fraction(val) if "/" in val else int(val)
                 except ZeroDivisionError:
                     raise InputError(f"zero denominator in coefficient {val!r}") from None
+                except ValueError:  # past the interpreter's int-conversion digit limit
+                    raise InputError(f"coefficient of {len(val)} characters is too long") from None
                 term_coeff = q if term_coeff is None else term_coeff * q
                 in_term = True
                 i += 1
@@ -301,7 +292,10 @@ class MultigradedRing:
                 nxt = tokens[i + 2].group("num")
                 if nxt is None or "/" in nxt:
                     raise InputError("exponent must be a nonnegative integer")
-                exp = int(nxt)
+                try:
+                    exp = int(nxt)
+                except ValueError:  # past the interpreter's int-conversion digit limit
+                    raise InputError(f"exponent of {len(nxt)} digits is too long") from None
                 i += 2
             e = list(term_mono or (0,) * self.n)
             e[j] += exp

@@ -65,6 +65,8 @@ def load_problem(path: str, field_override: FieldDescriptor | None = None) -> Pr
         raise InputError(f"cannot read problem file: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"problem file is not valid JSON: {e}") from None
+    except ValueError as e:  # undecodable text, or an integer past the int-conversion digit limit
+        raise InputError(f"cannot read problem file: {e}") from None
     return problem_from_obj(obj, field_override)
 
 

@@ -47,10 +47,9 @@ from .groebner import (
     poly_to_vec,
     reduce_vec,
     residual,
-    vsub_term_mul,
-    vterm_mul,
+    s_vector,
 )
-from .poly import Multidegree, MultigradedRing, mono_div, mono_mul
+from .poly import Multidegree, MultigradedRing, mono_mul
 
 
 @dataclass(frozen=True)
@@ -251,12 +250,11 @@ def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution
     """A free resolution of coker(P0) whose differentials are Schreyer Groebner bases.
 
     Every element of the frame is monic: buchberger returns a monic basis,
-    and a syzygy's leading coefficient is that of its S-vector's first term.
-    The first level is the basis graded_piece_dimension memoizes.
+    and so does _frame_syzygies.  The first level is the basis
+    graded_piece_dimension memoizes.
     """
     ring = P0.ring
-    elems, lts = _memo_basis(P0, v, limits)
-    leads = [t for t, _ in lts]
+    elems, leads = _memo_basis(P0, v, limits)
     shifts, diffs = [P0.shifts], []
     below, below_leads = None, None
     while elems:
@@ -291,30 +289,28 @@ def _frame_syzygies(ctx: ModuleCtx, elems, leads, image, limits: Limits):
     with its own F_k generator attached, so reducing an S-vector to zero
     leaves the syzygy in the F_k components.  The syzygies come out with
     lead terms x^q e_a, per a in order and q lexicographically descending,
-    and these lead terms are returned too.  Each `image` column of F_{k-1}
-    is then divided the same way, and the negated F_k part of its remainder,
-    which maps to the column, is appended; a remainder in F_{k-1} raises.
-    The Ext route passes a kernel basis in place of d_k, with its image.
+    and these lead terms are returned too.  Each is monic: x^q e_a is the
+    S-vector's first term, since on the tied lead the lower index wins, and
+    every quotient term is smaller.  Each `image` column of F_{k-1} is then
+    divided the same way, and the negated F_k part of its remainder, which
+    maps to the column, is appended; a remainder in F_{k-1} raises.  The
+    Ext route passes a kernel basis in place of d_k, with its image.
     """
     K = ctx.ring.field
     base = ctx.rank - len(elems)
     zero = (0,) * ctx.ring.n
     aug = [{**g, (base + i, zero): K.one} for i, g in enumerate(elems)]
-    aug_lts = [(t, K.one) for t in leads]
     out, out_leads = [], []
     for a, (ca, ma) in enumerate(leads):
-        for q, b in sorted(_minimal_colon(aug_lts, a, range(a + 1, len(leads))), reverse=True):
-            lcm = mono_mul(q, ma)
-            limits.check_degree("S-pair of coarse degree", ctx.term_wdeg((ca, lcm)))
-            s = vsub_term_mul(vterm_mul(aug[a], q, K.one, K), aug[b],
-                              mono_div(lcm, leads[b][1]), K.one, K)
-            rem = reduce_vec(ctx, s, aug, aug_lts)
+        for q, b in sorted(_minimal_colon(leads, a, range(a + 1, len(leads))), reverse=True):
+            limits.check_degree("S-pair of coarse degree", ctx.term_wdeg((ca, mono_mul(q, ma))))
+            rem = reduce_vec(ctx, s_vector(aug[a], ma, aug[b], leads[b][1], K), aug, leads)
             if any(comp < base for comp, _ in rem):
                 raise ArithmeticError("frame S-vector does not reduce to zero")
             out.append({(comp - base, m): c for (comp, m), c in rem.items()})
             out_leads.append((a, q))
     for col in image:
-        rem = reduce_vec(ctx, col, aug, aug_lts)
+        rem = reduce_vec(ctx, col, aug, leads)
         if any(comp < base for comp, _ in rem):
             raise ArithmeticError("image column does not lie in the kernel")
         out.append({(comp - base, m): K.neg(c) for (comp, m), c in rem.items()})
@@ -332,7 +328,7 @@ def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
     """
     ctx = ModuleCtx.for_vector(ring, shifts, v)
     elems, leads, gens = _frame_level(ring, shifts, kernel,
-                                      [leading_term(ctx, g)[0] for g in kernel])
+                                      [leading_term(ctx, g) for g in kernel])
     image = [col for col in image if col]
     ctx = ModuleCtx.for_vector(ring, shifts + gens, v)
     rels, _ = _frame_syzygies(ctx, elems, leads, image, limits)

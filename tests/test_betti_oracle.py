@@ -53,7 +53,7 @@ class KoszulOracle:
         self.ctx = ModuleCtx.for_vector(ring, P.shifts, self.v)
         self.G = buchberger(self.ctx, P.relations)
         self.leads: dict[int, list] = {}
-        for (comp, mono), _ in self.G[1]:
+        for comp, mono in self.G[1]:
             self.leads.setdefault(comp, []).append(mono)
         self.pieces: dict = {}
         self.products: dict = {}

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -17,6 +18,8 @@ from mreg import (
     MregError,
     ResourceLimitError,
     ZeroModuleError,
+    coarsening_constants,
+    load_problem,
 )
 from mreg.cli import run
 
@@ -393,6 +396,40 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, name):
     assert b"Traceback" not in proc.stderr
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# integers longer than the 4300 digits Python converts by default
+LONG = "1" * 5000
+RING_TEXT = '"ring": {"variables": ["x", "y"], "degrees": [[1], [%s]]}'
+LONG_INPUTS = {
+    "coefficient": "{%s, \"ideal\": [\"%s*x\"]}" % (RING_TEXT % 1, LONG),
+    "exponent": "{%s, \"ideal\": [\"x^%s\"]}" % (RING_TEXT % 1, LONG),
+    "json-literal": "{%s, \"ideal\": [\"x\"]}" % (RING_TEXT % LONG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_INPUTS))
+def test_integers_past_the_digit_limit_exit_2_without_traceback(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(LONG_INPUTS[name])
+    proc = run_process("python -m mreg", ["regnum", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_integers_past_the_digit_limit_print_exactly():
+    v = ("7" * 3000, "1" + "0" * 2999 + "1")
+    proc = run_process("python -m mreg", ["coarsen", "--v", ",".join(v), "problems/four-cycle.json"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    out = json.loads(proc.stdout)
+    ring = load_problem(str(PROBLEMS / "four-cycle.json")).ring
+    want = coarsening_constants(ring, tuple(int(x) for x in v))
+    assert len(out["c"]) > 4300
+    assert [Decimal(out[k]) for k in ("c", "s", "sigma")] == [want.c_v, want.s_v, want.sigma]
 
 
 def test_huge_integers_serialize_as_strings():

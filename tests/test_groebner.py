@@ -31,9 +31,9 @@ from mreg import (
     vec_component,
 )
 from mreg.cli import run
-from mreg.groebner import _minimal_colon, buchberger, element_degree, reduce_vec, vterm_mul
+from mreg.groebner import _minimal_colon, buchberger, element_degree, reduce_vec
 from mreg.linalg import matrix_rank
-from mreg.poly import mono_div, mono_divides, mono_lcm, monomials_of_weight
+from mreg.poly import mono_div, mono_divides, mono_lcm, mono_mul, monomials_of_weight
 from tests.conftest import padd as vadd
 from tests.conftest import pmul
 
@@ -53,6 +53,11 @@ def basis_polys(G):
 
 def reduces_to_zero(ctx, f, G):
     return reduce_vec(ctx, poly_to_vec(f), *G) == {}
+
+
+def term_times(f, m, c, K):
+    """c * x^m * f, one coefficient at a time."""
+    return {(comp, mono_mul(e, m)): K.mul(v, c) for (comp, e), v in f.items()}
 
 
 # -- independent oracle: naive S-pair fixpoint --------------------------------
@@ -215,7 +220,7 @@ def test_minimal_colon_matches_its_definition(seed):
     others = rng.sample([b for b in range(len(leads)) if b != a], 12)
     ca, ma = leads[a]
     quotient = {b: mono_div(mono_lcm(ma, leads[b][1]), ma) for b in others if leads[b][0] == ca}
-    colon = _minimal_colon([(t, 1) for t in leads], a, others)
+    colon = _minimal_colon(leads, a, others)
     qs = [q for q, _ in colon]
     assert not any(i != j and mono_divides(p, q) for i, p in enumerate(qs) for j, q in enumerate(qs))
     assert all(any(mono_divides(p, q) for p in qs) for q in quotient.values())
@@ -361,7 +366,7 @@ def assert_annihilates(ring, cols, syz):
     for s in syz:
         total = {}
         for (j, m), c in s.items():
-            total = vadd(total, vterm_mul(cols[j], m, c, K), K)
+            total = vadd(total, term_times(cols[j], m, c, K), K)
         assert total == {}
 
 
@@ -524,7 +529,7 @@ def span_dim(ctx, vecs, d):
     for g in vecs:
         (comp, mono) = next(iter(g))
         gdeg = sum(w * e for w, e in zip(weights, mono)) + ctx.shift_wdegs[comp]
-        rows += [vterm_mul(g, m, K.one, K) for m in monomials_of_weight(weights, d - gdeg)]
+        rows += [term_times(g, m, K.one, K) for m in monomials_of_weight(weights, d - gdeg)]
     keys = sorted({t for r in rows for t in r})
     return matrix_rank([[r.get(t, K.zero) for t in keys] for r in rows], K)
 

@@ -45,9 +45,9 @@ def reference_reduce(ctx, f, basis, lts):
     while work:
         t = max(work, key=mkey)
         c = work[t]
-        for i, ((lcomp, lmono), lc) in enumerate(lts):
+        for i, (lcomp, lmono) in enumerate(lts):
             if lcomp == t[0] and mono_divides(lmono, t[1]):
-                q, a = mono_div(t[1], lmono), K.div(c, lc)
+                q, a = mono_div(t[1], lmono), K.div(c, basis[i][(lcomp, lmono)])
                 for (gcomp, gmono), v in basis[i].items():
                     nt = (gcomp, mono_mul(gmono, q))
                     s = K.sub(work.get(nt, K.zero), K.mul(v, a))
@@ -99,9 +99,8 @@ def test_reduce_vec_matches_max_division(K):
             if g:
                 basis.append(g)
         lts = [leading_term(ctx, g) for g in basis]
-        if case % 3 == 0:  # monic reducers, as buchberger stores them
-            basis = [{t: K.div(c, lc) for t, c in g.items()} for g, (_, lc) in zip(basis, lts)]
-            lts = [(t, K.one) for t, _ in lts]
+        # monic reducers, as buchberger and the Schreyer frame store them
+        basis = [{t: K.div(c, g[lt]) for t, c in g.items()} for g, lt in zip(basis, lts)]
         f = random_vec(rng, ring, ctx.shifts, rng.randint(2, 5), coeffs, rng.randint(1, 12))
         expected, recreated = reference_reduce(ctx, f, basis, lts)
         recreations += recreated

@@ -1,3 +1,4 @@
+import pathlib
 import random
 import sys
 
@@ -21,6 +22,7 @@ from mreg import (
     degree_bound_sets,
     ext_modules,
     graded_piece_dimension,
+    load_problem,
     minimal_free_resolution,
     minimalize_complex,
     minimalize_presentation,
@@ -32,8 +34,8 @@ from mreg import (
 )
 from mreg.grading import find_positive_coarsening_vector
 from mreg.errors import NO_LIMITS
-from mreg.groebner import _isub_term_mul, buchberger
-from mreg.poly import QQ
+from mreg.groebner import _isub_term_mul, buchberger, leading_term
+from mreg.poly import DEFAULT_FIELD, QQ
 from mreg.resolution import FreeResolution, _assert_resolution_sane, first_syzygy_presentation
 from tests.conftest import clear_memos
 
@@ -305,6 +307,14 @@ def _nine_generic_points():
     return quotient_presentation(PointSet((1, 1), pts), multiproj_ring((1, 1)))
 
 
+def _rebind_everywhere(monkeypatch, owner, name, replacement):
+    """Put replacement in place of owner.name under every mreg name bound to it."""
+    orig = getattr(owner, name)
+    for module in [owner] + [m for n, m in sys.modules.items() if n.split(".")[0] == "mreg"]:
+        if getattr(module, name, None) is orig:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def _count_everywhere(monkeypatch, calls, owner, name):
     """Count calls of owner.name into calls[name], under every mreg name bound to it."""
     calls[name] = 0
@@ -314,9 +324,51 @@ def _count_everywhere(monkeypatch, calls, owner, name):
         calls[name] += 1
         return orig(*args, **kwargs)
 
-    for module in [owner] + [m for n, m in sys.modules.items() if n.split(".")[0] == "mreg"]:
-        if getattr(module, name, None) is orig:
-            monkeypatch.setattr(module, name, counted)
+    _rebind_everywhere(monkeypatch, owner, name, counted)
+
+
+def _record_everywhere(monkeypatch, owner, name):
+    """Record (args, result) of every call of owner.name, under every mreg name bound to it."""
+    records = []
+    orig = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        records.append((args, out))
+        return out
+
+    _rebind_everywhere(monkeypatch, owner, name, recorded)
+    return records
+
+
+def _monic_corpus():
+    for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "problems").glob("*.json")):
+        yield load_problem(str(path)).presentation()
+        yield load_problem(str(path), QQ).presentation()
+    for seed, n, K in ((1, 5, DEFAULT_FIELD), (2, 6, DEFAULT_FIELD), (3, 5, QQ)):
+        rng = random.Random(seed)
+        pts = tuple(((1, rng.randint(1, 12)), (1, rng.randint(1, 12))) for _ in range(n))
+        yield quotient_presentation(PointSet((1, 1), tuple(set(pts))), multiproj_ring((1, 1), K))
+
+
+def test_every_reducer_is_monic(monkeypatch):
+    """reduce_vec subtracts without dividing, so every basis it divides by must be monic:
+    Buchberger's bases, the relations kernels hand on, and the frame's syzygies."""
+    bases = _record_everywhere(monkeypatch, mreg.groebner, "buchberger")
+    rels = _record_everywhere(monkeypatch, mreg.groebner, "relations")
+    syzygies = _record_everywhere(monkeypatch, mreg.resolution, "_frame_syzygies")
+    for P in _monic_corpus():
+        clear_memos()
+        ext_modules(P)
+    assert bases and rels and syzygies
+    for (ctx, *_), (basis, lts) in bases:
+        one = ctx.ring.field.one
+        assert all(t == leading_term(ctx, g) and g[t] == one for g, t in zip(basis, lts))
+    for (ctx, *_), out in rels:
+        # term_key reads no shifts, so ctx orders the relation module as relations does
+        assert all(a[leading_term(ctx, a)] == ctx.ring.field.one for a in out)
+    for (ctx, *_), (out, leads) in syzygies:
+        assert all(s[lead] == ctx.ring.field.one for s, lead in zip(out, leads))
 
 
 def test_schreyer_frame_runs_one_groebner_basis(monkeypatch):
