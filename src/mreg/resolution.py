@@ -289,9 +289,9 @@ def _frame_syzygies(ctx: ModuleCtx, elems, leads, image, limits: Limits):
     with its own F_k generator attached, so reducing an S-vector to zero
     leaves the syzygy in the F_k components.  The syzygies come out with
     lead terms x^q e_a, per a in order and q lexicographically descending,
-    and these lead terms are returned too.  Each is monic: x^q e_a is the
-    S-vector's first term, since on the tied lead the lower index wins, and
-    every quotient term is smaller.  Each `image` column of F_{k-1} is then
+    and these lead terms are returned too.  Each syzygy is monic: x^q e_a is
+    the S-vector's first term, since on the tied lead the lower index wins,
+    and every quotient term is smaller.  Each `image` column of F_{k-1} is then
     divided the same way, and the negated F_k part of its remainder, which
     maps to the column, is appended; a remainder in F_{k-1} raises.  The
     Ext route passes a kernel basis in place of d_k, with its image.

@@ -386,32 +386,23 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED))
+# files json.dumps cannot write: integers longer than the 4300 digits Python
+# converts by default, and bytes that are not UTF-8
+LONG = b"1" * 5000
+RING_TEXT = b'"ring": {"variables": ["x", "y"], "degrees": [[1], [%s]]}'
+UNREADABLE = {
+    "long-coefficient": b'{%s, "ideal": ["%s*x"]}' % (RING_TEXT % b"1", LONG),
+    "long-exponent": b'{%s, "ideal": ["x^%s"]}' % (RING_TEXT % b"1", LONG),
+    "long-json-literal": b'{%s, "ideal": ["x"]}' % (RING_TEXT % LONG),
+    "undecodable": b"\xff\xfe{}",
+}
+MALFORMED_FILES = {**{k: json.dumps(v).encode() for k, v in MALFORMED.items()}, **UNREADABLE}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
 def test_malformed_input_exits_2_without_traceback(tmp_path, name):
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(MALFORMED[name]))
-    proc = run_process("python -m mreg", ["regnum", str(path)])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == b""
-    assert b"Traceback" not in proc.stderr
-    lines = proc.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-
-
-# integers longer than the 4300 digits Python converts by default
-LONG = "1" * 5000
-RING_TEXT = '"ring": {"variables": ["x", "y"], "degrees": [[1], [%s]]}'
-LONG_INPUTS = {
-    "coefficient": "{%s, \"ideal\": [\"%s*x\"]}" % (RING_TEXT % 1, LONG),
-    "exponent": "{%s, \"ideal\": [\"x^%s\"]}" % (RING_TEXT % 1, LONG),
-    "json-literal": "{%s, \"ideal\": [\"x\"]}" % (RING_TEXT % LONG),
-}
-
-
-@pytest.mark.parametrize("name", sorted(LONG_INPUTS))
-def test_integers_past_the_digit_limit_exit_2_without_traceback(tmp_path, name):
-    path = tmp_path / f"{name}.json"
-    path.write_text(LONG_INPUTS[name])
+    path.write_bytes(MALFORMED_FILES[name])
     proc = run_process("python -m mreg", ["regnum", str(path)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == b""
