@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
 
-from .errors import InputError, Limits, MregError
+from .errors import InputError, Limits, MregError, show
 from .grading import (
     check_positive_grading, find_positive_coarsening_vector, positive_coarsening_candidates,
 )
@@ -49,7 +48,7 @@ def _jsonable(x):
     if isinstance(x, bool) or x is None:
         return x
     if isinstance(x, int):
-        return x if abs(x) <= _MAX_SAFE_INT else str(Decimal(x))
+        return x if abs(x) <= _MAX_SAFE_INT else show(x)
     if isinstance(x, (list, tuple)):
         return [_jsonable(e) for e in x]
     if isinstance(x, dict):

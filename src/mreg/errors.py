@@ -1,12 +1,29 @@
 """Exception taxonomy shared across the package, and the resource caps.
 
 Each error class carries the CLI exit code it maps onto, so raise the most
-specific one.
+specific one.  Messages format computed numbers through `show`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
+
+
+def show(x) -> str:
+    """A number, or a tuple or list of them, as str prints it but with every
+    integer in full: str(int) raises past the interpreter's digit limit,
+    str(Decimal(int)) does not.  Anything else shows as its repr."""
+    if type(x) is int:
+        return str(Decimal(x))
+    if isinstance(x, Fraction):
+        return show(x.numerator) + ("" if x.denominator == 1 else "/" + show(x.denominator))
+    if isinstance(x, list):
+        return "[" + ", ".join(map(show, x)) + "]"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(show, x)) + ("," if len(x) == 1 else "") + ")"
+    return repr(x)
 
 
 class MregError(Exception):
@@ -68,15 +85,16 @@ class Limits:
 
     def __post_init__(self):
         if self.max_length is not None and self.max_length < 0:
-            raise InputError(f"max_length must be nonnegative, not {self.max_length}")
+            raise InputError(f"max_length must be nonnegative, not {show(self.max_length)}")
 
     def check_degree(self, what: str, degree: int) -> None:
         if self.max_degree is not None and degree > self.max_degree:
-            raise ResourceLimitError(f"{what} {degree} exceeds the degree cap {self.max_degree}")
+            raise ResourceLimitError(
+                f"{what} {show(degree)} exceeds the degree cap {show(self.max_degree)}")
 
     def check_length(self, length: int) -> None:
         if self.max_length is not None and length > self.max_length:
-            raise ResourceLimitError(f"resolution length exceeds the cap {self.max_length}")
+            raise ResourceLimitError(f"resolution length exceeds the cap {show(self.max_length)}")
 
 
 NO_LIMITS = Limits()

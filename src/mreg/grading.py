@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import GradingError, InputError
+from .errors import GradingError, InputError, show
 from .poly import Multidegree
 
 _SEARCH_BOX_CAP = 64
@@ -139,11 +139,6 @@ class DegreeRegion:
         if self.kind not in ("finite", "orthant"):
             raise InputError(f"unknown region kind {self.kind!r}")
 
-    def points(self) -> tuple[Multidegree, ...]:
-        if self.kind != "finite":
-            raise InputError("only finite regions enumerate their points")
-        return self.bases
-
     def __contains__(self, a) -> bool:
         a = tuple(int(x) for x in a)
         if self.kind == "finite":
@@ -189,7 +184,7 @@ class LatticeRegion:
             raise InputError("coarsening vector has wrong length")
         wdegs = [sum(map(mul, col, v)) for col in degrees]
         if any(w < 1 for w in wdegs):
-            raise GradingError(f"{v} is not a positive coarsening vector for this matrix")
+            raise GradingError(f"{show(v)} is not a positive coarsening vector for this matrix")
         self.columns = sorted(set(zip(wdegs, degrees)))
         self.weights = sorted(set(wdegs))
         self.pending: dict[int, set] = {}  # v-degree -> bases not yet in a layer

@@ -36,7 +36,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import NO_LIMITS, HomogeneityError, InputError, Limits
+from .errors import NO_LIMITS, HomogeneityError, InputError, Limits, show
 from .grading import find_positive_coarsening_vector
 from .poly import (
     Mono,
@@ -120,13 +120,13 @@ def element_degree(ring: MultigradedRing, shifts, terms) -> Multidegree:
     n = ring.n
     for comp, mono in terms:
         if not 0 <= comp < len(shifts):
-            raise InputError(f"element lives outside the ambient module (component {comp})")
+            raise InputError(f"element lives outside the ambient module (component {show(comp)})")
         if type(mono) is not tuple or len(mono) != n or not all(
                 type(e) is int and e >= 0 for e in mono):
-            raise InputError(f"exponent {mono!r} is not {n} nonnegative integers")
+            raise InputError(f"exponent {show(mono)} is not {n} nonnegative integers")
         degs.add(tuple(a + b for a, b in zip(ring.mono_degree(mono), shifts[comp])))
     if len(degs) != 1:
-        raise HomogeneityError(f"element is not homogeneous: degrees {sorted(degs)}"
+        raise HomogeneityError(f"element is not homogeneous: degrees {show(sorted(degs))}"
                                if degs else "zero element has no degree")
     return degs.pop()
 

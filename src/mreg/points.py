@@ -11,11 +11,11 @@ ideal is one intersection of the per-point linear ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import comb, prod
 
 from .errors import NO_LIMITS, InputError, InsufficientBoxError, Limits, MregError
-from .grading import DegreeRegion
+from .grading import DegreeRegion, shifted_orthant_region
 from .groebner import ideal_intersection
 from .poly import (
     DEFAULT_FIELD,
@@ -92,9 +92,6 @@ class PointSet:
         except (KeyError, TypeError) as e:
             raise InputError(f"bad point set payload: {e}") from None
 
-    def ring(self, field: FieldDescriptor = DEFAULT_FIELD) -> MultigradedRing:
-        return multiproj_ring(self.dims, field)
-
     def normalized(self, K: FieldDescriptor):
         """Affine representatives over K; validates nondegeneracy/distinctness."""
         reps = []
@@ -153,10 +150,10 @@ def _times_linear_forms(space: dict, columns, K: FieldDescriptor) -> dict:
     return out
 
 
-def _hilbert_sweep(X: PointSet, box, ring: MultigradedRing | None) -> dict:
-    """H_X at every degree of the box, in product order: V_d is the product
-    of V_{d-e_f} with the linear forms of the first factor f where d_f > 0."""
-    K = (ring.field if ring is not None else DEFAULT_FIELD)
+def _hilbert_sweep(X: PointSet, box, ring: MultigradedRing) -> dict:
+    """H_X over ring.field at every degree of the box, in product order: V_d is
+    V_{d-e_f} times the linear forms of the first factor f where d_f > 0."""
+    K = ring.field
     values_of = _coordinate_values(X, K)
     spaces = {}
     for deg in product(*(range(b + 1) for b in box)):
@@ -166,11 +163,11 @@ def _hilbert_sweep(X: PointSet, box, ring: MultigradedRing | None) -> dict:
     return {deg: len(space) for deg, space in spaces.items()}
 
 
-def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing | None = None) -> int:
-    """H_X(deg): the dimension of the degree-deg evaluations in k^X, grown
-    one linear form at a time from the constants along a single chain."""
+def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing) -> int:
+    """H_X(deg) over ring.field: the dimension of the degree-deg evaluations
+    in k^X, grown one linear form at a time from the constants along a chain."""
     deg = _checked_degree(X, deg)
-    K = (ring.field if ring is not None else DEFAULT_FIELD)
+    K = ring.field
     space = {0: [K.one] * len(X)}
     for f, values_of in enumerate(_coordinate_values(X, K)):
         for _ in range(deg[f]):
@@ -178,61 +175,44 @@ def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing | None = Non
     return len(space)
 
 
-def point_ideal(X: PointSet, ring: MultigradedRing | None = None,
+def point_ideal(X: PointSet, ring: MultigradedRing,
                 limits: Limits = NO_LIMITS) -> list[PolyDict]:
-    """Generators of the vanishing ideal: one intersection of the point ideals."""
-    if ring is None:
-        ring = X.ring()
+    """Generators of I_X in ring: one intersection of the point ideals."""
     K = ring.field
-    reps = X.normalized(K)
+    var = [tuple(int(k == i) for k in range(ring.n)) for i in range(ring.n)]
+    offset_of_factor = list(accumulate((n + 1 for n in X.dims), initial=0))
     per_point = []
-    offset_of_factor = []
-    off = 0
-    for n in X.dims:
-        offset_of_factor.append(off)
-        off += n + 1
-    for pt in reps:
+    for pt in X.normalized(K):
         gens = []
-        for f, coords in enumerate(pt):
+        for off, coords in zip(offset_of_factor, pt):
             pivot = next(i for i, c in enumerate(coords) if c)
-            for j in range(len(coords)):
-                if j == pivot:
-                    continue
-                # coords[pivot] == 1 after normalization: x_j - coords[j] x_pivot
-                e_j = [0] * ring.n
-                e_j[offset_of_factor[f] + j] = 1
-                e_p = [0] * ring.n
-                e_p[offset_of_factor[f] + pivot] = 1
-                g = {tuple(e_j): K.one}
-                if coords[j]:
-                    g[tuple(e_p)] = K.neg(coords[j])
-                gens.append(g)
+            for j, c in enumerate(coords):
+                if j != pivot:
+                    # coords[pivot] == 1 after normalization: x_j - c x_pivot
+                    g = {var[off + j]: K.one}
+                    if c:
+                        g[var[off + pivot]] = K.neg(c)
+                    gens.append(g)
         per_point.append(gens)
     if len(per_point) == 1:
         return per_point[0]
     return ideal_intersection(per_point, ring, limits=limits)
 
 
-def quotient_presentation(X: PointSet, ring: MultigradedRing | None = None,
+def quotient_presentation(X: PointSet, ring: MultigradedRing,
                           limits: Limits = NO_LIMITS) -> ModulePresentation:
-    if ring is None:
-        ring = X.ring()
+    """S/I_X as a cokernel presentation over ring."""
     return ModulePresentation.quotient_by_ideal(ring, point_ideal(X, ring, limits))
 
 
-def _default_box(X: PointSet):
-    """Componentwise |X|: point Hilbert functions stabilize well inside."""
-    return (len(X),) * len(X.dims)
-
-
-def b_regularity_region(X: PointSet, box=None, ring: MultigradedRing | None = None) -> DegreeRegion:
+def b_regularity_region(X: PointSet, box, ring: MultigradedRing) -> DegreeRegion:
     """Degrees where the Hilbert function reaches |X|, truncated to the box.
 
     The infinite region is upward closed; the truncation is certified by
     requiring the box corner to lie inside and every minimal element to stay
     strictly inside the box.
     """
-    box = _default_box(X) if box is None else tuple(int(b) for b in box)
+    box = tuple(int(b) for b in box)
     r = len(X.dims)
     if len(box) != r or any(b < 0 for b in box):
         raise InputError("box must be a componentwise nonnegative multidegree")
@@ -262,9 +242,9 @@ def b_regularity_region(X: PointSet, box=None, ring: MultigradedRing | None = No
     return DegreeRegion(kind="orthant", bases=tuple(minimal))
 
 
-def res_reg_vector_points(X: PointSet, ring: MultigradedRing | None = None) -> Multidegree:
+def res_reg_vector_points(X: PointSet, ring: MultigradedRing) -> Multidegree:
     """t_i = least t with H_X(t e_i) equal to the distinct i-th projections."""
-    reps = X.normalized(ring.field if ring is not None else DEFAULT_FIELD)
+    reps = X.normalized(ring.field)
     out = []
     for f in range(len(X.dims)):
         proj = {pt[f] for pt in reps}
@@ -281,9 +261,9 @@ def dim_of_graded_piece(dims, deg) -> int:
     return prod(comb(n + d, d) for n, d in zip(dims, deg))
 
 
-def generic_position_check(X: PointSet, box=None, ring: MultigradedRing | None = None) -> bool:
+def generic_position_check(X: PointSet, box, ring: MultigradedRing) -> bool:
     """Does H_X agree with min(dim S_deg, |X|) everywhere in the box?"""
-    box = _checked_degree(X, _default_box(X) if box is None else box)
+    box = _checked_degree(X, box)
     values = _hilbert_sweep(X, box, ring)
     if values[box] != len(X):
         raise InsufficientBoxError(f"insufficient box {box}: Hilbert function is "
@@ -331,7 +311,7 @@ class ConnectionsReport:
         }
 
 
-def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None,
+def connections_check(X: PointSet, box, ring: MultigradedRing,
                       limits: Limits = NO_LIMITS) -> ConnectionsReport:
     """Check r(M) <= (d,...,d) and the shifted-orthant containment on the box.
 
@@ -340,11 +320,7 @@ def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None
     that every grid point of (d+m,...,d+m) + N^r[-(m-1)] has Hilbert value
     |X| inside the validation box.
     """
-    from .grading import shifted_orthant_region
-
-    if ring is None:
-        ring = X.ring()
-    box = _default_box(X) if box is None else tuple(int(b) for b in box)
+    box = tuple(int(b) for b in box)
     r = len(X.dims)
     P = quotient_presentation(X, ring, limits)
     d = regnum_module(P, (1,) * r, limits=limits)
@@ -353,12 +329,9 @@ def connections_check(X: PointSet, box=None, ring: MultigradedRing | None = None
     rvec = res_reg_vector_points(X, ring)
     rv_ok = all(x <= d for x in rvec)
     region = b_regularity_region(X, box, ring)
-    orth = shifted_orthant_region(r, -(m - 1)) if m >= 1 else None
     contained = True
     if m >= 1:
-        for deg in product(*(range(b + 1) for b in box)):
-            shifted = tuple(x - (d + m) for x in deg)
-            if shifted in orth and deg not in region:
-                contained = False
-                break
+        orth = shifted_orthant_region(r, -(m - 1))
+        contained = all(tuple(x - (d + m) for x in deg) not in orth or deg in region
+                        for deg in product(*(range(b + 1) for b in box)))
     return ConnectionsReport(d, m, rvec, rv_ok, region.bases, contained)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, sub
 
-from .errors import GradingError, InputError
+from .errors import GradingError, InputError, show
 
 Mono = tuple[int, ...]
 Multidegree = tuple[int, ...]
@@ -40,7 +40,7 @@ class FieldDescriptor:
             raise InputError(f"unknown field kind {self.kind!r}")
         if self.kind == "prime":
             if self.p is None or self.p < 2 or not _is_prime(self.p):
-                raise InputError(f"characteristic must be prime, got {self.p}")
+                raise InputError(f"characteristic must be prime, got {show(self.p)}")
         elif self.p is not None:
             raise InputError("rational field takes no characteristic")
         object.__setattr__(self, "zero", 0 if self.p else Fraction(0))
@@ -52,9 +52,8 @@ class FieldDescriptor:
         if self.kind == "prime":
             if isinstance(x, Fraction):
                 if x.denominator % self.p == 0:
-                    raise InputError(
-                        f"denominator of {x} is divisible by the characteristic {self.p}"
-                    )
+                    raise InputError(f"denominator of {show(x)} is divisible by "
+                                     f"the characteristic {show(self.p)}")
                 return self.mul(x.numerator % self.p, self.inv(x.denominator % self.p))
             return x % self.p
         return Fraction(x)
@@ -149,7 +148,7 @@ class TermOrder:
 
     def __post_init__(self):
         if any(w < 1 for w in self.weights):
-            raise InputError(f"order weights must be >= 1, got {self.weights}")
+            raise InputError(f"order weights must be >= 1, got {show(self.weights)}")
 
     def wdeg(self, e: Mono) -> int:
         return sum(w * x for w, x in zip(self.weights, e))
@@ -223,7 +222,7 @@ class MultigradedRing:
     def order(self, v: Multidegree) -> TermOrder:
         w = self.vdegs(v)
         if any(x < 1 for x in w):
-            raise GradingError(f"vector {v} is not a positive coarsening (vdegs {w})")
+            raise GradingError(f"vector {show(v)} is not a positive coarsening (vdegs {show(w)})")
         return TermOrder(w)
 
     # -- text syntax ---------------------------------------------------------
@@ -313,16 +312,16 @@ class MultigradedRing:
         for m in sorted(f, key=lambda e: (sum(e), tuple(-x for x in reversed(e))), reverse=True):
             c = f[m]
             mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
+                v if k == 1 else f"{v}^{show(k)}"
                 for v, k in zip(self.variables, m)
                 if k
             )
             if not mono:
-                body = str(abs(c)) if self.field.kind == "rational" else str(c)
+                body = show(abs(c)) if self.field.kind == "rational" else show(c)
             elif self.field.kind == "rational":
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+                body = mono if abs(c) == 1 else f"{show(abs(c))}*{mono}"
             else:
-                body = mono if c == 1 else f"{c}*{mono}"
+                body = mono if c == 1 else f"{show(c)}*{mono}"
             neg = self.field.kind == "rational" and c < 0
             parts.append(("- " if neg else "+ ") + body)
         s = " ".join(parts)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import NO_LIMITS, InputError, Limits
 from .groebner import element_degree, poly_to_vec
 from .localcoh import SimplicialComplex, stanley_reisner_ideal
-from .points import PointSet, _integers, multiproj_ring, point_ideal
+from .points import PointSet, _integers, multiproj_ring, quotient_presentation
 from .poly import DEFAULT_FIELD, FieldDescriptor, MultigradedRing, QQ
 from .resolution import ModulePresentation
 
@@ -51,9 +51,7 @@ class Problem:
             gens = stanley_reisner_ideal(self.payload, self.ring)
             return ModulePresentation.quotient_by_ideal(self.ring, gens)
         if self.kind == "points":
-            return ModulePresentation.quotient_by_ideal(
-                self.ring, point_ideal(self.payload, self.ring, limits)
-            )
+            return quotient_presentation(self.payload, self.ring, limits)
         raise InputError(f"payload {self.kind!r} does not define a module")
 
 

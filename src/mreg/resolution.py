@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
@@ -128,14 +129,6 @@ class BettiTable:
     """Multiplicities of shifts per homological degree."""
 
     entries: tuple  # sorted tuple of ((i, degree), multiplicity)
-
-    @classmethod
-    def from_resolution(cls, F: FreeResolution) -> "BettiTable":
-        counts: dict = {}
-        for i, shifts in enumerate(F.shifts):
-            for a in shifts:
-                counts[(i, a)] = counts.get((i, a), 0) + 1
-        return cls(tuple(sorted(counts.items())))
 
     def as_dict(self) -> dict:
         return dict(self.entries)
@@ -354,7 +347,8 @@ def _assert_resolution_sane(F: FreeResolution):
 
 
 def betti_table(F: FreeResolution) -> BettiTable:
-    return BettiTable.from_resolution(F)
+    counts = Counter((i, a) for i, shifts in enumerate(F.shifts) for a in shifts)
+    return BettiTable(tuple(sorted(counts.items())))
 
 
 def coarsen_resolution(F: FreeResolution, v) -> FreeResolution:
@@ -466,18 +460,13 @@ def minimalize_complex(F: FreeResolution) -> FreeResolution:
     return out
 
 
-def first_syzygy_presentation(P: ModulePresentation, v=None):
+def first_syzygy_presentation(P: ModulePresentation):
     """The free cover sequence 0 -> M1 -> F -> M -> 0 read off the resolution.
 
     Returns (M1 presentation or None when M is free, shifts of the free
-    cover F, the resolution used).
+    cover F, the memoized resolution it was read from).
     """
-    F = minimal_free_resolution(P, v=v)
-    if F.length == 0:
-        return None, F.shifts[0], F
-    m1 = ModulePresentation(
-        P.ring,
-        F.shifts[1],
-        tuple(F.differentials[1]) if F.length >= 2 else (),
-    )
+    F = cached_minimal_resolution(P)
+    m1 = None if F.length == 0 else ModulePresentation(
+        P.ring, F.shifts[1], tuple(F.differentials[1]) if F.length >= 2 else ())
     return m1, F.shifts[0], F

@@ -78,18 +78,18 @@ def test_criterion_03_hirzebruch_module():
 
 
 def test_criterion_04_point_set_examples(
-    four_points, eight_points, koszul_module, eight_point_module
+    four_points, eight_points, koszul_module, eight_point_module, p1p1
 ):
     for j, row in enumerate(FOUR_POINT_WINDOW):
         for i, val in enumerate(row):
-            assert hilbert_function_points(four_points, (i, j)) == val
+            assert hilbert_function_points(four_points, (i, j), p1p1) == val
     for j, row in enumerate(EIGHT_POINT_WINDOW):
         for i, val in enumerate(row):
-            assert hilbert_function_points(eight_points, (i, j)) == val
-    assert b_regularity_region(four_points, (8, 8)).bases == ((1, 1),)
-    assert b_regularity_region(eight_points, (10, 10)).bases == ((4, 3),)
-    assert res_reg_vector_points(four_points) == (1, 1)
-    assert res_reg_vector_points(eight_points) == (4, 3)
+            assert hilbert_function_points(eight_points, (i, j), p1p1) == val
+    assert b_regularity_region(four_points, (8, 8), p1p1).bases == ((1, 1),)
+    assert b_regularity_region(eight_points, (10, 10), p1p1).bases == ((4, 3),)
+    assert res_reg_vector_points(four_points, p1p1) == (1, 1)
+    assert res_reg_vector_points(eight_points, p1p1) == (4, 3)
     Bz = betti_table(coarsen_resolution(cached_minimal_resolution(eight_point_module), (1, 1)))
     assert sorted(j for (i, j), _ in Bz.entries if i == 1) == [2, 4, 5]
     assert sorted(j for (i, j), _ in Bz.entries if i == 2) == [5, 6]
@@ -168,9 +168,9 @@ def test_criterion_09_minimal_coarsening_set(koszul_module):
     _ok(9, "minimal coarsening family {(1,1)} from the box-4 candidates")
 
 
-def test_criterion_10_connections_theorem(four_points, eight_points):
-    assert connections_check(eight_points, (10, 10)).holds
-    assert connections_check(four_points, (10, 10)).holds
+def test_criterion_10_connections_theorem(four_points, eight_points, p1p1):
+    assert connections_check(eight_points, (10, 10), p1p1).holds
+    assert connections_check(four_points, (10, 10), p1p1).holds
     _ok(10, "resolution vector bound and shifted-region containment")
 
 

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +19,13 @@ from mreg import (
     MregError,
     ResourceLimitError,
     ZeroModuleError,
+    MultigradedRing,
     coarsening_constants,
     load_problem,
 )
 from mreg.cli import run
+from mreg.errors import show
+from mreg.groebner import element_degree
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "problems"
@@ -421,6 +425,35 @@ def test_integers_past_the_digit_limit_print_exactly():
     want = coarsening_constants(ring, tuple(int(x) for x in v))
     assert len(out["c"]) > 4300
     assert [Decimal(out[k]) for k in ("c", "s", "sigma")] == [want.c_v, want.s_v, want.sigma]
+
+
+NINES = "9" * 4300  # the longest integer the CLI parses; computed ones run longer
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["regnum", "--v", f"{NINES},1", "problems/hirzebruch-s2.json"], 3),
+    (["coarsen", "--v", f"{NINES},1", "problems/hirzebruch-s2.json"], 3),
+    (["bounds", "--v", f"{NINES},1", "--max-degree", "5", "problems/four-cycle.json"], 5),
+], ids=["regnum", "coarsen", "bounds"])
+def test_errors_print_integers_past_the_digit_limit(argv, code):
+    proc = run_process("python -m mreg", argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert re.search(r"\d{4301}", lines[0])
+
+
+def test_show_prints_numbers_as_str_does_at_any_length():
+    for x in (0, -7, True, (1,), (2, -3), [(0, 1), (4, 5)], Fraction(-3, 4), Fraction(5), [1, "a"]):
+        assert show(x) == str(x)
+    big = 10**5000 + 1
+    assert show((big, Fraction(-1, big))) == f"({Decimal(big)}, -1/{Decimal(big)})"
+    R = MultigradedRing(("x", "y"), ((1,), (1,)))
+    degrees = re.escape(f"degrees [(1,), ({Decimal(big + 1)},)]")
+    with pytest.raises(HomogeneityError, match=degrees):
+        element_degree(R, ((0,), (big,)), [(0, (1, 0)), (1, (0, 1))])
+    assert R.poly_str({(big, 0): 1}) == f"x^{Decimal(big)}"
 
 
 def test_huge_integers_serialize_as_strings():

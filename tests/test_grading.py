@@ -99,19 +99,19 @@ def test_primitive_reduce_preserves_feasibility(scale):
 
 def test_enumerate_region_examples():
     std = ((1, 0), (1, 0), (0, 1), (0, 1))
-    pts = enumerate_bounded_region([(0, 0)], std, (1, 1), 2).points()
+    pts = enumerate_bounded_region([(0, 0)], std, (1, 1), 2).bases
     assert set(pts) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
-    hz = enumerate_bounded_region([(0, 0)], HIRZEBRUCH2, (1, 3), 2).points()
+    hz = enumerate_bounded_region([(0, 0)], HIRZEBRUCH2, (1, 3), 2).bases
     assert set(hz) == {(0, 0), (1, 0), (-2, 1), (2, 0), (-1, 1), (-4, 2)}
-    assert enumerate_bounded_region([(0, 0)], std, (1, 1), -1).points() == ()
+    assert enumerate_bounded_region([(0, 0)], std, (1, 1), -1).bases == ()
 
 
 def test_enumerate_region_monotone():
     region = enumerate_bounded_region([(0, 0), (1, 1)], HIRZEBRUCH2, (1, 3), 4)
-    for pt in region.points():
+    for pt in region.bases:
         assert pt[0] * 1 + pt[1] * 3 <= 4
-    smaller = set(enumerate_bounded_region([(0, 0), (1, 1)], HIRZEBRUCH2, (1, 3), 3).points())
-    assert smaller <= set(region.points())
+    smaller = set(enumerate_bounded_region([(0, 0), (1, 1)], HIRZEBRUCH2, (1, 3), 3).bases)
+    assert smaller <= set(region.bases)
 
 
 def test_shifted_orthant_examples():
@@ -193,8 +193,8 @@ def test_enumerate_region_matches_brute_force():
             bases[1] = tuple(x + y for x, y in zip(bases[0], degrees[0]))  # overlapping translates
         bound = rng.randint(-4, 10)
         region = enumerate_bounded_region(bases, degrees, v, bound)
-        assert region.points() == _brute_force_region(bases, degrees, v, bound), (degrees, v, bases, bound)
-        for pt in region.points():
+        assert region.bases == _brute_force_region(bases, degrees, v, bound), (degrees, v, bases, bound)
+        for pt in region.bases:
             assert sum(a * b for a, b in zip(pt, v)) <= bound
 
 
@@ -215,7 +215,7 @@ def test_enumerate_region_steps_once_per_distinct_column(monkeypatch):
         return original(codes, delta)
 
     monkeypatch.setattr(mreg.grading, "_step", counted)
-    assert enumerate_bounded_region(bases, HIRZEBRUCH2, v, bound).points() == points
+    assert enumerate_bounded_region(bases, HIRZEBRUCH2, v, bound).bases == points
     assert steps > len(points) - len(bases)  # every point off the bases came from a step
 
 

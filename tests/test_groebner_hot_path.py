@@ -239,12 +239,12 @@ def test_prune_degree_cap_holds_s_pairs_only():
         prune_to_minimal_generators(ctx, pair, Limits(max_degree=2))
 
 
-def test_each_term_key_is_built_once_per_context(monkeypatch):
+def test_each_term_key_is_built_once_per_context(monkeypatch, p1p1):
     rng = random.Random(31337)
     points = PointSet(
         (1, 1), tuple(((1, rng.randint(1, 31000)), (1, rng.randint(1, 31000))) for _ in range(5))
     )
-    P = quotient_presentation(points)
+    P = quotient_presentation(points, p1p1)
     builds = collections.Counter()
     contexts = {}  # keeps every context alive, so ids are never reused
     original = ModuleCtx._build_term_key

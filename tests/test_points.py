@@ -54,25 +54,25 @@ EIGHT_POINT_WINDOW = [
 ]
 
 
-def test_four_point_hilbert_matrix(four_points):
+def test_four_point_hilbert_matrix(four_points, p1p1):
     for j, row in enumerate(FOUR_POINT_WINDOW):
         for i, val in enumerate(row):
-            assert hilbert_function_points(four_points, (i, j)) == val
+            assert hilbert_function_points(four_points, (i, j), p1p1) == val
 
 
-def test_eight_point_hilbert_matrix(eight_points):
+def test_eight_point_hilbert_matrix(eight_points, p1p1):
     for j, row in enumerate(EIGHT_POINT_WINDOW):
         for i, val in enumerate(row):
-            assert hilbert_function_points(eight_points, (i, j)) == val
+            assert hilbert_function_points(eight_points, (i, j), p1p1) == val
 
 
-def test_hilbert_origin_and_cap(four_points, eight_points):
-    assert hilbert_function_points(four_points, (0, 0)) == 1
-    assert hilbert_function_points(eight_points, (0, 0)) == 1
-    assert hilbert_function_points(eight_points, (4, 3)) == 8
+def test_hilbert_origin_and_cap(four_points, eight_points, p1p1):
+    assert hilbert_function_points(four_points, (0, 0), p1p1) == 1
+    assert hilbert_function_points(eight_points, (0, 0), p1p1) == 1
+    assert hilbert_function_points(eight_points, (4, 3), p1p1) == 8
     for i in range(6):
         for j in range(5):
-            assert hilbert_function_points(eight_points, (i, j)) <= 8
+            assert hilbert_function_points(eight_points, (i, j), p1p1) <= 8
 
 
 @pytest.mark.parametrize("deg", [(2,), (2, 0, 5)])
@@ -90,10 +90,10 @@ def test_hilbert_respects_the_field():
     assert hilbert_function_points(X, (1,), multiproj_ring((2,), QQ)) == 3
 
 
-def test_hilbert_far_along_one_factor(eight_points):
+def test_hilbert_far_along_one_factor(eight_points, p1p1):
     # H(t, 0) counts the distinct x-projections for large t; the degree walk
     # is a loop, so a degree this large needs no deep recursion
-    assert hilbert_function_points(eight_points, (2000, 0)) == 5
+    assert hilbert_function_points(eight_points, (2000, 0), p1p1) == 5
 
 
 # -- the evaluation-matrix oracle ----------------------------------------------
@@ -210,32 +210,32 @@ def test_point_ideal_vanishes_on_points(eight_points, p1p1):
             assert val == K.zero
 
 
-def test_quotient_pieces_match_hilbert(eight_points, eight_point_module):
+def test_quotient_pieces_match_hilbert(eight_points, eight_point_module, p1p1):
     # coarse graded pieces are antidiagonal sums of the bigraded values
     for m in range(0, 6):
         total = sum(
-            hilbert_function_points(eight_points, (i, m - i)) for i in range(m + 1)
+            hilbert_function_points(eight_points, (i, m - i), p1p1) for i in range(m + 1)
         )
         assert graded_piece_dimension(eight_point_module, (1, 1), m) == total
 
 
-def test_b_regularity_examples(four_points, eight_points):
-    assert b_regularity_region(four_points, (6, 6)).bases == ((1, 1),)
-    assert b_regularity_region(eight_points, (10, 10)).bases == ((4, 3),)
+def test_b_regularity_examples(four_points, eight_points, p1p1):
+    assert b_regularity_region(four_points, (6, 6), p1p1).bases == ((1, 1),)
+    assert b_regularity_region(eight_points, (10, 10), p1p1).bases == ((4, 3),)
     single = PointSet((1, 1), (((1, 2), (1, 5)),))
-    assert b_regularity_region(single, (1, 1)).bases == ((0, 0),)
+    assert b_regularity_region(single, (1, 1), p1p1).bases == ((0, 0),)
 
 
-def test_b_regularity_insufficient_box(eight_points):
+def test_b_regularity_insufficient_box(eight_points, p1p1):
     with pytest.raises(InsufficientBoxError):
-        b_regularity_region(eight_points, (2, 2))
+        b_regularity_region(eight_points, (2, 2), p1p1)
 
 
-def test_res_reg_vector_examples(four_points, eight_points):
-    assert res_reg_vector_points(eight_points) == (4, 3)
-    assert res_reg_vector_points(four_points) == (1, 1)
+def test_res_reg_vector_examples(four_points, eight_points, p1p1):
+    assert res_reg_vector_points(eight_points, p1p1) == (4, 3)
+    assert res_reg_vector_points(four_points, p1p1) == (1, 1)
     single = PointSet((1, 1), (((1, 7), (1, 3)),))
-    assert res_reg_vector_points(single) == (0, 0)
+    assert res_reg_vector_points(single, p1p1) == (0, 0)
 
 
 def test_res_reg_vector_matches_resolution(four_points, eight_points, p1p1):
@@ -245,11 +245,11 @@ def test_res_reg_vector_matches_resolution(four_points, eight_points, p1p1):
         assert res_reg_vector_points(X, p1p1) == resolution_regularity_vector(B, p1p1)
 
 
-def test_generic_position_examples(four_points, eight_points):
-    assert generic_position_check(four_points, (4, 4)) is False
-    assert generic_position_check(eight_points, (8, 8)) is False
+def test_generic_position_examples(four_points, eight_points, p1p1):
+    assert generic_position_check(four_points, (4, 4), p1p1) is False
+    assert generic_position_check(eight_points, (8, 8), p1p1) is False
     single = PointSet((1, 1), (((1, 0), (1, 0)),))
-    assert generic_position_check(single, (2, 2)) is True
+    assert generic_position_check(single, (2, 2), p1p1) is True
 
 
 def test_generic_regularity_formula():
@@ -278,13 +278,13 @@ def test_random_generic_points_match_formula():
         assert regnum_module(P, (1, 1)) == generic_regularity_formula((1, 1), count)
 
 
-def test_connections_examples(four_points, eight_points):
-    rep8 = connections_check(eight_points, (10, 10))
+def test_connections_examples(four_points, eight_points, p1p1):
+    rep8 = connections_check(eight_points, (10, 10), p1p1)
     assert rep8.regnum == 4 and rep8.m == 2 and rep8.holds
-    rep4 = connections_check(four_points, (10, 10))
+    rep4 = connections_check(four_points, (10, 10), p1p1)
     assert rep4.regnum == 2 and rep4.m == 2 and rep4.holds
     single = PointSet((1, 1), (((1, 0), (0, 1)),))
-    assert connections_check(single, (6, 6)).holds
+    assert connections_check(single, (6, 6), p1p1).holds
 
 
 def test_point_ideal_obeys_the_degree_cap(eight_points, p1p1):
@@ -299,20 +299,26 @@ def test_point_ideal_obeys_the_degree_cap(eight_points, p1p1):
     assert problem.presentation(Limits(max_degree=6)) == problem.presentation()
 
 
-def test_connections_caps_reach_every_engine_call(eight_points, count_calls):
+@pytest.mark.parametrize("field", [None, QQ], ids=["file", "qq"])
+def test_point_file_presentation_is_the_quotient_presentation(field):
+    problem = load_problem(str(PROBLEMS / "eight-points.json"), field)
+    assert problem.presentation() == quotient_presentation(problem.payload, problem.ring)
+
+
+def test_connections_caps_reach_every_engine_call(eight_points, p1p1, count_calls):
     caps = {"limits": Limits(max_degree=1000, max_length=10)}
     clear_memos()
     resolutions = count_calls(mreg.resolution, "minimal_free_resolution")
     intersections = count_calls(mreg.points, "ideal_intersection")
-    capped = connections_check(eight_points, (10, 10), **caps)
+    capped = connections_check(eight_points, (10, 10), p1p1, **caps)
     # the regnum's Ext route and the projective dimension share one memo entry
     assert resolutions == [caps]
     assert intersections and all(c == caps for c in intersections)
-    assert capped == connections_check(eight_points, (10, 10))
-    assert connections_check(eight_points, (10, 10), limits=Limits(max_degree=6)) == capped
+    assert capped == connections_check(eight_points, (10, 10), p1p1)
+    assert connections_check(eight_points, (10, 10), p1p1, limits=Limits(max_degree=6)) == capped
     for tight in (Limits(max_degree=5), Limits(max_length=1)):
         with pytest.raises(ResourceLimitError):
-            connections_check(eight_points, (10, 10), limits=tight)
+            connections_check(eight_points, (10, 10), p1p1, limits=tight)
 
 
 def test_duality_matches_resolution_regularity_on_random_points():

@@ -301,12 +301,12 @@ def test_generator_degrees_default_bases(eight_point_module):
     assert d.bases == ((0, 0),)
 
 
-def test_caps_are_part_of_the_memo_key(count_calls):
+def test_caps_are_part_of_the_memo_key(count_calls, p1p1):
     from mreg import PointSet, cached_minimal_resolution, quotient_presentation
 
     # coordinates no other test uses, so no earlier test has memoized the module
     coords = [(11, 12), (11, 13), (14, 12), (15, 16), (17, 18)]
-    P = quotient_presentation(PointSet((1, 1), tuple(((1, i), (1, j)) for i, j in coords)))
+    P = quotient_presentation(PointSet((1, 1), tuple(((1, i), (1, j)) for i, j in coords)), p1p1)
     resolutions = count_calls(mreg.resolution, "minimal_free_resolution")
     ext_runs = count_calls(mreg.localcoh, "cached_minimal_resolution")
 
@@ -457,4 +457,4 @@ def test_region_memo_keys_on_the_module_and_bases(p1p1):
     assert memo.cache_info().misses == 3
     other = memo(P, ((1, 0),), (1, 1))  # the bases are part of the key
     assert memo.cache_info().misses == 4
-    assert other.points(5) == enumerate_bounded_region(((1, 0),), p1p1.degrees, (1, 1), 5).points()
+    assert other.points(5) == enumerate_bounded_region(((1, 0),), p1p1.degrees, (1, 1), 5).bases

@@ -301,6 +301,10 @@ def test_first_syzygy_presentation(koszul_module, p1p1):
     assert M1f is None and shifts_f == ((1, 0),)
 
 
+def test_first_syzygy_presentation_reads_the_memoized_resolution(koszul_module):
+    assert first_syzygy_presentation(koszul_module)[2] is cached_minimal_resolution(koszul_module)
+
+
 def _nine_generic_points():
     rng = random.Random(7)
     pts = tuple(((1, rng.randint(1, 32002)), (1, rng.randint(1, 32002))) for _ in range(9))

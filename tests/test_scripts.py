@@ -62,6 +62,42 @@ def test_every_traced_name_resolves():
                 assert callable(getattr(module, name, None)), f"mreg.{modname}.{name}"
 
 
+def _resolve(dotted: str):
+    """The object a dotted `mreg...` path names, importing submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:k]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def _dotted(node):
+    return _dotted(node.value) + "." + node.attr if isinstance(node, ast.Attribute) else node.id
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # the workloads, the worker and the micro-benchmarks read the package by
+    # attribute and by `from mreg... import`; each of those names must exist
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mreg":
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                root = node
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id == "mreg":
+                    names.add(_dotted(node))
+    assert "mreg.poly.TermOrder" in names and "mreg.point_ideal" in names
+    for name in sorted(names):
+        _resolve(name)
+    # `poly.order_key_ns` times TermOrder.key
+    assert callable(_resolve("mreg.poly.TermOrder.key"))
+
+
 def test_bench_pairs_aggregates_canned_runs():
     bench = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
 
