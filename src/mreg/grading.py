@@ -173,7 +173,7 @@ class LatticeRegion:
     off = 2^(width-1): a step is the addition of the column's code, and
     integer order is the lexicographic order of the points.  The width fits
     every point up to the grown bound; growing further re-encodes when the
-    coordinate bound needs more bits.
+    coordinate bound needs more bits, with headroom for twice the steps.
     """
 
     def __init__(self, bases, degrees, v):
@@ -216,11 +216,12 @@ class LatticeRegion:
         return tuple(zip(*coords))
 
     def _widen(self, bound: int):
-        """Re-encode if a point of v-degree <= bound may need more bits."""
+        """Re-encode if a point of v-degree <= bound may need more bits, with
+        headroom for twice the steps: growing re-encodes a log number of times."""
         steps = (bound - self.lowest) // self.weights[0]
-        width = (self.base_abs + self.col_abs * steps).bit_length() + 1
-        if width <= self.width:
+        if (self.base_abs + self.col_abs * steps).bit_length() + 1 <= self.width:
             return
+        width = (self.base_abs + self.col_abs * 2 * steps).bit_length() + 1
         pts = self._decode(self.codes)
         recent = {d: self._decode(layer) for d, layer in self.recent.items()}
         self.width = width

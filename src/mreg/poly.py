@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .errors import GradingError, InputError, show
 
@@ -39,6 +39,9 @@ class FieldDescriptor:
         if self.kind not in ("rational", "prime"):
             raise InputError(f"unknown field kind {self.kind!r}")
         if self.kind == "prime":
+            if self.p is not None and self.p >= _PRIME_LIMIT:
+                raise InputError(
+                    f"characteristic must be below {show(_PRIME_LIMIT)}, got {show(self.p)}")
             if self.p is None or self.p < 2 or not _is_prime(self.p):
                 raise InputError(f"characteristic must be prime, got {show(self.p)}")
         elif self.p is not None:
@@ -92,17 +95,19 @@ class FieldDescriptor:
         return self.mul(a, self.inv(b))
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981  # the witnesses decide every p below it
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin for p < _PRIME_LIMIT (Sorenson and Webster,
+    Math. Comp. 86 (2017)): p is prime iff no witness shows it composite."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    return not any(pow(a, d, p) != 1 and all(pow(a, d << j, p) != p - 1 for j in range(s))
+                   for a in _WITNESSES)
 
 
 QQ = FieldDescriptor("rational")
@@ -151,7 +156,7 @@ class TermOrder:
             raise InputError(f"order weights must be >= 1, got {show(self.weights)}")
 
     def wdeg(self, e: Mono) -> int:
-        return sum(w * x for w, x in zip(self.weights, e))
+        return sum(map(mul, self.weights, e))
 
     def key(self, e: Mono):
         return (self.wdeg(e), sum(e), tuple(-x for x in reversed(e)))
@@ -192,6 +197,7 @@ class MultigradedRing:
         for v in self.variables:
             if not _NAME_RE.fullmatch(v):
                 raise InputError(f"bad variable name {v!r}")
+        object.__setattr__(self, "_columns", tuple(zip(*self.degrees)))  # for mono_degree
 
     @property
     def n(self) -> int:
@@ -208,10 +214,7 @@ class MultigradedRing:
             raise InputError(f"unknown variable {name!r}") from None
 
     def mono_degree(self, e: Mono) -> Multidegree:
-        return tuple(
-            sum(self.degrees[i][k] * e[i] for i in range(self.n))
-            for k in range(self.r)
-        )
+        return tuple(sum(map(mul, col, e)) for col in self._columns)
 
     def vdegs(self, v: Multidegree) -> tuple[int, ...]:
         """Coarse degree of every variable under the coarsening vector v."""

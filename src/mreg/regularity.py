@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .errors import NO_LIMITS, InputError, Limits, MregError, ZeroModuleError
 from .grading import LatticeRegion, positive_coarsening_candidates
@@ -183,13 +184,19 @@ def degree_bound_sets(P: ModulePresentation, v, indices,
     if not indices:
         return ()
     v = tuple(v)
+    bounds, bases = _checked_bounds(P, v, indices, limits)
+    levels = _memo_region(P, bases, v).levels(bounds)
+    return tuple(DegreeBoundSet(i, v, pts, bases, b) for i, pts, b in zip(indices, levels, bounds))
+
+
+def _checked_bounds(P, v, indices, limits):
+    """The degree bound of every index under v, checked against the limits,
+    and the bases of the region."""
     cst = coarsening_constants(P.ring, v)
     regnum = regnum_module(P, v, limits=limits)
     bounds = [syzygy_degree_bound(regnum, cst, i) for i in indices]
     limits.check_degree("degree bound", max(bounds))
-    bases = cached_minimal_resolution(P, limits).shifts[0]
-    levels = _memo_region(P, bases, v).levels(bounds)
-    return tuple(DegreeBoundSet(i, v, pts, bases, b) for i, pts, b in zip(indices, levels, bounds))
+    return bounds, cached_minimal_resolution(P, limits).shifts[0]
 
 
 @lru_cache(maxsize=1)
@@ -197,22 +204,29 @@ def _memo_region(P, bases, v):
     return LatticeRegion(bases, P.ring.degrees, v)
 
 
+def _leaving_masks(P, bases, anchor, bounds):
+    """The anchor's sorted level at each of its bounds, each point p with the
+    bitmask of the vectors whose half-space it leaves: bit j is set when the
+    j-th key v of bounds has  v . p > bounds[v][k]  at level k.  Every bound
+    set is the one region  U_k (b_k + N{a_j})  cut by its half-space, so a
+    family holding the anchor meets in the points whose mask misses it."""
+    cuts = list(bounds.items())
+    levels = _memo_region(P, bases, anchor).levels(bounds[anchor])
+    return [[(p, sum(1 << j for j, (v, b) in enumerate(cuts) if sum(map(mul, v, p)) > b[k]))
+             for p in level] for k, level in enumerate(levels)]
+
+
 def intersect_degree_bounds(P: ModulePresentation, vectors, i: int) -> DegreeBoundSet:
-    """Set intersection of the per-vector degree-bound sets."""
+    """Set intersection of the per-vector degree-bound sets: the least
+    vector's level cut by the half-spaces of the others."""
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         raise InputError("need at least one coarsening vector")
-    sets = [degree_bound_set(P, v, i) for v in vectors]
-    inter = set(sets[0].degrees)
-    for s in sets[1:]:
-        inter &= set(s.degrees)
-    return DegreeBoundSet(
-        i,
-        vectors[0],
-        tuple(sorted(inter)),
-        sets[0].bases,
-        max(s.bound for s in sets),
-    )
+    bounds = {}
+    for v in vectors:
+        bounds[v], bases = _checked_bounds(P, v, (i,), NO_LIMITS)
+    points = tuple(p for p, mask in _leaving_masks(P, bases, min(vectors), bounds)[0] if not mask)
+    return DegreeBoundSet(i, vectors[0], points, bases, max(b[0] for b in bounds.values()))
 
 
 def minimal_coarsening_set(P: ModulePresentation, candidates=None,
@@ -226,6 +240,12 @@ def minimal_coarsening_set(P: ModulePresentation, candidates=None,
     same intersection for every homological index in i_range.  The result is
     minimal relative to the candidate family (dropping more vectors only
     enlarges intersections).
+
+    One region answers every trial: the least candidate's, each point tagged
+    with the candidates whose half-space it leaves (see _leaving_masks).  A
+    trial keeps the intersection exactly when every nonzero tag meets it.
+    The least candidate is visited last; the trial dropping it reads the
+    region of the least vector it keeps.
     """
     if candidates is None:
         candidates = positive_coarsening_candidates(P.ring.degrees, box)
@@ -235,25 +255,27 @@ def minimal_coarsening_set(P: ModulePresentation, candidates=None,
     i_range = list(i_range)
     if not i_range:
         raise InputError("no homological indices to compare")
-    dsets = {
-        v: {
-            s.i: frozenset(s.degrees)
-            for s in degree_bound_sets(P, v, i_range, limits=limits)
-        }
-        for v in candidates
-    }
+    bounds = {}
+    for v in candidates:
+        bounds[v], bases = _checked_bounds(P, v, i_range, limits)
+    bit = {v: 1 << j for j, v in enumerate(bounds)}
 
-    def family_intersection(family, i):
-        out = None
-        for v in family:
-            out = dsets[v][i] if out is None else out & dsets[v][i]
-        return out
+    def leaving(anchor):
+        return {mask for level in _leaving_masks(P, bases, anchor, bounds)
+                for _, mask in level if mask}
 
-    target = {i: family_intersection(candidates, i) for i in i_range}
+    anchor = min(bounds)
+    masks = leaving(anchor)
     kept = list(candidates)
-    for v in sorted(candidates, reverse=True):
+    # a repeated vector is visited once: a second visit repeats the first
+    for v in sorted(bounds, reverse=True):
         trial = [u for u in kept if u != v]
-        if trial and all(family_intersection(trial, i) == target[i] for i in i_range):
+        if not trial:
+            continue
+        if v == anchor:
+            masks = leaving(min(trial))
+        family = sum(bit[u] for u in set(trial))
+        if all(mask & family for mask in masks):
             kept = trial
     return sorted(kept)
 

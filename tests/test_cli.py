@@ -206,6 +206,21 @@ def test_bound_commands_generous_caps_change_nothing(capture, command):
     assert capped == plain
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--box", "3", "--max-degree", "2"], "S-pair of coarse degree 4 exceeds the degree cap 2"),
+    (["--box", "3", "--max-degree", "10"], "degree bound 14 exceeds the degree cap 10"),
+    (["--box", "3", "--imax", "1", "--max-degree", "10"],
+     "degree bound 26 exceeds the degree cap 10"),
+    (["--box", "3", "--imax", "3", "--max-degree", "4"], "degree bound 5 exceeds the degree cap 4"),
+    (["--box", "5", "--max-degree", "6"], "degree bound 8 exceeds the degree cap 6"),
+    (["--box", "5", "--max-degree", "20"], "degree bound 26 exceeds the degree cap 20"),
+], ids=["s-pair", "box3", "box3-imax1", "box3-imax3", "box5-cap6", "box5-cap20"])
+def test_minvectors_reports_the_first_candidate_past_the_cap(capture, flags, message):
+    # the candidates are checked in order, each before any region is built
+    code, out, err = capture(["minvectors", *flags, str(PROBLEMS / "four-cycle.json")])
+    assert (code, out, err) == (5, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("cap", [["--max-degree", "5"], ["--max-length", "1"]], ids=lambda c: c[0])
 def test_points_connections_caps_exit_5(capture, cap):
     code, out, err = capture(["points", "connections", *cap, str(PROBLEMS / "eight-points.json")])
@@ -317,6 +332,17 @@ def test_field_override_rational(capture):
         capture, ["regnum", "--v", "1,1", "--field", "q", str(PROBLEMS / "four-cycle.json")]
     )
     assert obj["regnum"] == 2
+
+
+def test_composite_and_oversized_characteristics_exit_2(capture):
+    path = str(PROBLEMS / "four-cycle.json")
+    code, out, err = capture(["check", "--field", "p:1000000000000000001", path])  # 101 divides it
+    assert (code, out) == (2, "")
+    assert err == "error: characteristic must be prime, got 1000000000000000001\n"
+    code, out, err = capture(["check", "--field", "p:3317044064679887385961981", path])
+    assert (code, out) == (2, "")
+    assert err == ("error: characteristic must be below 3317044064679887385961981, "
+                   "got 3317044064679887385961981\n")
 
 
 def test_points_reject_module_commands(capture):
@@ -477,13 +503,14 @@ ENTRY_POINTS = {
 }
 
 
-def run_process(form, argv):
+def run_process(form, argv, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *ENTRY_POINTS[form], *argv], cwd=ROOT, env=env, capture_output=True
+        [sys.executable, *ENTRY_POINTS[form], *argv], cwd=ROOT, env=env, capture_output=True,
+        timeout=timeout,
     )
 
 
@@ -502,3 +529,11 @@ def test_entry_points_exit_5_on_degree_cap(form):
     proc = run_process(form, ["resolve", "--max-degree", "1", "problems/eight-points.json"])
     assert proc.returncode == 5
     assert proc.stdout == b""
+
+
+def test_large_prime_fields_are_decided_at_once():
+    # trial division up to the square root took minutes for this prime
+    argv = ["check", "--field", "p:1000000000000000003", "problems/four-cycle.json"]
+    proc = run_process("mreg", argv, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["positive"] is True

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -242,3 +243,24 @@ def test_grown_region_matches_brute_force_at_every_bound():
         widened += region.width > width
     assert widened > 20
 
+
+
+def test_a_region_grown_bound_after_bound_re_encodes_rarely():
+    bases, v = [(0, 0), (-3, 2)], (1, 3)
+    region = LatticeRegion(bases, HIRZEBRUCH2, v)
+    widths = [region.width]
+    for bound in range(1, 201):
+        region.grow(bound)
+        widths.append(region.width)
+    changes = sum(a != b for a, b in zip(widths, widths[1:]))
+    assert changes <= math.ceil(math.log2(200)) + 2
+    assert region.points(200) == LatticeRegion(bases, HIRZEBRUCH2, v).points(200)
+    # the width chosen at a bound holds twice its steps: at bound 14 the
+    # coordinates reach 3 + 2 * 14 = 31, which fits 5 bits and a sign; the
+    # width chosen there still fits bound 28, where they reach 59
+    region = LatticeRegion(bases, HIRZEBRUCH2, v)
+    region.grow(14)
+    width = region.width
+    region.grow(28)
+    assert region.width == width
+    assert region.points(28) == _brute_force_region(bases, HIRZEBRUCH2, v, 28)

@@ -14,7 +14,7 @@ from mreg import (
     TermOrder,
 )
 from mreg.groebner import element_degree, poly_to_vec
-from mreg.poly import monomials_of_weight
+from mreg.poly import _is_prime, monomials_of_weight
 from tests.conftest import pmul
 
 
@@ -39,6 +39,31 @@ def test_field_descriptors():
         FieldDescriptor("real")
     with pytest.raises(InputError):
         FieldDescriptor("prime", 2).of(Fraction(1, 2))
+
+
+def _prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(_is_prime(p) == _prime_by_trial_division(p) for p in range(-2, 10 ** 5))
+
+
+@pytest.mark.parametrize("p", [561, 41041, 2047, 3215031751])
+def test_pseudoprimes_are_not_characteristics(p):
+    # Carmichael numbers 561 and 41041; 2047 = 23 * 89 is a strong
+    # pseudoprime to base 2, 3215031751 to the bases 2, 3, 5 and 7
+    assert not _is_prime(p)
+    with pytest.raises(InputError, match=f"characteristic must be prime, got {p}"):
+        FieldDescriptor("prime", p)
+
+
+def test_characteristics_past_the_witness_limit_are_refused():
+    limit = 3317044064679887385961981
+    assert FieldDescriptor("prime", 1000000000000000003).p == 1000000000000000003
+    for p in (limit, limit + 2, 2 ** 127 - 1):
+        with pytest.raises(InputError, match=f"characteristic must be below {limit}, got {p}"):
+            FieldDescriptor("prime", p)
 
 
 def _field_elements(K):

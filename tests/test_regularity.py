@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -395,12 +396,69 @@ def _greedy_family(P, candidates, i_range):
     return sorted(kept)
 
 
+def _hirzebruch_module(s):
+    H = hirzebruch_ring(s)
+    return ModulePresentation.quotient_by_ideal(H, [H.parse("x1*x2"), H.parse("x3*x4")])
+
+
+def _families(candidates, rng):
+    """The candidates, a vector of them passed twice, and seeded subsets in shuffled order."""
+    yield candidates
+    yield candidates + candidates[-1:]
+    yield candidates[:1] * 2
+    for _ in range(3):
+        family = rng.sample(candidates, rng.randint(1, len(candidates)))
+        yield family + rng.sample(family, 1) if rng.random() < 0.3 else family
+
+
 def test_minimal_coarsening_set_matches_greedy_over_single_levels():
-    for name, P, box in _sweep_modules():
+    rng = random.Random(2201)
+    # the Hirzebruch columns (-s, 1) are negative in their first entry
+    hirzebruch = [(f"hirzebruch-s{s}", _hirzebruch_module(s), s + 3) for s in (3, 4)]
+    for name, P, box in _sweep_modules() + hirzebruch:
         candidates = positive_coarsening_candidates(P.ring.degrees, box)
-        for i_range in ((0, 1, 2), (1, 3)):
-            expected = _greedy_family(P, candidates, i_range)
-            assert minimal_coarsening_set(P, candidates=candidates, i_range=i_range) == expected, name
+        for i_range in ((0, 1, 2), (1, 3), (3,), (0, 2, 4)):
+            for family in _families(candidates, rng):
+                kept = minimal_coarsening_set(P, candidates=family, i_range=i_range)
+                assert kept == _greedy_family(P, family, i_range), (name, family, i_range)
+    # a family read off a region that is not the smallest: the least of the
+    # s = 4 candidates has more points than another at every level
+    P = _hirzebruch_module(4)
+    candidates = positive_coarsening_candidates(P.ring.degrees, 7)
+    sizes = {v: [len(s.degrees) for s in degree_bound_sets(P, v, (0, 1, 2))] for v in candidates}
+    assert any(all(a < b for a, b in zip(sizes[v], sizes[min(candidates)])) for v in candidates)
+    kept = minimal_coarsening_set(P, candidates=candidates)
+    assert kept == _greedy_family(P, candidates, (0, 1, 2))
+
+
+def test_intersect_degree_bounds_equals_the_intersection_of_the_sets():
+    rng = random.Random(2202)
+    for name, P, box in _sweep_modules() + [("hirzebruch-s3", _hirzebruch_module(3), 6)]:
+        candidates = positive_coarsening_candidates(P.ring.degrees, box)
+        for family in _families(candidates, rng):
+            for i in (0, 2, 3):
+                sets = [degree_bound_set(P, v, i) for v in family]
+                meet = intersect_degree_bounds(P, family, i)
+                common = frozenset.intersection(*(s.as_set() for s in sets))
+                assert meet.degrees == tuple(sorted(common))
+                assert (meet.i, meet.v, meet.bases) == (i, family[0], sets[0].bases)
+                assert meet.bound == max(s.bound for s in sets), (name, family, i)
+
+
+def test_minimal_coarsening_set_builds_at_most_two_regions(monkeypatch):
+    P = _six_cycle_module()
+    expected = _greedy_family(P, positive_coarsening_candidates(P.ring.degrees, 3), (0, 1, 2))
+    clear_memos()
+    built = []
+    region_class = mreg.regularity.LatticeRegion
+
+    def counted_region(*args):
+        built.append(args[2])
+        return region_class(*args)
+
+    monkeypatch.setattr(mreg.regularity, "LatticeRegion", counted_region)
+    assert minimal_coarsening_set(P, box=3) == expected
+    assert 1 <= len(built) <= 2
 
 
 def test_degree_bound_sets_equal_single_level_sets():
