@@ -3,7 +3,7 @@
 Positivity of a Z^r-grading is decided exactly: the system {v . a_i >= 1}
 must be feasible over the rationals, which we check with Fourier-Motzkin
 elimination on Fraction arithmetic.  Coarsening vectors returned to callers
-are always integral and found by a deterministic expanding-box search.
+are integral: the first feasible one in a lex-ordered walk of L1 shells.
 """
 
 from __future__ import annotations
@@ -70,56 +70,44 @@ def _fourier_motzkin_feasible(system, nvars: int) -> bool:
     return all(rhs <= 0 for _, rhs in system)
 
 
-def _box_vectors(r: int, box: int):
-    """Vectors with max |coord| <= box, ordered by L1 norm then lexicographic."""
-    vs = itertools.product(range(-box, box + 1), repeat=r)
-    return sorted(vs, key=lambda v: (sum(abs(x) for x in v), v))
+def _shell(r: int, n: int, cap: int):
+    """Vectors of length r and L1 norm n with coordinates in [-cap, cap], in lex order."""
+    if r == 1:
+        if n <= cap:
+            yield from ((-n,), (n,)) if n else ((0,),)
+        return
+    for x in range(-min(n, cap), min(n, cap) + 1):
+        for rest in _shell(r - 1, n - abs(x), cap):
+            yield (x,) + rest
 
 
 def find_positive_coarsening_vector(degrees) -> Multidegree:
-    """Smallest integral v (L1 norm, then lex) with v . a_i >= 1 for all i."""
+    """Smallest integral v (L1 norm, then lex) with v . a_i >= 1 for all i,
+    among the vectors with coordinates up to 64 in absolute value."""
     degrees = _validate_degree_matrix(degrees)
     if not check_positive_grading(degrees):
         raise GradingError("grading is not positive: no coarsening vector exists")
     r = len(degrees[0])
-
-    def feasible(v):
-        return all(sum(a * b for a, b in zip(col, v)) >= 1 for col in degrees)
-
-    for box in range(1, _SEARCH_BOX_CAP + 1):
-        for v in _box_vectors(r, box):
-            if feasible(v):
-                # every vector with smaller L1 norm fits in a box of that
-                # size, so one widened pass yields the global minimum
-                scan = min(max(box, sum(abs(x) for x in v)), _SEARCH_BOX_CAP)
-                return next(u for u in _box_vectors(r, scan) if feasible(u))
+    for n in range(1, _SEARCH_BOX_CAP * r + 1):
+        for v in _shell(r, n, _SEARCH_BOX_CAP):
+            if all(sum(map(mul, col, v)) >= 1 for col in degrees):
+                return v
     raise GradingError(f"no coarsening vector with coordinates up to {_SEARCH_BOX_CAP}")
 
 
 def primitive_reduce(v) -> Multidegree:
     """Divide v by the gcd of its coordinates."""
     v = tuple(int(x) for x in v)
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    if g <= 1:
-        return v
-    return tuple(x // g for x in v)
+    g = math.gcd(*v)
+    return v if g <= 1 else tuple(x // g for x in v)
 
 
 def positive_coarsening_candidates(degrees, box: int = 5) -> list[Multidegree]:
-    """All primitive positive coarsening vectors with max |coordinate| <= box."""
+    """All primitive positive coarsening vectors with max |coordinate| <= box, in lex order."""
     degrees = _validate_degree_matrix(degrees)
-    r = len(degrees[0])
-    out = []
-    for v in _box_vectors(r, box):
-        if not any(v):
-            continue
-        if primitive_reduce(v) != v:
-            continue
-        if all(sum(a * b for a, b in zip(col, v)) >= 1 for col in degrees):
-            out.append(v)
-    return sorted(out)
+    vectors = itertools.product(range(-box, box + 1), repeat=len(degrees[0]))
+    return [v for v in vectors
+            if math.gcd(*v) == 1 and all(sum(map(mul, col, v)) >= 1 for col in degrees)]
 
 
 # -- lattice regions ----------------------------------------------------------

@@ -288,7 +288,10 @@ def stanley_reisner_ideal(K: SimplicialComplex, R: MultigradedRing) -> list[dict
     if set(K.vertices) - set(R.variables):
         raise InputError("complex vertices must be ring variables")
     gens = []
-    for size in range(1, len(verts) + 1):
+    # every proper subset of a minimal non-face is a face, so it has at most
+    # (largest facet size + 1) vertices
+    top = max((len(f) for f in K.facets), default=0) + 1
+    for size in range(1, min(top, len(verts)) + 1):
         for sub in itertools.combinations(verts, size):
             fs = frozenset(sub)
             if fs in faces:

@@ -120,6 +120,14 @@ def _checked_degree(X: PointSet, deg) -> Multidegree:
     return deg
 
 
+def _checked_box(X: PointSet, box) -> Multidegree:
+    """box as a tuple, one nonnegative entry per factor of X."""
+    box = tuple(int(b) for b in box)
+    if len(box) != len(X.dims) or any(b < 0 for b in box):
+        raise InputError("box must be a componentwise nonnegative multidegree")
+    return box
+
+
 def _coordinate_values(X: PointSet, K: FieldDescriptor):
     """Per factor, the vectors x_{f,j}(X) in k^X at the normalized points."""
     reps = X.normalized(K)
@@ -212,10 +220,8 @@ def b_regularity_region(X: PointSet, box, ring: MultigradedRing) -> DegreeRegion
     requiring the box corner to lie inside and every minimal element to stay
     strictly inside the box.
     """
-    box = tuple(int(b) for b in box)
+    box = _checked_box(X, box)
     r = len(X.dims)
-    if len(box) != r or any(b < 0 for b in box):
-        raise InputError("box must be a componentwise nonnegative multidegree")
     values = _hilbert_sweep(X, box, ring)
     target = len(X)
     inside = {deg for deg, h in values.items() if h == target}
@@ -320,7 +326,7 @@ def connections_check(X: PointSet, box, ring: MultigradedRing,
     that every grid point of (d+m,...,d+m) + N^r[-(m-1)] has Hilbert value
     |X| inside the validation box.
     """
-    box = tuple(int(b) for b in box)
+    box = _checked_box(X, box)
     r = len(X.dims)
     P = quotient_presentation(X, ring, limits)
     d = regnum_module(P, (1,) * r, limits=limits)

@@ -537,3 +537,22 @@ def test_large_prime_fields_are_decided_at_once():
     proc = run_process("mreg", argv, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["positive"] is True
+
+
+def test_a_large_least_vector_is_found_at_once(tmp_path):
+    # the least vector has L1 norm 24 in Z^4; sorting every box up to 21
+    # before the answer took over a minute
+    problem = {
+        "field": "p:32003",
+        "ring": {
+            "variables": ["a0", "a1", "a2", "a3", "b0", "b1", "c0", "c1"],
+            "degrees": [[1, 0, 0, 0], [-20, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+                        [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]],
+        },
+        "ideal": ["a1*a3", "b0*c0"],
+    }
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(problem))
+    proc = run_process("mreg", ["check", str(path)], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"positive": True, "suggested_v": [1, 21, 1, 1]}

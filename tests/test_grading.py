@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -138,6 +139,45 @@ def test_candidate_family_box5_p1p1():
     assert (2, 2) not in fam  # not primitive
     assert all(a >= 1 and b >= 1 for a, b in fam)
     assert len(fam) == 19
+
+
+def _feasible(degrees, v):
+    return all(sum(a * b for a, b in zip(col, v)) >= 1 for col in degrees)
+
+
+def test_search_matches_the_least_vector_of_a_brute_force_box():
+    rng = random.Random(2323)
+    found = 0
+    for case in range(160):
+        r = 1 + case % 4
+        degrees = tuple(tuple(rng.randint(-2, 2) for _ in range(r))
+                        for _ in range(rng.randint(1, 5)))
+        box = (6, 5, 4, 3)[r - 1]
+        vectors = list(itertools.product(range(-box, box + 1), repeat=r))
+        # every vector of L1 norm <= box lies in the box, so the least
+        # feasible one of such norm is the global (L1, lex) minimum
+        least = min((v for v in vectors if _feasible(degrees, v)
+                     and sum(map(abs, v)) <= box),
+                    key=lambda v: (sum(map(abs, v)), v), default=None)
+        if not check_positive_grading(degrees):
+            assert least is None
+            with pytest.raises(GradingError, match="^grading is not positive"):
+                find_positive_coarsening_vector(degrees)
+        elif least is not None:
+            found += 1
+            assert find_positive_coarsening_vector(degrees) == least, degrees
+        candidates = [v for v in vectors if any(v) and _feasible(degrees, v)
+                      and primitive_reduce(v) == v]
+        assert positive_coarsening_candidates(degrees, box) == sorted(candidates), degrees
+    assert found > 80
+
+
+def test_search_stops_at_the_coordinate_cap():
+    # v.(-100, 1) >= 1 with v_0 >= 1 needs v_1 >= 101
+    assert check_positive_grading(((1, 0), (-100, 1)))
+    with pytest.raises(GradingError, match="^no coarsening vector with coordinates up to 64$"):
+        find_positive_coarsening_vector(((1, 0), (-100, 1)))
+    assert find_positive_coarsening_vector(((1, 0), (-63, 1))) == (1, 64)
 
 
 def _random_positive_matrix(rng, r):

@@ -1,11 +1,14 @@
 """Two independent local-cohomology routes and their cross-checks."""
 
 import itertools
+import math
 import random
+import types
 from operator import mul
 
 import pytest
 
+import mreg.localcoh
 from mreg import (
     BettiTable,
     FieldDescriptor,
@@ -375,6 +378,32 @@ def test_stanley_reisner_round_trip(p1p1, four_cycle):
     assert set(K.facets) == set(four_cycle.facets)
     with pytest.raises(InputError):
         complex_from_squarefree_ideal(p1p1, [p1p1.parse("x0^2")])
+
+
+def test_stanley_reisner_tries_only_subsets_that_can_be_minimal_non_faces(monkeypatch):
+    # a minimal non-face of a graph has at most three vertices; walking all
+    # 2^24 vertex subsets of the 24-cycle would not finish here
+    n = 24
+    names = tuple(f"x{k}" for k in range(n))
+    cycle = SimplicialComplex(names, tuple((names[k], names[(k + 1) % n]) for k in range(n)))
+    ring = MultigradedRing(names, ((1,),) * n)
+    budget = math.comb(n, 1) + math.comb(n, 2) + math.comb(n, 3)
+    tried = 0
+
+    def counted(pool, size):
+        nonlocal tried
+        for sub in itertools.combinations(pool, size):
+            if len(pool) == n:
+                tried += 1
+                assert tried <= budget, "tried a subset that cannot be a minimal non-face"
+            yield sub
+
+    monkeypatch.setattr(mreg.localcoh, "itertools", types.SimpleNamespace(combinations=counted))
+    gens = stanley_reisner_ideal(cycle, ring)
+    # the non-edges, in the order of their vertex pairs; no triangle is a face
+    non_edges = [(i, j) for i, j in itertools.combinations(range(n), 2) if j - i not in (1, n - 1)]
+    assert len(non_edges) == 252
+    assert gens == [{tuple(int(k in pair) for k in range(n)): ring.field.one} for pair in non_edges]
 
 
 def test_homology_field_independent_here(four_cycle):

@@ -287,6 +287,16 @@ def test_connections_examples(four_points, eight_points, p1p1):
     assert connections_check(single, (6, 6), p1p1).holds
 
 
+@pytest.mark.parametrize("box", [(3,), (-1, 4)])
+def test_connections_rejects_a_bad_box_before_any_work(box, eight_points, p1p1, count_calls):
+    ideals = count_calls(mreg.points, "point_ideal")
+    with pytest.raises(InputError, match="^box must be a componentwise nonnegative multidegree$"):
+        connections_check(eight_points, box, p1p1)
+    assert ideals == []
+    with pytest.raises(InputError, match="^box must be a componentwise nonnegative multidegree$"):
+        b_regularity_region(eight_points, box, p1p1)
+
+
 def test_point_ideal_obeys_the_degree_cap(eight_points, p1p1):
     # the intersection of the eight point ideals reduces S-pairs of coarse
     # degree up to 6; no higher pair is queued
