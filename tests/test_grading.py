@@ -167,7 +167,7 @@ def test_search_matches_the_least_vector_of_a_brute_force_box():
             found += 1
             assert find_positive_coarsening_vector(degrees) == least, degrees
         candidates = [v for v in vectors if any(v) and _feasible(degrees, v)
-                      and primitive_reduce(v) == v]
+                      and not any(all(x % d == 0 for x in v) for d in range(2, box + 1))]
         assert positive_coarsening_candidates(degrees, box) == sorted(candidates), degrees
     assert found > 80
 
