@@ -21,7 +21,7 @@ from .grading import (
     check_positive_grading, find_positive_coarsening_vector, positive_coarsening_candidates,
 )
 from .groebner import vec_component
-from .localcoh import a_invariants_hochster, hochster_supports
+from .localcoh import a_invariants_from_supports, hochster_supports
 from .points import (
     b_regularity_region,
     connections_check,
@@ -238,10 +238,11 @@ def _scalar_check(problem, args, limits):
 def _hochster(problem, args, limits):
     K, ring = problem.payload, problem.ring
     v = _require_v(args, ring)
-    ai = a_invariants_hochster(K, ring, v)
-    supports = {str(i): [{"face": f, "rank": rk} for f, rk in faces]
-                for i, faces in enumerate(hochster_supports(K, ring)) if faces}
-    return {"v": v, "a_invariants": ai.to_json(), "supports": supports}
+    supports = hochster_supports(K, ring)
+    ai = a_invariants_from_supports(supports, ring, v)
+    return {"v": v, "a_invariants": ai.to_json(),
+            "supports": {str(i): [{"face": f, "rank": rk} for f, rk in faces]
+                         for i, faces in enumerate(supports) if faces}}
 
 
 def _points_hilbert(problem, args, limits):

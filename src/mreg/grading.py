@@ -157,6 +157,10 @@ class LatticeRegion:
     a base are visited, and only the last max_a v.a layers are kept as sets
     for the recurrence.
 
+    The points of the layers merged so far are kept decoded, in one
+    lex-sorted list: `levels` decodes each code once, when its layer is
+    first asked for.
+
     A point p is stored as the integer  sum_k (p_k + off) 2^(width (r-1-k)),
     off = 2^(width-1): a step is the addition of the column's code, and
     integer order is the lexicographic order of the points.  The width fits
@@ -167,7 +171,7 @@ class LatticeRegion:
     def __init__(self, bases, degrees, v):
         degrees = _validate_degree_matrix(degrees)
         self.r = r = len(degrees[0])
-        v = tuple(int(x) for x in v)
+        self.v = v = tuple(int(x) for x in v)
         if len(v) != r:
             raise InputError("coarsening vector has wrong length")
         wdegs = [sum(map(mul, col, v)) for col in degrees]
@@ -192,6 +196,8 @@ class LatticeRegion:
         self.layer_degrees: list[int] = []
         self.layer_ends: list[int] = []  # len(codes) after each layer
         self.recent: dict[int, set] = {}  # the layers the recurrence still reads
+        self.sorted: list[Multidegree] = []  # the points of codes[:merged], sorted
+        self.merged = 0
 
     def _deltas(self):
         return [(w, _pack(col, self.width, 0)) for w, col in self.columns]
@@ -250,17 +256,36 @@ class LatticeRegion:
 
     def levels(self, bounds) -> list[tuple[Multidegree, ...]]:
         """The sorted points of v-degree <= b for every b in bounds, growing
-        the layers if needed; the levels share their point tuples."""
+        the layers if needed; the levels share their point tuples.
+
+        Only the codes of layers past the merged prefix are sorted and
+        decoded, once, and merged into the sorted points (timsort merges the
+        two runs in linear time); the largest level is a snapshot of that
+        list.  A smaller end among the new layers keeps the new points whose
+        codes it holds.  An end inside the merged prefix is read off by
+        v-degree: layer d holds exactly the points of v-degree d."""
         self.grow(max(bounds))
         ends = [self._end(b) for b in bounds]
-        codes = self.codes[:max(ends)]
-        codes.sort()
-        pts = self._decode(codes)
-        out = {len(codes): pts}
-        for end in ends:
+        old, top = self.merged, max(ends)
+        out = {}
+        if top > old:
+            new = self.codes[old:top]
+            new.sort()
+            pts = self._decode(new)
+            for end in set(ends):
+                if old < end < top:
+                    inside = set(self.codes[old:end])
+                    level = [p for c, p in zip(new, pts) if c in inside]
+                    out[end] = tuple(sorted(self.sorted + level) if old else level)
+            self.sorted += pts
+            if old:
+                self.sorted.sort()
+            self.merged = top
+        v = self.v
+        for end, b in zip(ends, bounds):
             if end not in out:
-                inside = set(self.codes[:end])
-                out[end] = tuple(p for c, p in zip(codes, pts) if c in inside)
+                out[end] = (tuple(self.sorted) if end == self.merged else
+                            tuple(p for p in self.sorted if sum(map(mul, v, p)) <= b))
         return [out[end] for end in ends]
 
     def points(self, bound: int) -> tuple[Multidegree, ...]:

@@ -269,14 +269,17 @@ def hochster_supports(K: SimplicialComplex, R: MultigradedRing) -> list[list]:
 
 def a_invariants_hochster(K: SimplicialComplex, R: MultigradedRing, v) -> AInvariants:
     """a^i as the best corner over the supporting faces (all exponents one)."""
+    return a_invariants_from_supports(hochster_supports(K, R), R, v)
+
+
+def a_invariants_from_supports(supports, R: MultigradedRing, v) -> AInvariants:
+    """a^i from the face supports of hochster_supports under v: minus the
+    least v-weight of a supporting face, minus infinity with no face."""
     weights = dict(zip(R.variables, R.order(tuple(v)).weights))
-    vals = []
-    for support in hochster_supports(K, R):
-        if not support:
-            vals.append(NEG_INFINITY)
-        else:
-            vals.append(max(-sum(weights[x] for x in face) for face, _ in support))
-    return AInvariants(tuple(vals))
+    return AInvariants(tuple(
+        max(-sum(weights[x] for x in face) for face, _ in support) if support else NEG_INFINITY
+        for support in supports
+    ))
 
 
 # -- Stanley-Reisner translation --------------------------------------------------

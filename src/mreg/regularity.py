@@ -20,8 +20,9 @@ from .groebner import vec_component
 from .localcoh import (
     AInvariants,
     a_invariants_ext,
-    a_invariants_hochster,
+    a_invariants_from_supports,
     complex_from_squarefree_ideal,
+    hochster_supports,
     local_cohomology_piece_dimension,
 )
 from .poly import Multidegree, MultigradedRing
@@ -75,20 +76,27 @@ def regnum_free(shifts, R: MultigradedRing, v) -> int:
 
 def module_a_invariants(P: ModulePresentation, v, route: str = "ext",
                         limits: Limits = NO_LIMITS) -> AInvariants:
-    """a-invariants by the requested route ("ext" or "hochster")."""
+    """a-invariants by the requested route ("ext" or "hochster").
+
+    Both routes compute their v-independent part once per module: the Ext
+    modules (localcoh.ext_modules) and the Hochster face supports of the
+    quotient's complex (_memo_hochster_supports), so a sweep of vectors
+    over one module only weighs them under each v."""
     if route == "ext":
         return a_invariants_ext(P, v, limits)
     if route == "hochster":
-        K = _complex_of_quotient(P)
-        return a_invariants_hochster(K, P.ring, v)
+        return a_invariants_from_supports(_memo_hochster_supports(P), P.ring, v)
     raise InputError(f"unknown a-invariant route {route!r}")
 
 
-def _complex_of_quotient(P: ModulePresentation):
+# Called positionally only, like localcoh._memo_ext_modules.
+@lru_cache(maxsize=128)
+def _memo_hochster_supports(P):
+    """The Hochster face supports of the complex of a squarefree quotient S/I."""
     if len(P.shifts) != 1 or any(P.shifts[0]):
         raise InputError("Hochster route needs a cyclic quotient S/I")
-    gens = [vec_component(rel, 0) for rel in P.relations]
-    return complex_from_squarefree_ideal(P.ring, gens)
+    K = complex_from_squarefree_ideal(P.ring, [vec_component(rel, 0) for rel in P.relations])
+    return tuple(tuple(s) for s in hochster_supports(K, P.ring))
 
 
 def regnum_module(P: ModulePresentation, v, route: str = "ext",
@@ -174,7 +182,8 @@ def degree_bound_sets(P: ModulePresentation, v, indices,
     The region of (P, bases, v) is kept in a one-entry memo and grown layer
     by layer to the largest bound asked so far; level i reads the prefix of
     v-degree at most its bound.  One entry serves the consecutive calls of
-    a sweep over i under one vector and keeps a single region alive.  The
+    a sweep over i under one vector and keeps a single region alive, with
+    the points it has handed out decoded once (LatticeRegion.levels).  The
     key is the module, not the numbers: equal ideals in renamed variables
     build regions of their own.  The largest bound is checked against the
     limits before any layer is built.  The bases are F_0 of the memoized

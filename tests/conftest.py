@@ -67,10 +67,11 @@ def pmul(f, g, K):
 
 
 def clear_memos():
-    """Empty the resolution, Ext, region and basis memos, so the next call starts cold."""
+    """Empty the resolution, Ext, Hochster, region and basis memos, so the next call starts cold."""
     mreg.resolution._memo_resolution.cache_clear()
     mreg.localcoh._memo_ext_modules.cache_clear()
     mreg.regularity._memo_region.cache_clear()
+    mreg.regularity._memo_hochster_supports.cache_clear()
     mreg.groebner._memo_basis.cache_clear()
 
 

@@ -345,6 +345,22 @@ def test_composite_and_oversized_characteristics_exit_2(capture):
                    "got 3317044064679887385961981\n")
 
 
+def test_hochster_command_computes_each_link_homology_once(capture, monkeypatch):
+    import mreg.localcoh
+
+    original = mreg.localcoh._homology_from_faces
+    calls = []
+
+    def counted(faces, *args):
+        calls.append(frozenset(faces))
+        return original(faces, *args)
+
+    monkeypatch.setattr(mreg.localcoh, "_homology_from_faces", counted)
+    obj = run_json(capture, ["hochster", "--v", "2,3", str(PROBLEMS / "four-cycle.json")])
+    assert len(calls) == 9  # the empty face, 4 vertices and 4 edges
+    assert [a["value"] for a in obj["a_invariants"]] == [None, None, 0, None, None]
+
+
 def test_points_reject_module_commands(capture):
     code, _, _ = capture(["hochster", str(PROBLEMS / "eight-points.json")])
     assert code == 2

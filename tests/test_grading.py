@@ -304,3 +304,53 @@ def test_a_region_grown_bound_after_bound_re_encodes_rarely():
     region.grow(28)
     assert region.width == width
     assert region.points(28) == _brute_force_region(bases, HIRZEBRUCH2, v, 28)
+
+
+def test_levels_in_any_order_match_fresh_regions_and_brute_force():
+    rng = random.Random(6262)
+    widened = 0
+    for case in range(90):
+        r = 1 + case % 3
+        degrees, v = _random_positive_matrix(rng, r)
+        bases = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+        region = LatticeRegion(bases, degrees, v)
+        bounds = [rng.randint(-6, 8) for _ in range(4)]
+        asks = [sorted(bounds), sorted(bounds, reverse=True), [bounds[0]] * 2, bounds,
+                [bounds[1], rng.randint(-6, 24), bounds[1]]]  # the last may re-encode
+        for ask in asks[case % 5:] + asks[:case % 5]:
+            width = region.width
+            levels = region.levels(ask)
+            widened += region.width > width > 1
+            for bound, level in zip(ask, levels):
+                case_info = (degrees, v, bases, ask)
+                assert level == LatticeRegion(bases, degrees, v).points(bound), case_info
+                assert level == _brute_force_region(bases, degrees, v, bound), case_info
+    assert widened > 5
+
+
+def test_levels_decode_each_code_once():
+    # Hirzebruch s = 4 under (1, 7), as a sweep asks i = 0..3 one call at a time
+    region = LatticeRegion([(0, 0)], ((1, 0), (-4, 1), (1, 0), (0, 1)), (1, 7))
+    decode, widen = region._decode, region._widen
+    decoded = []
+
+    def counted(codes):
+        decoded.append(len(codes))
+        return decode(codes)
+
+    def widen_uncounted(bound):
+        region._decode = decode
+        try:
+            widen(bound)
+        finally:
+            region._decode = counted
+
+    region._decode, region._widen = counted, widen_uncounted
+    widths = set()
+    for bound in (40, 102, 164, 226):
+        level, = region.levels((bound,))
+        widths.add(region.width)
+    assert len(widths) > 1  # the region re-encoded between calls
+    assert sum(decoded) == len(region.codes) == len(level)
+    region.levels((226, 40))
+    assert sum(decoded) == len(region.codes)

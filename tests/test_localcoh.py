@@ -33,7 +33,9 @@ from mreg import (
     kernel_of_map,
     local_cohomology_piece_dimension,
     minimalize_presentation,
+    module_a_invariants,
     reduced_homology_ranks,
+    regnum_module,
     relations,
     stanley_reisner_ideal,
 )
@@ -489,3 +491,40 @@ def test_hochster_link_homology_once_per_face(p1p1, monkeypatch):
         links = [frozenset(K.link_faces(f)) for f in K.sorted_faces()]
         assert len(calls) == len(K.faces())
         assert sorted(calls, key=sorted) == sorted(links, key=sorted)
+
+
+def test_hochster_route_link_homology_once_per_face_across_vectors(p1p1, monkeypatch):
+    original = mreg.localcoh._homology_from_faces
+    calls = []
+
+    def counted(faces, *args):
+        calls.append(frozenset(faces))
+        return original(faces, *args)
+
+    monkeypatch.setattr(mreg.localcoh, "_homology_from_faces", counted)
+    for K, ring, vectors in squarefree_corpus(p1p1):
+        P = ModulePresentation.quotient_by_ideal(ring, stanley_reisner_ideal(K, ring))
+        clear_memos()
+        calls.clear()
+        for v in vectors:
+            assert module_a_invariants(P, v, "hochster") == a_invariants_ext(P, v), (K.facets, v)
+        assert len(calls) == len(K.faces()), K.facets
+
+
+def test_hochster_route_memo_keys_on_the_field():
+    # the six-vertex real projective plane: its links have homology over GF(2) only
+    V = tuple(f"x{i}" for i in range(1, 7))
+    facets = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6))
+    expected = {2: ((None, None, 0, 0, None, None, None), 3),
+                32003: ((None, None, None, -1, None, None, None), 2)}
+    for order in ((2, 32003), (32003, 2)):
+        clear_memos()
+        for p in order:
+            R = MultigradedRing(V, ((1,),) * 6, FieldDescriptor("prime", p))
+            K = SimplicialComplex(V, tuple(tuple(f"x{i}" for i in f) for f in facets))
+            P = ModulePresentation.quotient_by_ideal(R, stanley_reisner_ideal(K, R))
+            ai = module_a_invariants(P, (1,), "hochster")
+            assert ai == a_invariants_hochster(K, R, (1,)) == a_invariants_ext(P, (1,)), (order, p)
+            assert (ai.values, regnum_module(P, (1,), "hochster")) == expected[p], (order, p)
+            assert regnum_module(P, (1,)) == expected[p][1]
