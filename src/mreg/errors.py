@@ -51,7 +51,8 @@ class HomogeneityError(MregError):
 
 
 class ResourceLimitError(MregError):
-    """A configured degree/box/length cap was exceeded."""
+    """A configured degree/box/length cap was exceeded, or a monomial's
+    weighted degree passed what the Groebner core's term codes hold (2^31 - 1)."""
 
     exit_code = 5
 

@@ -3,11 +3,9 @@
 Module elements are flat dicts mapping (component, exponent tuple) to a
 nonzero field element.  The module order is position-over-term: earlier
 declared components dominate, ties are broken by the coarse weight order of
-the ambient ring.  Each term's order key is computed once per ModuleCtx and
-memoized on it; normal forms pop the pending terms of a heap in descending
-order.  All elements must be homogeneous in the fine Z^r-grading: the
-exported entry points check each input element once (element_degree), and
-everything they call, buchberger included, trusts that check.  Input
+the ambient ring.  All elements must be homogeneous in the fine Z^r-grading:
+the exported entry points check each input element once (element_degree),
+and everything they call, buchberger included, trusts that check.  Input
 generators and S-pairs share one queue ordered by coarse degree: within a
 degree the S-pairs (FIFO) come before the generators (in input order), and
 a generator enters the basis only if its normal form is nonzero, so the
@@ -15,9 +13,24 @@ generators that enter form a minimal generating set.  S-pairs come from
 minimal colon generators, the Schreyer frame's rule too; only those the
 product criterion keeps are queued, and only queued pairs face the cap.
 
-Every basis reduce_vec divides by is monic, and lead-term lists hold plain
-(component, monomial) terms: _degree_ordered_basis scales each element to
-lead coefficient one as it enters, the one place a basis is normalized.
+Inside the core (reduce_vec, s_vector, the Buchberger passes and the
+exactness check of relations) a term is one int, its code, and ascending
+codes list terms in descending module order (Bachmann and Schoenemann,
+ISSAC 1998).  A plain context packs, from high bits to low, the component,
+B - wdeg, B - total degree and the exponents e_n, ..., e_1, in fields of
+CODE_WIDTH bits with B = 2^(CODE_WIDTH - 1) - 1: the fields are the order
+key (comp, -wdeg, -deg, e_n, ..., e_1).  Every field is linear in the
+exponents, so multiplying by x^q adds the code step of q, a reducer led by
+l that divides t maps its term u to u + (t - l), and l divides t exactly
+when subtracting l's exponent fields from t's borrows from none of the
+guard bits set above them.  A coarse degree whose terms the fields cannot
+hold raises ResourceLimitError.  The core encodes its inputs once and
+decodes its results once; every other caller sees (component, monomial)
+dicts.
+
+Every basis reduce_vec divides by is monic: _degree_ordered_basis scales
+each element to lead coefficient one as it enters, the one place a basis is
+normalized.
 
 These dicts are the package's one module-element type: the relations of a
 ModulePresentation and the columns of every FreeResolution differential
@@ -33,10 +46,12 @@ relations off one Groebner basis of augmented generators.  One image check,
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, mul
 
-from .errors import NO_LIMITS, HomogeneityError, InputError, Limits, show
+from .errors import NO_LIMITS, HomogeneityError, InputError, Limits, ResourceLimitError, show
 from .grading import find_positive_coarsening_vector
 from .poly import (
     Mono,
@@ -53,23 +68,67 @@ from .poly import (
 
 Vec = dict  # (component, Mono) -> coefficient
 
+CODE_WIDTH = 32  # bits per field of a term code
+_FIELD = (1 << CODE_WIDTH) - 1
+_GUARD = 1 << (CODE_WIDTH - 1)
+_ROOM = _GUARD - 1  # B: the largest degree a field holds
+
+
+def _plain_origin(n: int, comp: int) -> int:
+    """Code of the generator e_comp in a plain context over n variables."""
+    return (((comp << CODE_WIDTH | _ROOM) << CODE_WIDTH | _ROOM) << CODE_WIDTH * n)
+
 
 # -- contexts -----------------------------------------------------------------
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
 
 @dataclass(frozen=True)
 class ModuleCtx:
     """A free module over a ring together with the order used for bases.
 
-    `term_keys` memoizes term_key, so a context computes each term's key
-    once and the memo lives exactly as long as the context.
+    Its term codes (module docstring): x^m e_c codes as origins[c] plus the
+    sum of m_i * units[i]; `exponents` masks the exponent fields, `guards`
+    holds their top bits, and (code >> key_shift) & key_mask is the key a
+    reducer's lead code must share with a term it divides.  A homogeneous
+    element fits the codes when its coarse degree is at most degree_limit.
     """
 
     ring: MultigradedRing
     shifts: tuple[Multidegree, ...]
     order: object
     shift_wdegs: tuple[int, ...]
-    term_keys: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False, hash=False)
+    origins: tuple = _derived()
+    units: tuple = _derived()
+    low: int = _derived()  # bits below the exponent fields
+    key_shift: int = _derived()
+    key_mask: int = _derived()
+    exponents: int = _derived()
+    guards: int = _derived()
+    degree_limit: int = _derived()
+
+    def __post_init__(self):
+        n = self.ring.n
+        self._lay_out(0, CODE_WIDTH * (n + 2), -1, [_plain_origin(n, c) for c in range(self.rank)])
+
+    def _lay_out(self, low: int, key_shift: int, key_mask: int, origins) -> None:
+        n = self.ring.n
+        units = tuple(((1 << CODE_WIDTH * i) - (1 << CODE_WIDTH * n)
+                       - (w << CODE_WIDTH * (n + 1))) << low
+                      for i, w in enumerate(self.order.weights))
+        # room left in each origin's weighted-degree field, so the most a
+        # term of that component can add to it
+        room = ((o >> low + CODE_WIDTH * (n + 1)) & _FIELD for o in origins)
+        for name, value in (
+            ("origins", tuple(origins)), ("units", units), ("low", low),
+            ("key_shift", key_shift), ("key_mask", key_mask),
+            ("exponents", sum(_FIELD << CODE_WIDTH * i for i in range(n)) << low),
+            ("guards", sum(_GUARD << CODE_WIDTH * i for i in range(n)) << low),
+            ("degree_limit", min(map(add, room, self.shift_wdegs), default=_ROOM)),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def for_vector(cls, ring: MultigradedRing, shifts, v, **fields) -> "ModuleCtx":
@@ -82,22 +141,6 @@ class ModuleCtx:
     def rank(self) -> int:
         return len(self.shifts)
 
-    def term_key(self, t):
-        """Sort key of a term: ascending keys list terms in descending order.
-
-        The component comes first (position-over-term), then the negated
-        TermOrder.key of the monomial, flattened into one tuple of ints; its
-        revlex part negates the reversed exponents, so here they stand as is.
-        """
-        key = self.term_keys.get(t)
-        if key is None:
-            key = self.term_keys[t] = self._build_term_key(t)
-        return key
-
-    def _build_term_key(self, t):
-        comp, mono = t
-        return (comp, -self.order.wdeg(mono), -sum(mono), *reversed(mono))
-
     def term_wdeg(self, t) -> int:
         """Coarse degree of a term, so of a homogeneous element with that term."""
         comp, mono = t
@@ -106,6 +149,80 @@ class ModuleCtx:
     def vec_degree(self, f: Vec) -> Multidegree:
         """Fine multidegree of a nonzero homogeneous element; see element_degree."""
         return element_degree(self.ring, self.shifts, f)
+
+    # -- term codes ----------------------------------------------------------
+    def check_code_degree(self, degree: int) -> None:
+        if degree > self.degree_limit:
+            raise ResourceLimitError(f"coarse degree {show(degree)} exceeds the term-code "
+                                     f"limit {show(self.degree_limit)}")
+
+    def shift(self, mono: Mono) -> int:
+        """What multiplying by x^mono adds to a code."""
+        return sum(map(mul, mono, self.units))
+
+    def code(self, t) -> int:
+        return self.origins[t[0]] + self.shift(t[1])
+
+    def encode(self, f: Vec) -> dict:
+        """The code dict of a homogeneous element; raises if its degree does not fit."""
+        if f:
+            self.check_code_degree(self.term_wdeg(next(iter(f))))
+        origins, units = self.origins, self.units
+        return {origins[comp] + sum(map(mul, mono, units)): c for (comp, mono), c in f.items()}
+
+    def comp(self, code: int) -> int:
+        return code >> self.key_shift
+
+    def term(self, code: int):
+        """The (component, monomial) term of a code."""
+        comp = self.comp(code)
+        rest = (code - self.origins[comp]) >> self.low
+        return comp, tuple([rest >> s & _FIELD
+                            for s in range(0, CODE_WIDTH * self.ring.n, CODE_WIDTH)])
+
+    def decode(self, f: dict) -> Vec:
+        term = self.term
+        return {term(u): c for u, c in f.items()}
+
+    def divides(self, lead: int, t: int) -> bool:
+        """Whether the term coded lead divides the term coded t."""
+        e, g = self.exponents, self.guards
+        return self.comp(lead) == self.comp(t) and ((t & e | g) - (lead & e)) & g == g
+
+
+@dataclass(frozen=True)
+class SchreyerCtx(ModuleCtx):
+    """F_k (+) F_{k+1}, in which the columns of d_{k+1} are reduced.
+
+    The first len(leads) components are F_k's generators under the Schreyer
+    order: x^m e_c codes as below.code(x^m * leads[c]) * 2^b + c, with b
+    the bit length of len(leads), so it compares by the below order of
+    x^m * leads[c] and on a tie the lower index is larger.  Codes stay
+    linear in m, with below's code steps times 2^b.  The remaining
+    components, F_{k+1}'s, carry the quotients of a reduction: they code as
+    in a plain context whose components come after every component of
+    below's codes, times 2^low, plus 2^b - 1 (the key of no reducer).  So
+    they come after every term of F_k, by component and then by the
+    monomial's own order, and are never divided.
+    """
+
+    below: ModuleCtx | None = None
+    leads: tuple = ()
+
+    def __post_init__(self):
+        below, n, b = self.below, self.ring.n, len(self.leads).bit_length()
+        mask, low = (1 << b) - 1, below.low + b
+        # one past the plain component field of below's largest code
+        top = (below.origins[-1] >> below.low + CODE_WIDTH * (n + 2)) + 1
+        origins = [below.code(t) << b | c for c, t in enumerate(self.leads)]
+        origins += [_plain_origin(n, top + c) << low | mask
+                    for c in range(len(self.leads), self.rank)]
+        self._lay_out(low, 0, mask, origins)
+
+    def comp(self, code: int) -> int:
+        c = code & self.key_mask
+        # a trailing component's codes lie between its origin and the one before
+        return c if c != self.key_mask else bisect_left(self.origins, code, len(self.leads))
 
 
 def element_degree(ring: MultigradedRing, shifts, terms) -> Multidegree:
@@ -133,12 +250,29 @@ def element_degree(ring: MultigradedRing, shifts, terms) -> Multidegree:
 
 # -- vector arithmetic ---------------------------------------------------------
 
-def s_vector(f: Vec, mf: Mono, g: Vec, mg: Mono, K) -> Vec:
-    """x^(l/mf) f - x^(l/mg) g, l = lcm(mf, mg): the S-vector of monic f, g led by mf, mg."""
+def s_vector(ctx: ModuleCtx, f: dict, mf: Mono, g: dict, mg: Mono) -> dict:
+    """x^(l/mf) f - x^(l/mg) g, l = lcm(mf, mg): the S-vector of monic code dicts f, g led by mf, mg."""
+    K = ctx.ring.field
     lcm = mono_lcm(mf, mg)
-    qf = mono_div(lcm, mf)
-    out = {(comp, mono_mul(m, qf)): v for (comp, m), v in f.items()}
-    return _isub_term_mul(out, g, mono_div(lcm, mg), K.one, K)
+    step = ctx.shift(mono_div(lcm, mf))
+    out = {u + step: v for u, v in f.items()}
+    return _isub_shifted(out, g, ctx.shift(mono_div(lcm, mg)), K.one, K)
+
+
+def _isub_shifted(out: dict, g: dict, step: int, c, K) -> dict:
+    """out -= c * x^m * g on code dicts, step being the code step of x^m; returns out."""
+    for u, v in g.items():
+        u += step
+        old = out.get(u)
+        if old is None:
+            out[u] = K.negmul(v, c)
+        else:
+            s = K.submul(old, v, c)
+            if s:
+                out[u] = s
+            else:
+                del out[u]
+    return out
 
 
 def _isub_term_mul(out: Vec, g: Vec, mono: Mono, c, K) -> Vec:
@@ -166,54 +300,56 @@ def vec_component(f: Vec, comp: int) -> PolyDict:
 
 
 def leading_term(ctx: ModuleCtx, f: Vec):
-    return min(f, key=ctx.term_key)
+    return min(f, key=ctx.code)
 
 
 # -- reduction -----------------------------------------------------------------
 
-def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
-    """Full normal form of f modulo a monic basis.
+def reduce_vec(ctx: ModuleCtx, f: dict, basis: list[dict], lts) -> dict:
+    """Full normal form of f modulo a monic basis, on code dicts.
 
-    `lts` are the basis elements' leading terms, cached by the caller.  Each
+    `lts` are the basis elements' lead codes, cached by the caller.  Each
     element must have coefficient one there: a non-monic reducer gives a
     wrong normal form, unchecked.  Reducers are tried in list order, which
-    keeps the division deterministic.  The pending terms sit in a heap
-    keyed by term_key and pop in descending order.  A subtraction updates
-    them in place and pushes only the terms it creates.  A cancelled term
-    keeps its entry, which is skipped when it surfaces with the term gone; a
-    term cancelled and re-created has two entries, and the second to surface
-    is skipped.
+    keeps the division deterministic.  The pending codes sit in a heap and
+    pop smallest first, so terms come in descending order.  A reducer led
+    by l that divides the term t subtracts its terms shifted by t - l,
+    updating the pending terms in place and pushing only the codes it
+    creates.  A cancelled term keeps its entry, which is skipped when it
+    surfaces with the term gone; a term cancelled and re-created has two
+    entries, and the second to surface is skipped.
     """
-    K = ctx.ring.field
-    keys, key = ctx.term_keys, ctx.term_key
+    negmul, submul = ctx.ring.field.negmul, ctx.ring.field.submul
+    push, pop = heapq.heappush, heapq.heappop
+    e, g, key_shift, key_mask = ctx.exponents, ctx.guards, ctx.key_shift, ctx.key_mask
     reducers: dict[int, list] = {}
-    for g, (lcomp, lmono) in zip(basis, lts):
-        reducers.setdefault(lcomp, []).append((lmono, g))
+    for r, lead in zip(basis, lts):
+        reducers.setdefault(lead >> key_shift & key_mask, []).append((lead, lead & e, r))
     work = dict(f)
-    heap = [(keys.get(t) or key(t), t) for t in work]
+    heap = list(work)
     heapq.heapify(heap)
-    out: Vec = {}
+    out: dict = {}
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = pop(heap)
         c = work.get(t)
         if c is None:
             continue
-        comp, mono = t
-        for lmono, g in reducers.get(comp, ()):
-            if mono_divides(lmono, mono):
-                q = mono_div(mono, lmono)
-                for (gcomp, gmono), v in g.items():
-                    nt = (gcomp, mono_mul(gmono, q))
-                    old = work.get(nt)
+        te = t & e | g
+        for lead, le, r in reducers.get(t >> key_shift & key_mask, ()):
+            if (te - le) & g == g:
+                step = t - lead
+                for u, v in r.items():
+                    u += step
+                    old = work.get(u)
                     if old is None:
-                        work[nt] = K.negmul(v, c)
-                        heapq.heappush(heap, (keys.get(nt) or key(nt), nt))
+                        work[u] = negmul(v, c)
+                        push(heap, u)
                     else:
-                        s = K.submul(old, v, c)
+                        s = submul(old, v, c)
                         if s:
-                            work[nt] = s
+                            work[u] = s
                         else:
-                            del work[nt]
+                            del work[u]
                 break
         else:
             out[t] = c
@@ -222,11 +358,6 @@ def reduce_vec(ctx: ModuleCtx, f: Vec, basis: list[Vec], lts) -> Vec:
 
 
 # -- Buchberger ----------------------------------------------------------------
-
-def _single_component(f: Vec):
-    comps = {c for (c, _) in f}
-    return comps.pop() if len(comps) == 1 else None
-
 
 def buchberger(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS):
     """Reduced Groebner basis of the given generators, every element monic.
@@ -237,7 +368,8 @@ def buchberger(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS):
     ctx's free module, checked by an entry point or a ModulePresentation.
     """
     basis, lts, _ = _degree_ordered_basis(ctx, gens, limits)
-    return _autoreduce(ctx, basis, lts)
+    basis, lts = _autoreduce(ctx, basis, lts)
+    return [ctx.decode(g) for g in basis], [ctx.term(t) for t in lts]
 
 
 def _minimal_colon(lts, a, others):
@@ -264,15 +396,16 @@ def _minimal_colon(lts, a, others):
 
 
 def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
-    """Unreduced monic Groebner basis, its lead terms, and which generators entered it.
+    """Unreduced monic Groebner basis, its lead codes, and which generators entered it.
 
-    Every element is scaled to lead coefficient one as it enters.  Element j
-    is paired with the earlier elements _minimal_colon picks for it; a pair
-    the product criterion covers still counts in that choice but is never
-    queued.  Generators and S-pairs are popped by coarse degree; at equal
-    degree the S-pairs come first.  When a degree-d generator is popped,
-    every queued pair of degree <= d has been treated, so the basis is
-    complete through degree d and the generator's normal form is zero
+    The generators are encoded once, here, and the basis comes back as code
+    dicts.  Every element is scaled to lead coefficient one as it enters.
+    Element j is paired with the earlier elements _minimal_colon picks for
+    it; a pair the product criterion covers still counts in that choice but
+    is never queued.  Generators and S-pairs are popped by coarse degree; at
+    equal degree the S-pairs come first.  When a degree-d generator is
+    popped, every queued pair of degree <= d has been treated, so the basis
+    is complete through degree d and the generator's normal form is zero
     exactly when it lies in the submodule generated by the generators that
     entered before it.  Only queued pairs face the degree cap, each just
     before its S-vector is formed.  Like buchberger, it trusts its callers
@@ -280,8 +413,9 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     one of its terms.
     """
     K = ctx.ring.field
-    basis: list[Vec] = []
-    lts: list = []
+    basis: list[dict] = []
+    lts: list[int] = []
+    leads: list = []  # the lead terms as (component, monomial), for the pair rules
     single: list = []  # the only component of each element, or None
     entered: list[int] = []
     seq = 0
@@ -291,20 +425,24 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     #  tie-break: pair creation order | generator index, i, j)
     heap = [(ctx.term_wdeg(next(iter(g))), 1, idx, idx, -1) for idx, g in enumerate(gens) if g]
     heapq.heapify(heap)
+    gens = [ctx.encode(g) for g in gens]
 
     def add(g):
         nonlocal seq
-        t = leading_term(ctx, g)
+        t = min(g)
         inv = K.inv(g[t])
         basis.append({u: K.mul(c, inv) for u, c in g.items()})
         lts.append(t)
-        single.append(_single_component(g))
+        comp, mono = ctx.term(t)
+        leads.append((comp, mono))
+        comps = {ctx.comp(u) for u in g}
+        single.append(comp if len(comps) == 1 else None)
         j = len(basis) - 1
-        for q, i in _minimal_colon(lts, j, range(j)):
+        for q, i in _minimal_colon(leads, j, range(j)):
             # product criterion, valid when both elements live in one component
-            if single[i] is not None and single[i] == single[j] and mono_coprime(lts[i][1], t[1]):
+            if single[i] is not None and single[i] == single[j] and mono_coprime(leads[i][1], mono):
                 continue
-            heapq.heappush(heap, (ctx.term_wdeg((t[0], mono_mul(q, t[1]))), 0, seq, i, j))
+            heapq.heappush(heap, (ctx.term_wdeg((comp, mono_mul(q, mono))), 0, seq, i, j))
             seq += 1
 
     while heap:
@@ -316,25 +454,26 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
                 add(nf)
             continue
         limits.check_degree("S-pair of coarse degree", deg)
-        nf = reduce_vec(ctx, s_vector(basis[i], lts[i][1], basis[j], lts[j][1], K), basis, lts)
+        ctx.check_code_degree(deg)
+        nf = reduce_vec(ctx, s_vector(ctx, basis[i], leads[i][1], basis[j], leads[j][1]),
+                        basis, lts)
         if nf:
             add(nf)
 
     return basis, lts, entered
 
 
-def _autoreduce(ctx: ModuleCtx, basis: list[Vec], lts):
-    """Keep minimal leading terms, tail-reduce, sort canonically.
+def _autoreduce(ctx: ModuleCtx, basis: list[dict], lts):
+    """Keep minimal lead codes, tail-reduce, sort canonically.
 
-    Tail reduction never touches a leading term, so the given leading terms
-    stay valid and are returned alongside the reduced elements.
+    Tail reduction never touches a lead term, so the given lead codes stay
+    valid and are returned alongside the reduced elements.
     """
-    order_idx = sorted(range(len(basis)), key=lambda i: ctx.term_key(lts[i]), reverse=True)
-    kept: list[Vec] = []
-    kept_lts: list = []
+    order_idx = sorted(range(len(basis)), key=lts.__getitem__, reverse=True)
+    kept: list[dict] = []
+    kept_lts: list[int] = []
     for i in order_idx:
-        comp, mono = lts[i]
-        if any(c == comp and mono_divides(m, mono) for c, m in kept_lts):
+        if any(ctx.divides(lead, lts[i]) for lead in kept_lts):
             continue
         kept.append(basis[i])
         kept_lts.append(lts[i])
@@ -358,8 +497,8 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     property of a position-over-term order).  Only these elements can reduce
     one another, so they alone are autoreduced.  The columns must be nonzero;
     the relations live in the free module whose j-th generator maps to
-    cols[j], and each is verified to map into span(modulo).  Every column
-    and nonzero modulo element is checked once, here.
+    cols[j], and each is verified to map into span(modulo), on codes.  Every
+    column and nonzero modulo element is checked once, here.
     """
     cols = list(cols)
     modulo = [g for g in modulo if g]
@@ -376,15 +515,20 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     )
     gens = [{**c, (rank + j, zero): K.one} for j, c in enumerate(cols)] + modulo
     basis, lts, _ = _degree_ordered_basis(aug, gens, limits)
-    trailing = [i for i, (lcomp, _) in enumerate(lts) if lcomp >= rank]
+    trailing = [i for i, t in enumerate(lts) if aug.comp(t) >= rank]
     basis, _ = _autoreduce(aug, [basis[i] for i in trailing], [lts[i] for i in trailing])
-    out = [{(comp - rank, m): c for (comp, m), c in g.items()} for g in basis]
+    out = [{(comp - rank, m): c for (comp, m), c in aug.decode(g).items()} for g in basis]
 
     # exactness check: each relation maps into span(modulo), an empty modulo
     # being its own basis
     mod_basis, mod_lts = buchberger(ctx, modulo, limits) if modulo else ([], [])
+    mod_basis, mod_lts = [ctx.encode(g) for g in mod_basis], [ctx.code(t) for t in mod_lts]
+    cols = [ctx.encode(c) for c in cols]
     for a in out:
-        if reduce_vec(ctx, residual({}, cols, a, K), mod_basis, mod_lts):
+        image: dict = {}
+        for (j, m), c in a.items():
+            _isub_shifted(image, cols[j], ctx.shift(m), c, K)
+        if reduce_vec(ctx, image, mod_basis, mod_lts):
             raise ArithmeticError("relation does not map into the span of the modulo elements")
     return out
 

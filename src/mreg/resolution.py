@@ -6,10 +6,14 @@ every later level is read off the S-pairs of the one before it.  Each level
 is ordered per lead component by descending lex lead exponents (Eisenbud,
 Commutative Algebra, Cor. 15.11), and the next module gets the induced
 Schreyer order: x^m e_c compares as x^m times the lead term of c, with ties
-going to the lower index.  By Schreyer's theorem one syzygy per minimal
-generator of each colon ideal (lt_b : b > a) : lt_a is then a Groebner basis
-of the syzygies, so a level needs reductions only, no Buchberger run; each
-S-vector must reduce to zero, and the quotients give its syzygy.  The frame
+going to the lower index.  SchreyerCtx packs that order into groebner's
+integer term codes: the code of x^m e_c is the code of x^m times the lead
+term of c one level down, with c appended in the low bits, so a level's
+divisions run on codes like a Buchberger pass.  By Schreyer's theorem one
+syzygy per minimal generator of each colon ideal (lt_b : b > a) : lt_a is
+then a Groebner basis of the syzygies, so a level needs reductions only, no
+Buchberger run; each S-vector must reduce to zero, and the quotients give
+its syzygy.  The frame
 is a free resolution of length at most the number of variables, but not
 minimal.  Second, minimalize_complex cancels its constant entries.  The
 d o d = 0 and minimality asserts run on the result rather than being
@@ -23,8 +27,7 @@ columns, and their quotients are the other relations.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
@@ -39,6 +42,7 @@ from .errors import (
 from .grading import find_positive_coarsening_vector
 from .groebner import (
     ModuleCtx,
+    SchreyerCtx,
     Vec,
     _isub_term_mul,
     _memo_basis,
@@ -218,27 +222,6 @@ def _degree_sorted(F: FreeResolution, v) -> FreeResolution:
     return FreeResolution(F.ring, shifts, diffs)
 
 
-@dataclass(frozen=True)
-class SchreyerCtx(ModuleCtx):
-    """F_k (+) F_{k+1}, in which the columns of d_{k+1} are reduced.
-
-    The first len(leads) components are F_k's generators under the Schreyer
-    order: x^m e_c compares by the `below` key of x^m * leads[c], and on a
-    tie the lower index is larger.  The remaining components, F_{k+1}'s,
-    carry the quotients of a reduction and sort after every term of F_k.
-    """
-
-    below: ModuleCtx | None = None
-    leads: tuple = ()
-
-    def _build_term_key(self, t):
-        comp, mono = t
-        if comp >= len(self.leads):
-            return (math.inf, comp, mono)
-        lcomp, lmono = self.leads[comp]
-        return (*self.below.term_key((lcomp, mono_mul(mono, lmono))), comp)
-
-
 def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution:
     """A free resolution of coker(P0) whose differentials are Schreyer Groebner bases.
 
@@ -287,23 +270,29 @@ def _frame_syzygies(ctx: ModuleCtx, elems, leads, image, limits: Limits):
     and every quotient term is smaller.  Each `image` column of F_{k-1} is then
     divided the same way, and the negated F_k part of its remainder, which
     maps to the column, is appended; a remainder in F_{k-1} raises.  The
-    Ext route passes a kernel basis in place of d_k, with its image.
+    Ext route passes a kernel basis in place of d_k, with its image.  The
+    elements and image columns are encoded once, here, and each remainder
+    is decoded once.
     """
     K = ctx.ring.field
     base = ctx.rank - len(elems)
     zero = (0,) * ctx.ring.n
-    aug = [{**g, (base + i, zero): K.one} for i, g in enumerate(elems)]
+    aug = [ctx.encode({**g, (base + i, zero): K.one}) for i, g in enumerate(elems)]
+    lts = [ctx.code(t) for t in leads]
     out, out_leads = [], []
     for a, (ca, ma) in enumerate(leads):
         for q, b in sorted(_minimal_colon(leads, a, range(a + 1, len(leads))), reverse=True):
-            limits.check_degree("S-pair of coarse degree", ctx.term_wdeg((ca, mono_mul(q, ma))))
-            rem = reduce_vec(ctx, s_vector(aug[a], ma, aug[b], leads[b][1], K), aug, leads)
+            deg = ctx.term_wdeg((ca, mono_mul(q, ma)))
+            limits.check_degree("S-pair of coarse degree", deg)
+            ctx.check_code_degree(deg)
+            rem = ctx.decode(reduce_vec(ctx, s_vector(ctx, aug[a], ma, aug[b], leads[b][1]),
+                                        aug, lts))
             if any(comp < base for comp, _ in rem):
                 raise ArithmeticError("frame S-vector does not reduce to zero")
             out.append({(comp - base, m): c for (comp, m), c in rem.items()})
             out_leads.append((a, q))
     for col in image:
-        rem = reduce_vec(ctx, col, aug, leads)
+        rem = ctx.decode(reduce_vec(ctx, ctx.encode(col), aug, lts))
         if any(comp < base for comp, _ in rem):
             raise ArithmeticError("image column does not lie in the kernel")
         out.append({(comp - base, m): K.neg(c) for (comp, m), c in rem.items()})
@@ -424,8 +413,10 @@ def minimalize_complex(F: FreeResolution) -> FreeResolution:
     in d_i only deletes entries of d_{i-1} and d_{i+1}, and it subtracts
     (col_s[q] / c) * pivot from a column s of d_i, which has a constant
     term only if col_s[q] is constant; so a column the sweep has passed stays
-    free of constants.  Removed generators keep their indices, and their
-    leftover entries stay, until one renumbering at the end.
+    free of constants.  A row index per level lets a pivot visit only the
+    columns with a term in its row, still in ascending order.  Removed
+    generators keep their indices, and their leftover entries stay, until
+    one renumbering at the end.
     """
     K = F.ring.field
     zero = (0,) * F.ring.n
@@ -433,6 +424,11 @@ def minimalize_complex(F: FreeResolution) -> FreeResolution:
     dead = [set() for _ in F.shifts]  # the removed generators of each F_i
     for i, diff in enumerate(diffs):
         rows_dead, cols_dead = dead[i], dead[i + 1]
+        # row -> the columns with a term in it, or that had one before a cancellation
+        rows = defaultdict(set)
+        for s, col in enumerate(diff):
+            for r, _ in col:
+                rows[r].add(s)
         for p, pivot in enumerate(diff):
             q = min((r for r, m in pivot if not any(m) and r not in rows_dead), default=None)
             if q is None:
@@ -440,11 +436,13 @@ def minimalize_complex(F: FreeResolution) -> FreeResolution:
             inv = K.inv(pivot[(q, zero)])
             rows_dead.add(q)
             cols_dead.add(p)
-            for s, col in enumerate(diff):
-                if s in cols_dead:
-                    continue
+            pivot_rows = {r for r, _ in pivot}
+            for s in sorted(rows[q] - cols_dead):
+                col = diff[s]
                 for m, a in [(m, a) for (r, m), a in col.items() if r == q]:
                     _isub_term_mul(col, pivot, m, K.mul(a, inv), K)
+                    for r in pivot_rows:
+                        rows[r].add(s)
     keep = [[j for j in range(len(level)) if j not in gone] for level, gone in zip(F.shifts, dead)]
     shifts = [tuple(level[j] for j in idx) for level, idx in zip(F.shifts, keep)]
     out_diffs = []

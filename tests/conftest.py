@@ -12,6 +12,7 @@ import pytest
 
 import mreg.localcoh
 import mreg.resolution
+from mreg.groebner import reduce_vec
 from mreg import (
     ModulePresentation,
     MultigradedRing,
@@ -64,6 +65,12 @@ def pmul(f, g, K):
             else:
                 out.pop(mm, None)
     return out
+
+
+def normal_form(ctx, f, basis, lts):
+    """reduce_vec on (component, monomial) dicts: the inputs are encoded, the normal form decoded."""
+    codes = [ctx.encode(g) for g in basis]
+    return ctx.decode(reduce_vec(ctx, ctx.encode(f), codes, [ctx.code(t) for t in lts]))
 
 
 def clear_memos():

@@ -3,7 +3,7 @@
 beta_{i,a}(M) = dim_k H_i(K(x) (x) M)_a.  The graded pieces of M come from
 one Groebner basis of the presentation: M_b has the standard monomials of
 fine degree b as a basis, and x_j acts by multiplication followed by
-reduce_vec.  Ranks come from linalg.matrix_rank.  The table is compared
+reduce_vec (through conftest.normal_form).  Ranks come from linalg.matrix_rank.  The table is compared
 with the minimal resolution's on a box that holds every resolution degree
 with a margin of one, and must vanish everywhere else in the box.
 """
@@ -30,9 +30,10 @@ from mreg import (
     multiproj_ring,
     quotient_presentation,
 )
-from mreg.groebner import buchberger, reduce_vec
+from mreg.groebner import buchberger
 from mreg.linalg import matrix_rank
 from mreg.poly import DEFAULT_FIELD, QQ, mono_divides, monomials_of_weight
+from tests.conftest import normal_form
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -79,7 +80,7 @@ class KoszulOracle:
         if (j, term) not in self.products:
             comp, e = term
             shifted = (comp, tuple(x + u for x, u in zip(e, self.units[j])))
-            self.products[(j, term)] = reduce_vec(self.ctx, {shifted: self.K.one}, *self.G)
+            self.products[(j, term)] = normal_form(self.ctx, {shifted: self.K.one}, *self.G)
         return self.products[(j, term)]
 
     def chain(self, i: int, a):

@@ -151,6 +151,15 @@ def test_negative_degree_cap_is_a_cap(tmp_path, capture):
     assert err == "error: S-pair of coarse degree -1 exceeds the degree cap -2\n"
 
 
+def test_degree_past_the_term_codes_exits_5(tmp_path, capture):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ring": {"variables": ["x", "y"], "degrees": [[1], [1]]},
+                                "ideal": ["x^2147483648", "x*y"]}))
+    code, out, err = capture(["betti", path.as_posix()])
+    assert (code, out) == (5, "")
+    assert err == "error: coarse degree 2147483648 exceeds the term-code limit 2147483647\n"
+
+
 @pytest.mark.parametrize("degree", ["2", "2,0,5"])
 def test_points_hilbert_degree_of_the_wrong_length_exits_2(capture, degree):
     argv = ["points", "hilbert", "--degree", degree, str(PROBLEMS / "eight-points.json")]

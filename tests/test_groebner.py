@@ -31,9 +31,10 @@ from mreg import (
     vec_component,
 )
 from mreg.cli import run
-from mreg.groebner import _minimal_colon, buchberger, element_degree, reduce_vec
+from mreg.groebner import _minimal_colon, buchberger, element_degree
 from mreg.linalg import matrix_rank
 from mreg.poly import mono_div, mono_divides, mono_lcm, mono_mul, monomials_of_weight
+from tests.conftest import normal_form
 from tests.conftest import padd as vadd
 from tests.conftest import pmul
 
@@ -52,7 +53,7 @@ def basis_polys(G):
 
 
 def reduces_to_zero(ctx, f, G):
-    return reduce_vec(ctx, poly_to_vec(f), *G) == {}
+    return normal_form(ctx, poly_to_vec(f), *G) == {}
 
 
 def term_times(f, m, c, K):
@@ -302,7 +303,7 @@ def test_normal_form_examples(p1p1):
     ctx = ideal_ctx(p1p1, (1, 1))
     G = ideal_basis(ctx, [p1p1.parse("x0*x1"), p1p1.parse("y0*y1")])
     assert reduces_to_zero(ctx, p1p1.parse("x0*x1*y0"), G)
-    nf = reduce_vec(ctx, poly_to_vec(p1p1.parse("x0*y0")), *G)
+    nf = normal_form(ctx, poly_to_vec(p1p1.parse("x0*y0")), *G)
     assert vec_component(nf, 0) == p1p1.parse("x0*y0")
     assert reduces_to_zero(ctx, {}, G)
 

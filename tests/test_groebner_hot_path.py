@@ -1,32 +1,39 @@
 """The Groebner hot path against the definitions it replaces.
 
-`reduce_vec` pops terms from a heap keyed by memoized term keys; the
-reference below is the plain division loop that takes `max` over the
-pending terms at every step, with the same reducer order.
+`reduce_vec` pops integer term codes from a heap; the reference below is
+the plain division loop that takes `max` over the pending terms at every
+step, with the same reducer order.  The codes themselves are checked
+against `TermOrder.key` and `mono_divides`, for plain and Schreyer
+contexts.
 `prune_to_minimal_generators` decides every column in one degree-ordered
 Buchberger run; the reference is the greedy definition, which recomputes a
 Groebner basis of the kept columns after each one it keeps.
 """
 
-import collections
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mreg
 from mreg import (
     Limits,
     ModuleCtx,
+    MregError,
     MultigradedRing,
     PointSet,
     ResourceLimitError,
     TermOrder,
-    minimal_free_resolution,
+    cached_minimal_resolution,
+    ext_modules,
+    multiproj_ring,
     quotient_presentation,
 )
-from mreg.groebner import buchberger, leading_term, prune_to_minimal_generators, reduce_vec
+from mreg.groebner import CODE_WIDTH, SchreyerCtx, buchberger, leading_term, prune_to_minimal_generators
 from mreg.poly import QQ, DEFAULT_FIELD, mono_div, mono_divides, mono_mul, monomials_of_weight
+from tests.conftest import clear_memos, normal_form
 
 
 def reference_reduce(ctx, f, basis, lts):
@@ -104,7 +111,7 @@ def test_reduce_vec_matches_max_division(K):
         f = random_vec(rng, ring, ctx.shifts, rng.randint(2, 5), coeffs, rng.randint(1, 12))
         expected, recreated = reference_reduce(ctx, f, basis, lts)
         recreations += recreated
-        assert reduce_vec(ctx, f, basis, lts) == expected
+        assert normal_form(ctx, f, basis, lts) == expected
     assert recreations > 0  # the corpus exercises the stale heap entries
 
 
@@ -121,32 +128,77 @@ def test_reduce_vec_term_cancelled_then_recreated(K):
     lts = [leading_term(ctx, g) for g in basis]
     expected, recreated = reference_reduce(ctx, f, basis, lts)
     assert recreated == 1
-    assert reduce_vec(ctx, f, basis, lts) == expected == {b2: one}
+    assert normal_form(ctx, f, basis, lts) == expected == {b2: one}
 
 
-def test_term_key_orders_like_the_module_order():
-    ring = weighted_ring(DEFAULT_FIELD)
-    ctx = ModuleCtx.for_vector(ring, ((0,), (2,), (1,)), (1,))
-    rng = random.Random(7)
-    terms = list({(rng.randrange(3), tuple(rng.randrange(4) for _ in range(4))) for _ in range(300)})
-    by_key = sorted(terms, key=ctx.term_key)
-    by_order = sorted(terms, key=lambda t: (-t[0], ctx.order.key(t[1])), reverse=True)
-    assert by_key == by_order
-    assert ctx.term_keys  # memoized on the context
+def _contexts(data):
+    """A plain context, or a Schreyer context one or two levels above one, on drawn weights.
 
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_term_key_is_the_flattened_negated_order_key(data):
-    n = data.draw(st.integers(1, 6))
-    weights = tuple(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    Returns (ctx, terms, reference): terms of every component, and a key
+    that sorts terms ascending in the module order, built from
+    TermOrder.key; in a Schreyer context x^m e_c compares as x^m times
+    leads[c] in the context below, with ties to the lower index, and the
+    trailing components come after (below) every such term.
+    """
+    n = data.draw(st.integers(1, 5), label="n")
+    weights = tuple(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n), label="weights"))
     ring = MultigradedRing(tuple(f"x{i}" for i in range(n)), ((1,),) * n, DEFAULT_FIELD)
-    ctx = ModuleCtx(ring, ((0,),) * 4, TermOrder(weights), (0,) * 4)
-    terms = data.draw(st.lists(st.tuples(
-        st.integers(0, 3), st.tuples(*[st.integers(0, 12)] * n)), min_size=1, max_size=20))
+    order = TermOrder(weights)
+    monos = st.tuples(*[st.integers(0, 12)] * n)
+
+    def key(t):
+        return (-t[0], order.key(t[1]))
+
+    rank = data.draw(st.integers(1, 4), label="rank")
+    ctx = ModuleCtx(ring, ((0,),) * rank, order, (0,) * rank)
+    for _ in range(data.draw(st.integers(0, 2), label="levels")):
+        below, below_key = ctx, key
+        leads = tuple(data.draw(st.lists(st.tuples(st.integers(0, below.rank - 1), monos),
+                                         min_size=1, max_size=6), label="leads"))
+        rank = len(leads) + data.draw(st.integers(1, 3), label="trailing")
+        ctx = SchreyerCtx(ring, ((0,),) * rank, order, (0,) * rank, below=below, leads=leads)
+
+        def key(t, leads=leads, below_key=below_key):
+            comp, mono = t
+            if comp < len(leads):
+                lcomp, lmono = leads[comp]
+                return (1, below_key((lcomp, mono_mul(lmono, mono))), -comp)
+            return (0, -comp, order.key(mono), 0)
+
+    terms = data.draw(st.lists(st.tuples(st.integers(0, ctx.rank - 1), monos),
+                               min_size=1, max_size=25, unique=True), label="terms")
+    return ctx, terms, key
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_codes_sort_like_the_module_order(data):
+    ctx, terms, key = _contexts(data)
+    # ascending codes list the terms in descending order
+    assert sorted(terms, key=ctx.code) == sorted(terms, key=key, reverse=True)
+    assert [ctx.term(ctx.code(t)) for t in terms] == terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_code_steps_multiply(data):
+    ctx, terms, _ = _contexts(data)
+    q = data.draw(st.tuples(*[st.integers(0, 12)] * ctx.ring.n), label="q")
     for comp, mono in terms:
-        wdeg, deg, revlex = ctx.order.key(mono)
-        assert ctx.term_key((comp, mono)) == (comp, -wdeg, -deg, *(-x for x in revlex))
+        assert ctx.code((comp, mono)) + ctx.shift(q) == ctx.code((comp, mono_mul(mono, q)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_guard_bits_decide_divisibility(data):
+    ctx, terms, _ = _contexts(data)
+    # multiples of the drawn terms make divisible pairs common
+    q = data.draw(st.tuples(*[st.integers(0, 2)] * ctx.ring.n), label="q")
+    terms = terms + [(comp, mono_mul(mono, q)) for comp, mono in terms]
+    for lc, lm in terms:
+        for tc, tm in terms:
+            expected = lc == tc and mono_divides(lm, tm)
+            assert ctx.divides(ctx.code((lc, lm)), ctx.code((tc, tm))) == expected
 
 
 def greedy_minimal_generators(ctx, cols):
@@ -158,7 +210,7 @@ def greedy_minimal_generators(ctx, cols):
     )
     kept = []
     for _, i in order:
-        if kept and not reduce_vec(ctx, cols[i], *buchberger(ctx, [cols[j] for j in kept])):
+        if kept and not normal_form(ctx, cols[i], *buchberger(ctx, [cols[j] for j in kept])):
             continue
         kept.append(i)
     return kept
@@ -239,23 +291,51 @@ def test_prune_degree_cap_holds_s_pairs_only():
         prune_to_minimal_generators(ctx, pair, Limits(max_degree=2))
 
 
-def test_each_term_key_is_built_once_per_context(monkeypatch, p1p1):
-    rng = random.Random(31337)
-    points = PointSet(
-        (1, 1), tuple(((1, rng.randint(1, 31000)), (1, rng.randint(1, 31000))) for _ in range(5))
-    )
-    P = quotient_presentation(points, p1p1)
-    builds = collections.Counter()
-    contexts = {}  # keeps every context alive, so ids are never reused
-    original = ModuleCtx._build_term_key
+def test_degrees_past_the_code_fields_raise():
+    ring = MultigradedRing(("a", "b", "c"), ((1,), (1,), (1,)))
+    ctx = ModuleCtx.for_vector(ring, ((0,),), (1,))
+    one, top = ring.field.one, 2 ** (CODE_WIDTH - 1) - 1
+    # a generator of the largest degree the fields hold fits, one more raises
+    assert buchberger(ctx, [{(0, (top, 0, 0)): one}]) == ([{(0, (top, 0, 0)): one}], [(0, (top, 0, 0))])
+    with pytest.raises(ResourceLimitError, match=f"^coarse degree {top + 1} exceeds the term-code limit {top}$") as info:
+        buchberger(ctx, [{(0, (top + 1, 0, 0)): one}])
+    assert isinstance(info.value, MregError) and info.value.exit_code == 5
+    # two generators that fit whose S-pair's lcm does not
+    half = 2 ** (CODE_WIDTH - 2)
+    gens = [{(0, (half, 1, 0)): one}, {(0, (1, half, 0)): one}]
+    with pytest.raises(ResourceLimitError, match=f"^coarse degree {2 * half} exceeds"):
+        buchberger(ctx, gens)
+    # the fields hold monomials, so a component's shift moves the limit with it
+    shifted = ModuleCtx.for_vector(ring, ((5,),), (1,))
+    assert buchberger(shifted, [{(0, (top, 0, 0)): one}])[1] == [(0, (top, 0, 0))]
+    with pytest.raises(ResourceLimitError, match=f"^coarse degree {top + 6} exceeds the term-code limit {top + 5}$"):
+        buchberger(shifted, [{(0, (top + 1, 0, 0)): one}])
 
-    def counted(self, t):
-        contexts[id(self)] = self
-        builds[(id(self), t)] += 1
-        return original(self, t)
 
-    monkeypatch.setattr(ModuleCtx, "_build_term_key", counted)
-    F = minimal_free_resolution(P)
-    assert [len(s) for s in F.shifts] == [1, 6, 8, 3]
-    assert builds and len(contexts) > 1
-    assert max(builds.values()) == 1
+def test_point_resolution_and_ext_do_the_same_work():
+    """Work guard: reductions and S-pairs of one 6-point set, pinned before term codes."""
+    rng = random.Random(6)
+    pts = tuple(((1, rng.randint(1, 32002)), (1, rng.randint(1, 32002))) for _ in range(6))
+    calls = {"reduce_vec": 0, "s_vector": 0}
+    patch = pytest.MonkeyPatch()
+    for name in calls:
+        orig = getattr(mreg.groebner, name)
+
+        def counted(*args, name=name, orig=orig):
+            calls[name] += 1
+            return orig(*args)
+
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "mreg"]:
+            if getattr(module, name, None) is orig:
+                patch.setattr(module, name, counted)
+    clear_memos()
+    try:
+        P = quotient_presentation(PointSet((1, 1), pts), multiproj_ring((1, 1)))
+        F = cached_minimal_resolution(P)
+        ext_modules(P)
+    finally:
+        patch.undo()
+        clear_memos()
+    assert [F.rank(i) for i in range(F.length + 1)] == [1, 9, 12, 4]
+    # every S-vector formed is reduced, in Buchberger runs and in the frame
+    assert calls == {"reduce_vec": 367, "s_vector": 203}

@@ -32,10 +32,10 @@ from mreg import (
     res_reg_vector_points,
     resolution_regularity_vector,
 )
-from mreg.groebner import buchberger, reduce_vec
+from mreg.groebner import buchberger
 from mreg.linalg import matrix_rank
 from mreg.poly import QQ, FieldDescriptor
-from tests.conftest import clear_memos
+from tests.conftest import clear_memos, normal_form
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -375,4 +375,4 @@ def test_point_ideal_members_reduce_to_zero(eight_points, p1p1):
             m0[0] += 1
             new[tuple(m0)] = K.add(new.get(tuple(m0), K.zero), K.mul(K.neg(K.of(c)), coeff))
         poly = {m: c for m, c in new.items() if c}
-    assert reduce_vec(ctx, poly_to_vec(poly), *G) == {}
+    assert normal_form(ctx, poly_to_vec(poly), *G) == {}

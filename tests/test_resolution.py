@@ -368,9 +368,11 @@ def test_every_reducer_is_monic(monkeypatch):
     for (ctx, *_), (basis, lts) in bases:
         one = ctx.ring.field.one
         assert all(t == leading_term(ctx, g) and g[t] == one for g, t in zip(basis, lts))
-    for (ctx, *_), out in rels:
-        # term_key reads no shifts, so ctx orders the relation module as relations does
-        assert all(a[leading_term(ctx, a)] == ctx.ring.field.one for a in out)
+    for (ctx, cols, *_), out in rels:
+        # term codes read no shifts, so a context with one component per
+        # column orders the relation module as relations does
+        src = ModuleCtx(ctx.ring, ((0,) * ctx.ring.r,) * len(cols), ctx.order, (0,) * len(cols))
+        assert all(a[leading_term(src, a)] == ctx.ring.field.one for a in out)
     for (ctx, *_), (out, leads) in syzygies:
         assert all(s[lead] == ctx.ring.field.one for s, lead in zip(out, leads))
 
@@ -500,3 +502,78 @@ def test_levels_are_sorted_by_coarse_then_fine_degree(full_corpus):
         for level in F.shifts[1:]:
             keys = [(sum(a * b for a, b in zip(s, v)), s) for s in level]
             assert keys == sorted(keys)
+
+
+def full_scan_minimalize_complex(F: FreeResolution, scans: list):
+    """minimalize_complex as it was before its row index: each pivot scans every live
+    column of its level.  Appends (columns scanned, columns with a term in the pivot
+    row) per pivot to scans."""
+    K = F.ring.field
+    zero = (0,) * F.ring.n
+    diffs = [[dict(col) for col in diff] for diff in F.differentials]
+    dead = [set() for _ in F.shifts]
+    for i, diff in enumerate(diffs):
+        rows_dead, cols_dead = dead[i], dead[i + 1]
+        for p, pivot in enumerate(diff):
+            q = min((r for r, m in pivot if not any(m) and r not in rows_dead), default=None)
+            if q is None:
+                continue
+            inv = K.inv(pivot[(q, zero)])
+            rows_dead.add(q)
+            cols_dead.add(p)
+            scanned = holding = 0
+            for s, col in enumerate(diff):
+                if s in cols_dead:
+                    continue
+                scanned += 1
+                terms = [(m, a) for (r, m), a in col.items() if r == q]
+                holding += bool(terms)
+                for m, a in terms:
+                    _isub_term_mul(col, pivot, m, K.mul(a, inv), K)
+            scans.append((scanned, holding))
+    keep = [[j for j in range(len(level)) if j not in gone] for level, gone in zip(F.shifts, dead)]
+    shifts = [tuple(level[j] for j in idx) for level, idx in zip(F.shifts, keep)]
+    out_diffs = []
+    for i, diff in enumerate(diffs):
+        row = {j: k for k, j in enumerate(keep[i])}
+        out_diffs.append([{(row[r], m): c for (r, m), c in diff[p].items() if r in row}
+                          for p in keep[i + 1]])
+    while out_diffs and not shifts[-1]:
+        shifts.pop()
+        out_diffs.pop()
+    return FreeResolution(F.ring, shifts, out_diffs)
+
+
+def test_minimalize_complex_visits_only_the_pivot_rows_columns(monkeypatch):
+    """The row index gives the full scan's complexes, term order included, on seeded
+    Ext presentations and frames, and visits far fewer columns."""
+    frames = _record_everywhere(monkeypatch, mreg.resolution, "_schreyer_frame")
+    ext = _record_everywhere(monkeypatch, mreg.resolution, "_cohomology_presentation")
+    for seed, n in ((7, 12), (8, 10), (9, 6)):
+        rng = random.Random(seed)
+        pts = tuple(((1, rng.randint(1, 32002)), (1, rng.randint(1, 32002))) for _ in range(n))
+        P = quotient_presentation(PointSet((1, 1), pts), multiproj_ring((1, 1)))
+        clear_memos()
+        ext_modules(P)
+    complexes = [F for _, F in frames]
+    for _, pres in ext:
+        nonzero = [j for j, d in enumerate(pres.relation_degrees) if d is not None]
+        complexes.append(FreeResolution(pres.ring, [pres.shifts, tuple(
+            pres.relation_degrees[j] for j in nonzero)], [[pres.relations[j] for j in nonzero]]))
+    assert len(ext) >= 3
+    # minimalize_complex's one sorted() call lists the columns a pivot visits
+    visits = []
+    monkeypatch.setattr(mreg.resolution, "sorted",
+                        lambda cols: visits.append(len(cols)) or sorted(cols), raising=False)
+    scans = []
+    for F in complexes:
+        got, want = minimalize_complex(F), full_scan_minimalize_complex(F, scans)
+        assert got.shifts == want.shifts
+        assert [[list(col.items()) for col in d] for d in got.differentials] == \
+            [[list(col.items()) for col in d] for d in want.differentials]
+    assert len(visits) == len(scans)
+    scanned, holding = sum(s for s, _ in scans), sum(h for _, h in scans)
+    # a pivot visits every column holding a term in its row, and a few whose
+    # terms there cancelled (on this corpus 2,438 visits, 2,140 holding, 9,231 scanned)
+    assert all(h <= v <= s for v, (s, h) in zip(visits, scans))
+    assert holding <= sum(visits) < scanned / 3
