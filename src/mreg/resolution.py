@@ -13,11 +13,10 @@ divisions run on codes like a Buchberger pass.  By Schreyer's theorem one
 syzygy per minimal generator of each colon ideal (lt_b : b > a) : lt_a is
 then a Groebner basis of the syzygies, so a level needs reductions only, no
 Buchberger run; each S-vector must reduce to zero, and the quotients give
-its syzygy.  The frame
-is a free resolution of length at most the number of variables, but not
-minimal.  Second, minimalize_complex cancels its constant entries.  The
-d o d = 0 and minimality asserts run on the result rather than being
-trusted.
+its syzygy.  The frame is a free resolution of length at most the number of
+variables, but not minimal.  Second, minimalize_complex cancels its constant
+entries.  The d o d = 0 and minimality asserts run on the result rather than
+being trusted.
 
 The Ext route presents span(kernel) / span(image) by one more such level:
 the division that yields the kernel basis's syzygies also divides the image
