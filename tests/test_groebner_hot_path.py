@@ -131,6 +131,39 @@ def test_reduce_vec_term_cancelled_then_recreated(K):
     assert normal_form(ctx, f, basis, lts) == expected == {b2: one}
 
 
+def test_term_key_orders_like_the_module_order():
+    ring = weighted_ring(DEFAULT_FIELD)
+    ctx = ModuleCtx.for_vector(ring, ((0,), (2,), (1,)), (1,))
+    rng = random.Random(7)
+    terms = list({(rng.randrange(3), tuple(rng.randrange(4) for _ in range(4))) for _ in range(300)})
+    # ascending codes list the terms in descending module order
+    by_code = sorted(terms, key=ctx.code)
+    by_order = sorted(terms, key=lambda t: (-t[0], ctx.order.key(t[1])), reverse=True)
+    assert by_code == by_order
+    assert [ctx.term(ctx.code(t)) for t in by_code] == by_code
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_term_key_is_the_flattened_negated_order_key(data):
+    # the fields of a plain context's code, high to low, are the order key
+    # (comp, -wdeg, -deg, e_n, ..., e_1) with B added to the degree fields
+    n = data.draw(st.integers(1, 6))
+    weights = tuple(data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    ring = MultigradedRing(tuple(f"x{i}" for i in range(n)), ((1,),) * n, DEFAULT_FIELD)
+    ctx = ModuleCtx(ring, ((0,),) * 4, TermOrder(weights), (0,) * 4)
+    terms = data.draw(st.lists(st.tuples(
+        st.integers(0, 3), st.tuples(*[st.integers(0, 12)] * n)), min_size=1, max_size=20))
+    room = (1 << CODE_WIDTH - 1) - 1
+    mask = (1 << CODE_WIDTH) - 1
+    for comp, mono in terms:
+        wdeg, deg, revlex = ctx.order.key(mono)
+        code = ctx.code((comp, mono))
+        fields = tuple(code >> CODE_WIDTH * i & mask for i in reversed(range(n + 2)))
+        assert (code >> CODE_WIDTH * (n + 2), *fields) == (
+            comp, room - wdeg, room - deg, *(-x for x in revlex))
+
+
 def _contexts(data):
     """A plain context, or a Schreyer context one or two levels above one, on drawn weights.
 
