@@ -5,7 +5,10 @@
         --seeds 601-610 --seconds 26 --out BENCH_9.json
 
 Each checkout runs its own, unchanged `perfbench/run.py --trace 0`, one
-process at a time.  Pair k runs the parent first when k is even and the
+process at a time, with PYTHONDONTWRITEBYTECODE=1, so every process of
+both sides compiles its sources; the script refuses to start while either
+checkout holds a `__pycache__` under `src/`, which would spare one side
+that work.  Pair k runs the parent first when k is even and the
 change first when k is odd.  Per workload, the file records, for every
 end-to-end metric, the per-pair values of both sides, each side's median
 and quartiles, and the number of pairs the change won (ties count for
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -41,6 +45,7 @@ def run_side(checkout, workload, seed, seconds):
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return parse_run(proc.stdout)
 
@@ -102,6 +107,9 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cached = [str(d) for c in checkouts.values() for d in sorted((c / "src").rglob("__pycache__"))]
+    if cached:
+        ap.error("remove the bytecode caches first: " + " ".join(cached))
     report = {"seconds": args.seconds, "workloads": {}}
     for workload in args.workload:
         pairs = []

@@ -13,19 +13,20 @@ generators that enter form a minimal generating set.  S-pairs come from
 minimal colon generators, the Schreyer frame's rule too; only those the
 product criterion keeps are queued, and only queued pairs face the cap.
 
-Inside the core (reduce_vec, s_vector, the Buchberger passes and the
-exactness check of relations) a term is one int, its code, and ascending
-codes list terms in descending module order (Bachmann and Schoenemann,
-ISSAC 1998).  A plain context packs, from high bits to low, the component,
-B - wdeg, B - total degree and the exponents e_n, ..., e_1, in fields of
-CODE_WIDTH bits with B = 2^(CODE_WIDTH - 1) - 1: the fields are the order
-key (comp, -wdeg, -deg, e_n, ..., e_1).  Every field is linear in the
-exponents, so multiplying by x^q adds the code step of q, a reducer led by
-l that divides t maps its term u to u + (t - l), and l divides t exactly
-when subtracting l's exponent fields from t's borrows from none of the
-guard bits set above them.  A coarse degree whose terms the fields cannot
-hold raises ResourceLimitError.  The core encodes its inputs once and
-decodes its results once; every other caller sees (component, monomial)
+Every product of module elements runs on term codes: a term is one int, and
+ascending codes list terms in descending module order (Bachmann and
+Schoenemann, ISSAC 1998).  A plain context packs, from high bits to low,
+the component, B - wdeg, B - total degree and the exponents e_n, ..., e_1,
+in fields of CODE_WIDTH bits with B = 2^(CODE_WIDTH - 1) - 1: the fields
+are the order key (comp, -wdeg, -deg, e_n, ..., e_1).  Every field is
+linear in the exponents, so multiplying by x^q adds the code step of q, a
+reducer led by l that divides t maps its term u to u + (t - l), and l
+divides t exactly when subtracting l's exponent fields from t's borrows
+from none of the guard bits set above them.  A coarse degree whose terms
+the fields cannot hold raises ResourceLimitError.  The core's callers (the
+Buchberger passes, relations, resolution's Schreyer division, image checks
+and minimalize_complex) encode their inputs once and decode their results
+once; presentations, complexes and the CLI hold (component, monomial)
 dicts.
 
 Every basis reduce_vec divides by is monic: _degree_ordered_basis scales
@@ -39,8 +40,9 @@ here serves them all.
 
 One primitive, `relations`, serves kernels of maps between free modules
 (the Ext route's kernels among them) and ideal intersections: it reads the
-relations off one Groebner basis of augmented generators.  One image check,
-`residual`, serves relations, resolutions (d o d = 0) and Ext presentations.
+relations off one Groebner basis of augmented generators.  One image check
+on codes, `residual`, serves relations, resolutions (d o d = 0) and Ext
+presentations.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     monomials_of_weight,
 )
 
@@ -103,6 +104,7 @@ class ModuleCtx:
     origins: tuple = _derived()
     units: tuple = _derived()
     low: int = _derived()  # bits below the exponent fields
+    offsets: range = _derived()  # the exponent fields' offsets above low
     key_shift: int = _derived()
     key_mask: int = _derived()
     exponents: int = _derived()
@@ -123,8 +125,9 @@ class ModuleCtx:
         room = ((o >> low + CODE_WIDTH * (n + 1)) & _FIELD for o in origins)
         for name, value in (
             ("origins", tuple(origins)), ("units", units), ("low", low),
+            ("offsets", range(0, CODE_WIDTH * n, CODE_WIDTH)),
             ("key_shift", key_shift), ("key_mask", key_mask),
-            ("exponents", sum(_FIELD << CODE_WIDTH * i for i in range(n)) << low),
+            ("exponents", ((1 << CODE_WIDTH * n) - 1) << low),
             ("guards", sum(_GUARD << CODE_WIDTH * i for i in range(n)) << low),
             ("degree_limit", min(map(add, room, self.shift_wdegs), default=_ROOM)),
         ):
@@ -134,7 +137,7 @@ class ModuleCtx:
     def for_vector(cls, ring: MultigradedRing, shifts, v, **fields) -> "ModuleCtx":
         shifts = tuple(tuple(s) for s in shifts)
         order = ring.order(tuple(v))
-        wdegs = tuple(sum(a * b for a, b in zip(s, v)) for s in shifts)
+        wdegs = tuple(sum(map(mul, s, v)) for s in shifts)
         return cls(ring, shifts, order, wdegs, **fields)
 
     @property
@@ -173,12 +176,15 @@ class ModuleCtx:
     def comp(self, code: int) -> int:
         return code >> self.key_shift
 
+    def component_codes(self, comp: int) -> range:
+        """The codes of component comp's terms, in a plain context."""
+        return range(comp << self.key_shift, comp + 1 << self.key_shift)
+
     def term(self, code: int):
         """The (component, monomial) term of a code."""
         comp = self.comp(code)
         rest = (code - self.origins[comp]) >> self.low
-        return comp, tuple([rest >> s & _FIELD
-                            for s in range(0, CODE_WIDTH * self.ring.n, CODE_WIDTH)])
+        return comp, tuple([rest >> s & _FIELD for s in self.offsets])
 
     def decode(self, f: dict) -> Vec:
         term = self.term
@@ -272,22 +278,6 @@ def _isub_shifted(out: dict, g: dict, step: int, c, K) -> dict:
                 out[u] = s
             else:
                 del out[u]
-    return out
-
-
-def _isub_term_mul(out: Vec, g: Vec, mono: Mono, c, K) -> Vec:
-    """out -= c * x^mono * g for a nonzero c, in place; returns out."""
-    for (comp, m), v in g.items():
-        t = (comp, mono_mul(m, mono))
-        old = out.get(t)
-        if old is None:
-            out[t] = K.negmul(v, c)
-        else:
-            s = K.submul(old, v, c)
-            if s:
-                out[t] = s
-            else:
-                del out[t]
     return out
 
 
@@ -442,7 +432,7 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
             # product criterion, valid when both elements live in one component
             if single[i] is not None and single[i] == single[j] and mono_coprime(leads[i][1], mono):
                 continue
-            heapq.heappush(heap, (ctx.term_wdeg((comp, mono_mul(q, mono))), 0, seq, i, j))
+            heapq.heappush(heap, (ctx.term_wdeg((comp, mono)) + ctx.order.wdeg(q), 0, seq, i, j))
             seq += 1
 
     while heap:
@@ -507,12 +497,8 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     degrees = tuple(ctx.vec_degree(c) for c in cols)
     K = ctx.ring.field
     rank, zero = ctx.rank, (0,) * ctx.ring.n
-    aug = ModuleCtx(
-        ctx.ring,
-        ctx.shifts + degrees,
-        ctx.order,
-        ctx.shift_wdegs + tuple(ctx.term_wdeg(next(iter(c))) for c in cols),
-    )
+    aug = ModuleCtx(ctx.ring, ctx.shifts + degrees, ctx.order,
+                    ctx.shift_wdegs + tuple(ctx.term_wdeg(next(iter(c))) for c in cols))
     gens = [{**c, (rank + j, zero): K.one} for j, c in enumerate(cols)] + modulo
     basis, lts, _ = _degree_ordered_basis(aug, gens, limits)
     trailing = [i for i, t in enumerate(lts) if aug.comp(t) >= rank]
@@ -524,20 +510,17 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     mod_basis, mod_lts = buchberger(ctx, modulo, limits) if modulo else ([], [])
     mod_basis, mod_lts = [ctx.encode(g) for g in mod_basis], [ctx.code(t) for t in mod_lts]
     cols = [ctx.encode(c) for c in cols]
-    for a in out:
-        image: dict = {}
-        for (j, m), c in a.items():
-            _isub_shifted(image, cols[j], ctx.shift(m), c, K)
-        if reduce_vec(ctx, image, mod_basis, mod_lts):
-            raise ArithmeticError("relation does not map into the span of the modulo elements")
+    if any(reduce_vec(ctx, residual(ctx, {}, cols, a), mod_basis, mod_lts) for a in out):
+        raise ArithmeticError("relation does not map into the span of the modulo elements")
     return out
 
 
-def residual(target: Vec, cols, a: Vec, K) -> Vec:
-    """target - sum of c * x^m * cols[j] over the terms ((j, m), c) of a: {} iff a maps to target."""
+def residual(ctx: ModuleCtx, target: dict, cols, a: Vec) -> dict:
+    """target - sum of c * x^m * cols[j] over the terms ((j, m), c) of a: {} iff a maps
+    to target.  target and the columns are code dicts of ctx."""
     out = dict(target)
     for (j, m), c in a.items():
-        _isub_term_mul(out, cols[j], m, c, K)
+        _isub_shifted(out, cols[j], ctx.shift(m), c, ctx.ring.field)
     return out
 
 

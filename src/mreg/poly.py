@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, le, mul, sub
+from operator import le, mul, sub
 
 from .errors import GradingError, InputError, show
 
@@ -115,10 +115,6 @@ DEFAULT_FIELD = FieldDescriptor("prime", 32003)
 
 
 # -- monomials ---------------------------------------------------------------
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(map(add, a, b))
-
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True iff x^a divides x^b."""
@@ -220,7 +216,7 @@ class MultigradedRing:
         """Coarse degree of every variable under the coarsening vector v."""
         if len(v) != self.r:
             raise InputError("coarsening vector has wrong length")
-        return tuple(sum(a * b for a, b in zip(d, v)) for d in self.degrees)
+        return tuple(sum(map(mul, d, v)) for d in self.degrees)
 
     def order(self, v: Multidegree) -> TermOrder:
         w = self.vdegs(v)

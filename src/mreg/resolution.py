@@ -15,8 +15,8 @@ then a Groebner basis of the syzygies, so a level needs reductions only, no
 Buchberger run; each S-vector must reduce to zero, and the quotients give
 its syzygy.  The frame is a free resolution of length at most the number of
 variables, but not minimal.  Second, minimalize_complex cancels its constant
-entries.  The d o d = 0 and minimality asserts run on the result rather than
-being trusted.
+entries on plain term codes.  The minimality assert and the d o d = 0 check,
+on those codes, run on the result rather than being trusted.
 
 The Ext route presents span(kernel) / span(image) by one more such level:
 the division that yields the kernel basis's syzygies also divides the image
@@ -43,7 +43,7 @@ from .groebner import (
     ModuleCtx,
     SchreyerCtx,
     Vec,
-    _isub_term_mul,
+    _isub_shifted,
     _memo_basis,
     _minimal_colon,
     element_degree,
@@ -53,7 +53,7 @@ from .groebner import (
     residual,
     s_vector,
 )
-from .poly import Multidegree, MultigradedRing, mono_mul
+from .poly import Multidegree, MultigradedRing
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,11 @@ def minimalize_presentation(P: ModulePresentation) -> ModulePresentation:
 
     The length-one case of minimalize_complex: each pivot removes one
     redundant ambient generator and one relation, the cokernel is unchanged,
-    and relations that become zero are dropped.
+    and relations that become zero are dropped.  With no constant entry and
+    no zero relation, P is minimal and is returned as it is.
     """
+    if all(P.relations) and all(any(m) for rel in P.relations for _, m in rel):
+        return P
     nonzero = [j for j, d in enumerate(P.relation_degrees) if d is not None]
     F = FreeResolution(P.ring, [P.shifts, tuple(P.relation_degrees[j] for j in nonzero)],
                        [[P.relations[j] for j in nonzero]])
@@ -281,7 +284,7 @@ def _frame_syzygies(ctx: ModuleCtx, elems, leads, image, limits: Limits):
     out, out_leads = [], []
     for a, (ca, ma) in enumerate(leads):
         for q, b in sorted(_minimal_colon(leads, a, range(a + 1, len(leads))), reverse=True):
-            deg = ctx.term_wdeg((ca, mono_mul(q, ma)))
+            deg = ctx.term_wdeg((ca, ma)) + ctx.order.wdeg(q)
             limits.check_degree("S-pair of coarse degree", deg)
             ctx.check_code_degree(deg)
             rem = ctx.decode(reduce_vec(ctx, s_vector(ctx, aug[a], ma, aug[b], leads[b][1]),
@@ -305,7 +308,8 @@ def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
     the free module with these shifts under v, and the image columns are
     elements of that module.  The relations are the basis's Schreyer
     syzygies and each nonzero image column's division quotients, both from
-    _frame_syzygies; each is checked to map to zero, or to its column.
+    _frame_syzygies; each is checked, on codes, to map to zero or to its
+    column.
     """
     ctx = ModuleCtx.for_vector(ring, shifts, v)
     elems, leads, gens = _frame_level(ring, shifts, kernel,
@@ -313,25 +317,27 @@ def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
     image = [col for col in image if col]
     ctx = ModuleCtx.for_vector(ring, shifts + gens, v)
     rels, _ = _frame_syzygies(ctx, elems, leads, image, limits)
-    targets = [{}] * (len(rels) - len(image)) + image
-    for rel, target in zip(rels, targets):
-        if residual(target, elems, rel, ring.field):
-            raise ArithmeticError("Ext relation does not map to its image")
+    cols = [ctx.encode(g) for g in elems]
+    targets = [{}] * (len(rels) - len(image)) + [ctx.encode(col) for col in image]
+    if any(residual(ctx, target, cols, rel) for rel, target in zip(rels, targets)):
+        raise ArithmeticError("Ext relation does not map to its image")
     return ModulePresentation(ring, gens, tuple(rels))
 
 
-def _assert_resolution_sane(F: FreeResolution):
-    ring = F.ring
-    if F.length > ring.n:
+def _assert_resolution_sane(F: FreeResolution, coded=None):
+    """The length, minimality and d o d = 0 asserts; `coded` is (ctxs, codes), d_{i+1}
+    as code dicts of the plain context ctxs[i], encoded here if None."""
+    if F.length > F.ring.n:
         raise MregError("minimal resolution longer than the number of variables")
-    for diff in F.differentials:
-        for col in diff:
-            if any(not any(m) for _, m in col):
-                raise MregError("non-minimal differential: constant entry survived")
-    for prev, cur in zip(F.differentials, F.differentials[1:]):
-        for col in cur:
-            if residual({}, prev, col, ring.field):
-                raise MregError("differentials do not compose to zero")
+    if any(not any(m) for diff in F.differentials for col in diff for _, m in col):
+        raise MregError("non-minimal differential: constant entry survived")
+    if coded is None:
+        v = find_positive_coarsening_vector(F.ring.degrees)
+        ctxs = [ModuleCtx.for_vector(F.ring, level, v) for level in F.shifts[:-1]]
+        coded = ctxs, [[c.encode(col) for col in d] for c, d in zip(ctxs, F.differentials[:-1])]
+    if any(residual(ctx, {}, prev, col)
+           for ctx, prev, cur in zip(*coded, F.differentials[1:]) for col in cur):
+        raise MregError("differentials do not compose to zero")
 
 
 def betti_table(F: FreeResolution) -> BettiTable:
@@ -413,47 +419,57 @@ def minimalize_complex(F: FreeResolution) -> FreeResolution:
     (col_s[q] / c) * pivot from a column s of d_i, which has a constant
     term only if col_s[q] is constant; so a column the sweep has passed stays
     free of constants.  A row index per level lets a pivot visit only the
-    columns with a term in its row, still in ascending order.  Removed
+    columns with a term in its row, still in ascending order.  It runs on
+    codes, d_i encoded once in F_{i-1}'s plain context: row q's terms are
+    the codes in component_codes(q), its constant is origins[q], and a term
+    u there subtracts the pivot shifted by u - origins[q].  Removed
     generators keep their indices, and their leftover entries stay, until
-    one renumbering at the end.
+    one renumbering at the end moves row j's codes to row k's origin in the
+    same context; the result is decoded once, and d o d = 0 is checked on
+    its codes.
     """
-    K = F.ring.field
-    zero = (0,) * F.ring.n
-    diffs = [[dict(col) for col in diff] for diff in F.differentials]
+    ring, K = F.ring, F.ring.field
+    v = find_positive_coarsening_vector(ring.degrees)
+    ctxs = [ModuleCtx.for_vector(ring, level, v) for level in F.shifts[:-1]]
+    diffs = [[ctx.encode(col) for col in diff] for ctx, diff in zip(ctxs, F.differentials)]
     dead = [set() for _ in F.shifts]  # the removed generators of each F_i
-    for i, diff in enumerate(diffs):
-        rows_dead, cols_dead = dead[i], dead[i + 1]
+    for ctx, diff, rows_dead, cols_dead in zip(ctxs, diffs, dead, dead[1:]):
+        comp, origins = ctx.comp, ctx.origins
+        constant = {o: r for r, o in enumerate(origins)}
         # row -> the columns with a term in it, or that had one before a cancellation
         rows = defaultdict(set)
         for s, col in enumerate(diff):
-            for r, _ in col:
-                rows[r].add(s)
+            for u in col:
+                rows[comp(u)].add(s)
         for p, pivot in enumerate(diff):
-            q = min((r for r, m in pivot if not any(m) and r not in rows_dead), default=None)
+            q = min((constant[u] for u in pivot if u in constant and constant[u] not in rows_dead),
+                    default=None)
             if q is None:
                 continue
-            inv = K.inv(pivot[(q, zero)])
+            inv, row_q = K.inv(pivot[origins[q]]), ctx.component_codes(q)
             rows_dead.add(q)
             cols_dead.add(p)
-            pivot_rows = {r for r, _ in pivot}
+            pivot_rows = set(map(comp, pivot))
             for s in sorted(rows[q] - cols_dead):
                 col = diff[s]
-                for m, a in [(m, a) for (r, m), a in col.items() if r == q]:
-                    _isub_term_mul(col, pivot, m, K.mul(a, inv), K)
+                for u, a in [(u, a) for u, a in col.items() if u in row_q]:
+                    _isub_shifted(col, pivot, u - origins[q], K.mul(a, inv), K)
                     for r in pivot_rows:
                         rows[r].add(s)
     keep = [[j for j in range(len(level)) if j not in gone] for level, gone in zip(F.shifts, dead)]
     shifts = [tuple(level[j] for j in idx) for level, idx in zip(F.shifts, keep)]
-    out_diffs = []
-    for i, diff in enumerate(diffs):
-        row = {j: k for k, j in enumerate(keep[i])}
-        out_diffs.append([{(row[r], m): c for (r, m), c in diff[p].items() if r in row}
-                          for p in keep[i + 1]])
-    while out_diffs and not shifts[-1]:
+    codes = []
+    for ctx, diff, live_rows, live_cols in zip(ctxs, diffs, keep, keep[1:]):
+        comp, origins = ctx.comp, ctx.origins
+        moved = {j: origins[k] - origins[j] for k, j in enumerate(live_rows)}
+        codes.append([{u + moved[comp(u)]: c for u, c in diff[p].items() if comp(u) in moved}
+                      for p in live_cols])
+    while codes and not shifts[-1]:
         shifts.pop()
-        out_diffs.pop()
-    out = FreeResolution(F.ring, shifts, out_diffs)
-    _assert_resolution_sane(out)
+        codes.pop()
+    out = FreeResolution(ring, shifts, [[ctx.decode(col) for col in diff]
+                                        for ctx, diff in zip(ctxs, codes)])
+    _assert_resolution_sane(out, (ctxs, codes))
     return out
 
 

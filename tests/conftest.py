@@ -20,7 +20,6 @@ from mreg import (
     SimplicialComplex,
     point_ideal,
 )
-from mreg.poly import mono_mul
 
 
 @pytest.fixture
@@ -39,6 +38,11 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def mono_mul(a, b):
+    """x^a * x^b as an exponent tuple."""
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def padd(f, g, K):

@@ -33,8 +33,8 @@ from mreg import (
 from mreg.cli import run
 from mreg.groebner import _minimal_colon, buchberger, element_degree
 from mreg.linalg import matrix_rank
-from mreg.poly import mono_div, mono_divides, mono_lcm, mono_mul, monomials_of_weight
-from tests.conftest import normal_form
+from mreg.poly import mono_div, mono_divides, mono_lcm, monomials_of_weight
+from tests.conftest import mono_mul, normal_form
 from tests.conftest import padd as vadd
 from tests.conftest import pmul
 

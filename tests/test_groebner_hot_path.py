@@ -32,8 +32,8 @@ from mreg import (
     quotient_presentation,
 )
 from mreg.groebner import CODE_WIDTH, SchreyerCtx, buchberger, leading_term, prune_to_minimal_generators
-from mreg.poly import QQ, DEFAULT_FIELD, mono_div, mono_divides, mono_mul, monomials_of_weight
-from tests.conftest import clear_memos, normal_form
+from mreg.poly import QQ, DEFAULT_FIELD, mono_div, mono_divides, monomials_of_weight
+from tests.conftest import clear_memos, mono_mul, normal_form
 
 
 def reference_reduce(ctx, f, basis, lts):

@@ -98,6 +98,23 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert callable(_resolve("mreg.poly.TermOrder.key"))
 
 
+def test_bench_pairs_refuses_checkouts_with_bytecode_caches(tmp_path, capsys):
+    bench = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "src" / "mreg").mkdir(parents=True)
+    (change / "src" / "mreg" / "__pycache__").mkdir(parents=True)
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--workload", "points-gf", "--seeds", "1-2",
+            "--seconds", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        bench["main"](argv)
+    assert info.value.code == 2 and not out.exists()
+    # only the change's cache is named; no run was started
+    err = capsys.readouterr().err
+    assert err.endswith("error: remove the bytecode caches first: "
+                        f"{change / 'src' / 'mreg' / '__pycache__'}\n")
+
+
 def test_bench_pairs_aggregates_canned_runs():
     bench = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
 
