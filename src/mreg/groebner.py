@@ -104,7 +104,6 @@ class ModuleCtx:
     origins: tuple = _derived()
     units: tuple = _derived()
     low: int = _derived()  # bits below the exponent fields
-    offsets: range = _derived()  # the exponent fields' offsets above low
     key_shift: int = _derived()
     key_mask: int = _derived()
     exponents: int = _derived()
@@ -125,9 +124,8 @@ class ModuleCtx:
         room = ((o >> low + CODE_WIDTH * (n + 1)) & _FIELD for o in origins)
         for name, value in (
             ("origins", tuple(origins)), ("units", units), ("low", low),
-            ("offsets", range(0, CODE_WIDTH * n, CODE_WIDTH)),
             ("key_shift", key_shift), ("key_mask", key_mask),
-            ("exponents", ((1 << CODE_WIDTH * n) - 1) << low),
+            ("exponents", sum(_FIELD << CODE_WIDTH * i for i in range(n)) << low),
             ("guards", sum(_GUARD << CODE_WIDTH * i for i in range(n)) << low),
             ("degree_limit", min(map(add, room, self.shift_wdegs), default=_ROOM)),
         ):
@@ -137,7 +135,7 @@ class ModuleCtx:
     def for_vector(cls, ring: MultigradedRing, shifts, v, **fields) -> "ModuleCtx":
         shifts = tuple(tuple(s) for s in shifts)
         order = ring.order(tuple(v))
-        wdegs = tuple(sum(map(mul, s, v)) for s in shifts)
+        wdegs = tuple(sum(a * b for a, b in zip(s, v)) for s in shifts)
         return cls(ring, shifts, order, wdegs, **fields)
 
     @property
@@ -184,7 +182,8 @@ class ModuleCtx:
         """The (component, monomial) term of a code."""
         comp = self.comp(code)
         rest = (code - self.origins[comp]) >> self.low
-        return comp, tuple([rest >> s & _FIELD for s in self.offsets])
+        return comp, tuple([rest >> s & _FIELD
+                            for s in range(0, CODE_WIDTH * self.ring.n, CODE_WIDTH)])
 
     def decode(self, f: dict) -> Vec:
         term = self.term
@@ -497,8 +496,12 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     degrees = tuple(ctx.vec_degree(c) for c in cols)
     K = ctx.ring.field
     rank, zero = ctx.rank, (0,) * ctx.ring.n
-    aug = ModuleCtx(ctx.ring, ctx.shifts + degrees, ctx.order,
-                    ctx.shift_wdegs + tuple(ctx.term_wdeg(next(iter(c))) for c in cols))
+    aug = ModuleCtx(
+        ctx.ring,
+        ctx.shifts + degrees,
+        ctx.order,
+        ctx.shift_wdegs + tuple(ctx.term_wdeg(next(iter(c))) for c in cols),
+    )
     gens = [{**c, (rank + j, zero): K.one} for j, c in enumerate(cols)] + modulo
     basis, lts, _ = _degree_ordered_basis(aug, gens, limits)
     trailing = [i for i, t in enumerate(lts) if aug.comp(t) >= rank]

@@ -119,7 +119,7 @@ def _memo_ext_modules(P, limits):
         if kernel:
             pres = _cohomology_presentation(ring, dual_shifts[j], v0, kernel, dual[j], limits)
             try:
-                out[j] = minimalize_presentation(pres)
+                out[j] = minimalize_presentation(pres, v0)
             except ZeroModuleError:
                 pass
     if out[codim] is None:

@@ -216,7 +216,7 @@ class MultigradedRing:
         """Coarse degree of every variable under the coarsening vector v."""
         if len(v) != self.r:
             raise InputError("coarsening vector has wrong length")
-        return tuple(sum(map(mul, d, v)) for d in self.degrees)
+        return tuple(sum(a * b for a, b in zip(d, v)) for d in self.degrees)
 
     def order(self, v: Multidegree) -> TermOrder:
         w = self.vdegs(v)

@@ -157,20 +157,17 @@ class BettiTable:
         return out
 
 
-def minimalize_presentation(P: ModulePresentation) -> ModulePresentation:
+def minimalize_presentation(P: ModulePresentation, v=None) -> ModulePresentation:
     """Pivot away nonzero-constant entries until the presentation is minimal.
 
-    The length-one case of minimalize_complex: each pivot removes one
-    redundant ambient generator and one relation, the cokernel is unchanged,
-    and relations that become zero are dropped.  With no constant entry and
-    no zero relation, P is minimal and is returned as it is.
+    The length-one case of minimalize_complex, which v is passed to: each
+    pivot removes one redundant ambient generator and one relation, the
+    cokernel is unchanged, and relations that become zero are dropped.
     """
-    if all(P.relations) and all(any(m) for rel in P.relations for _, m in rel):
-        return P
     nonzero = [j for j, d in enumerate(P.relation_degrees) if d is not None]
     F = FreeResolution(P.ring, [P.shifts, tuple(P.relation_degrees[j] for j in nonzero)],
                        [[P.relations[j] for j in nonzero]])
-    M = minimalize_complex(F)
+    M = minimalize_complex(F, v)
     if not M.shifts[0]:
         raise ZeroModuleError("presentation minimalized to the zero module")
     rels = M.differentials[0] if M.differentials else ()
@@ -205,7 +202,7 @@ def minimal_free_resolution(P: ModulePresentation, v=None,
     if v is None:
         v = find_positive_coarsening_vector(P.ring.degrees)
     v = tuple(v)
-    F = minimalize_complex(_schreyer_frame(minimalize_presentation(P), v, limits))
+    F = minimalize_complex(_schreyer_frame(minimalize_presentation(P, v), v, limits), v)
     limits.check_length(F.length)
     return _degree_sorted(F, v)
 
@@ -406,7 +403,7 @@ def codimension(Bz: BettiTable) -> int:
     return codim
 
 
-def minimalize_complex(F: FreeResolution) -> FreeResolution:
+def minimalize_complex(F: FreeResolution, v=None) -> FreeResolution:
     """Cancel constant entries of a (possibly non-minimal) complex.
 
     Gaussian elimination on the complex: a constant c in row q of column p
@@ -420,16 +417,19 @@ def minimalize_complex(F: FreeResolution) -> FreeResolution:
     term only if col_s[q] is constant; so a column the sweep has passed stays
     free of constants.  A row index per level lets a pivot visit only the
     columns with a term in its row, still in ascending order.  It runs on
-    codes, d_i encoded once in F_{i-1}'s plain context: row q's terms are
-    the codes in component_codes(q), its constant is origins[q], and a term
-    u there subtracts the pivot shifted by u - origins[q].  Removed
-    generators keep their indices, and their leftover entries stay, until
-    one renumbering at the end moves row j's codes to row k's origin in the
-    same context; the result is decoded once, and d o d = 0 is checked on
-    its codes.
+    codes, d_i encoded once in F_{i-1}'s plain context under v (the ring's
+    least coarsening vector if None; a plain code names only the component
+    and the monomial, so v decides which degrees fit, not the result): row
+    q's terms are the codes in component_codes(q), its constant is
+    origins[q], and a term u there subtracts the pivot shifted by
+    u - origins[q].  Removed generators keep their indices, and their
+    leftover entries stay, until one renumbering at the end moves row j's
+    codes to row k's origin in the same context; the result is decoded
+    once, and d o d = 0 is checked on its codes.
     """
     ring, K = F.ring, F.ring.field
-    v = find_positive_coarsening_vector(ring.degrees)
+    if v is None:
+        v = find_positive_coarsening_vector(ring.degrees)
     ctxs = [ModuleCtx.for_vector(ring, level, v) for level in F.shifts[:-1]]
     diffs = [[ctx.encode(col) for col in diff] for ctx, diff in zip(ctxs, F.differentials)]
     dead = [set() for _ in F.shifts]  # the removed generators of each F_i

@@ -248,7 +248,7 @@ def test_ext_at_codim_is_checked_to_be_nonzero(monkeypatch):
     """E^codim minimalizing to zero contradicts the Betti table and raises."""
     import mreg.localcoh
 
-    def zero(pres):
+    def zero(pres, v=None):
         raise ZeroModuleError("presentation minimalized to the zero module")
 
     monkeypatch.setattr(mreg.localcoh, "minimalize_presentation", zero)
