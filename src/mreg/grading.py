@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .errors import GradingError, InputError, show
@@ -84,7 +85,11 @@ def _shell(r: int, n: int, cap: int):
 def find_positive_coarsening_vector(degrees) -> Multidegree:
     """Smallest integral v (L1 norm, then lex) with v . a_i >= 1 for all i,
     among the vectors with coordinates up to 64 in absolute value."""
-    degrees = _validate_degree_matrix(degrees)
+    return _least_coarsening_vector(_validate_degree_matrix(degrees))
+
+
+@lru_cache(maxsize=128)
+def _least_coarsening_vector(degrees) -> Multidegree:
     if not check_positive_grading(degrees):
         raise GradingError("grading is not positive: no coarsening vector exists")
     r = len(degrees[0])

@@ -13,8 +13,8 @@ generators that enter form a minimal generating set.  S-pairs come from
 minimal colon generators, the Schreyer frame's rule too; only those the
 product criterion keeps are queued, and only queued pairs face the cap.
 
-Every product of module elements runs on term codes: a term is one int, and
-ascending codes list terms in descending module order (Bachmann and
+Every product of module elements runs on term codes: a term is one int,
+and ascending codes list terms in descending module order (Bachmann and
 Schoenemann, ISSAC 1998).  A plain context packs, from high bits to low,
 the component, B - wdeg, B - total degree and the exponents e_n, ..., e_1,
 in fields of CODE_WIDTH bits with B = 2^(CODE_WIDTH - 1) - 1: the fields
@@ -23,11 +23,10 @@ linear in the exponents, so multiplying by x^q adds the code step of q, a
 reducer led by l that divides t maps its term u to u + (t - l), and l
 divides t exactly when subtracting l's exponent fields from t's borrows
 from none of the guard bits set above them.  A coarse degree whose terms
-the fields cannot hold raises ResourceLimitError.  The core's callers (the
-Buchberger passes, relations, resolution's Schreyer division, image checks
-and minimalize_complex) encode their inputs once and decode their results
-once; presentations, complexes and the CLI hold (component, monomial)
-dicts.
+the fields cannot hold raises ResourceLimitError.  Callers of the core
+(Buchberger, relations, the Schreyer division, image checks and
+minimalize_complex) encode inputs and decode results once; presentations,
+complexes and the CLI hold (component, monomial) dicts.
 
 Every basis reduce_vec divides by is monic: _degree_ordered_basis scales
 each element to lead coefficient one as it enters, the one place a basis is
@@ -40,9 +39,8 @@ here serves them all.
 
 One primitive, `relations`, serves kernels of maps between free modules
 (the Ext route's kernels among them) and ideal intersections: it reads the
-relations off one Groebner basis of augmented generators.  One image check
-on codes, `residual`, serves relations, resolutions (d o d = 0) and Ext
-presentations.
+relations off one Groebner basis of augmented generators.  One image check,
+`residual`, serves relations, resolutions (d o d = 0) and Ext presentations.
 """
 
 from __future__ import annotations

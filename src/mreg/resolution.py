@@ -160,10 +160,13 @@ class BettiTable:
 def minimalize_presentation(P: ModulePresentation, v=None) -> ModulePresentation:
     """Pivot away nonzero-constant entries until the presentation is minimal.
 
-    The length-one case of minimalize_complex, which v is passed to: each
-    pivot removes one redundant ambient generator and one relation, the
-    cokernel is unchanged, and relations that become zero are dropped.
+    The length-one case of minimalize_complex, run under v: each pivot
+    removes one redundant ambient generator and one relation, the cokernel
+    is unchanged, and relations that become zero are dropped.  A P with no
+    constant entry and no zero relation is minimal and returned as it is.
     """
+    if all(P.relations) and all(any(m) for rel in P.relations for _, m in rel):
+        return P
     nonzero = [j for j, d in enumerate(P.relation_degrees) if d is not None]
     F = FreeResolution(P.ring, [P.shifts, tuple(P.relation_degrees[j] for j in nonzero)],
                        [[P.relations[j] for j in nonzero]])
@@ -305,8 +308,7 @@ def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
     the free module with these shifts under v, and the image columns are
     elements of that module.  The relations are the basis's Schreyer
     syzygies and each nonzero image column's division quotients, both from
-    _frame_syzygies; each is checked, on codes, to map to zero or to its
-    column.
+    _frame_syzygies; each is checked to map to zero, or to its column.
     """
     ctx = ModuleCtx.for_vector(ring, shifts, v)
     elems, leads, gens = _frame_level(ring, shifts, kernel,
@@ -322,8 +324,8 @@ def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
 
 
 def _assert_resolution_sane(F: FreeResolution, coded=None):
-    """The length, minimality and d o d = 0 asserts; `coded` is (ctxs, codes), d_{i+1}
-    as code dicts of the plain context ctxs[i], encoded here if None."""
+    """The length, minimality and d o d = 0 asserts; coded = (ctxs, codes) holds d_{i+1}
+    in ctxs[i]'s plain codes, and None encodes F under the least vector."""
     if F.length > F.ring.n:
         raise MregError("minimal resolution longer than the number of variables")
     if any(not any(m) for diff in F.differentials for col in diff for _, m in col):
@@ -417,19 +419,16 @@ def minimalize_complex(F: FreeResolution, v=None) -> FreeResolution:
     term only if col_s[q] is constant; so a column the sweep has passed stays
     free of constants.  A row index per level lets a pivot visit only the
     columns with a term in its row, still in ascending order.  It runs on
-    codes, d_i encoded once in F_{i-1}'s plain context under v (the ring's
-    least coarsening vector if None; a plain code names only the component
-    and the monomial, so v decides which degrees fit, not the result): row
-    q's terms are the codes in component_codes(q), its constant is
-    origins[q], and a term u there subtracts the pivot shifted by
-    u - origins[q].  Removed generators keep their indices, and their
-    leftover entries stay, until one renumbering at the end moves row j's
-    codes to row k's origin in the same context; the result is decoded
-    once, and d o d = 0 is checked on its codes.
+    codes, d_i encoded once in F_{i-1}'s plain context under v (default:
+    the least coarsening vector; v decides which degrees fit, not the
+    result): row q's terms are the codes in component_codes(q), its
+    constant is origins[q], and a term u there subtracts the pivot shifted
+    by u - origins[q].  Removed generators keep their indices and leftover
+    entries until one renumbering at the end moves row j's codes to row k's
+    origin; the result is decoded once, and d o d = 0 checked on its codes.
     """
     ring, K = F.ring, F.ring.field
-    if v is None:
-        v = find_positive_coarsening_vector(ring.degrees)
+    v = v or find_positive_coarsening_vector(ring.degrees)
     ctxs = [ModuleCtx.for_vector(ring, level, v) for level in F.shifts[:-1]]
     diffs = [[ctx.encode(col) for col in diff] for ctx, diff in zip(ctxs, F.differentials)]
     dead = [set() for _ in F.shifts]  # the removed generators of each F_i

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mreg.grading
 from mreg import (
     GradingError,
     InputError,
@@ -41,6 +42,19 @@ def test_find_vector_examples():
 def test_find_vector_needs_positive_grading():
     with pytest.raises(GradingError):
         find_positive_coarsening_vector(((1,), (-1,)))
+
+
+def test_find_vector_is_memoized_by_the_degree_tuple():
+    memo = mreg.grading._least_coarsening_vector
+    assert memo.cache_info().maxsize is not None
+    memo.cache_clear()
+    as_lists = [list(col) for col in HIRZEBRUCH2]
+    assert find_positive_coarsening_vector(as_lists) == find_positive_coarsening_vector(HIRZEBRUCH2) == (1, 3)
+    assert memo.cache_info().hits == 1
+    for _ in range(2):  # a grading that raises is not stored
+        with pytest.raises(GradingError, match="^grading is not positive"):
+            find_positive_coarsening_vector([[1], [-1]])
+    assert memo.cache_info().currsize == 1
 
 
 def test_find_vector_feasibility():

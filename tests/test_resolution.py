@@ -499,7 +499,8 @@ def test_degree_cap_judges_the_s_pairs_the_criteria_keep():
 def test_minimalization_encodes_every_entry_under_its_vector():
     """minimalize_complex runs on term codes under the vector it is passed, the ring's
     least coarsening vector by default, so an entry past the code fields raises even
-    where the pivots would cancel it; a resolution minimalizes under its own vector."""
+    where the pivots would cancel it; a resolution minimalizes under its own vector,
+    and a presentation with no constant entry is returned without encoding."""
     top = 2 ** 31 - 1
     R = MultigradedRing(("x", "y"), ((1,), (1,)))
     one = R.field.one
@@ -513,12 +514,11 @@ def test_minimalization_encodes_every_entry_under_its_vector():
     R = MultigradedRing(("a", "b", "c"), ((1, 0), (0, 1), (10, -1)))
     P = ModulePresentation.quotient_by_ideal(R, [{(0, 0, 2 ** 28): R.field.one}])
     assert find_positive_coarsening_vector(R.degrees) == (1, 1)
+    F = FreeResolution(R, [((0, 0),), ((10 * 2 ** 28, -2 ** 28),)], [list(P.relations)])
     with pytest.raises(ResourceLimitError, match=f"^coarse degree {9 * 2 ** 28} exceeds the term-code"):
-        minimalize_presentation(P)
-    assert minimalize_presentation(P, (1, 9)) == P
-    F = minimal_free_resolution(P, (1, 9))
-    assert F.shifts == [((0, 0),), ((10 * 2 ** 28, -2 ** 28),)]
-    assert F.differentials == [list(P.relations)]
+        minimalize_complex(F)
+    assert minimalize_complex(F, (1, 9)) == minimal_free_resolution(P, (1, 9)) == F
+    assert minimalize_presentation(P) is P
 
 
 def test_length_cap_applies_to_the_minimal_resolution(p1p1):
