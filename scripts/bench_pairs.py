@@ -12,8 +12,11 @@ that work.  Pair k runs the parent first when k is even and the
 change first when k is odd.  Per workload, the file records, for every
 end-to-end metric, the per-pair values of both sides, each side's median
 and quartiles, and the number of pairs the change won (ties count for
-neither side); per side it records `failed`/`attempted` of every run and
-the `commit` and `src_lines` read from perfbench's details line.  A metric
+neither side); per side it records `failed`/`attempted` of every run, the
+`commit` and `src_lines` read from perfbench's details line, and
+`op_medians`: per operation name, the median scaled time of that
+operation over all of the side's runs, read from the record file each
+details line names (`record_file`).  A metric
 is `resolved` when the parent's quartiles span at most the metric's
 `bound` in BENCHMARK.json, as a share of the parent's median; the
 unresolved ones are also printed to stderr, since one run of pairs cannot
@@ -40,6 +43,16 @@ def parse_run(stdout: str):
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
+def op_times(checkout, details) -> dict:
+    """{operation name: [scaled time, ...]} from the run's record file."""
+    record = json.loads((pathlib.Path(checkout) / details["record_file"]).read_text())
+    times = {}
+    for p in record["passes"]:
+        for op in p["ops"]:
+            times.setdefault(op["name"], []).append(op["t"])
+    return times
+
+
 def run_side(checkout, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -47,7 +60,9 @@ def run_side(checkout, workload, seed, seconds):
         cwd=checkout, capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
-    return parse_run(proc.stdout)
+    details, result = parse_run(proc.stdout)
+    details["op_times"] = op_times(checkout, details)
+    return details, result
 
 
 def spread(values) -> dict:
@@ -66,12 +81,17 @@ def summarize(pairs, better: dict, bounds: dict) -> dict:
     for side in SIDES:
         details = [p[side][0] for p in pairs]
         results = [p[side][1] for p in pairs]
+        times = {}
+        for d in details:
+            for name, ts in d.get("op_times", {}).items():
+                times.setdefault(name, []).extend(ts)
         out[side] = {
             "seeds": [d["seed"] for d in details],
             "failed": [r["failed"] for r in results],
             "attempted": [r["attempted"] for r in results],
             "commit": sorted({d["commit"] for d in details}),
             "src_lines": sorted({d["src_lines"] for d in details}),
+            "op_medians": {name: statistics.median(ts) for name, ts in sorted(times.items())},
         }
     for name, direction in better.items():
         values = {side: [p[side][1]["metrics"][name]["value"] for p in pairs] for side in SIDES}

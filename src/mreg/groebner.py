@@ -131,10 +131,16 @@ class ModuleCtx:
 
     @classmethod
     def for_vector(cls, ring: MultigradedRing, shifts, v, **fields) -> "ModuleCtx":
-        shifts = tuple(tuple(s) for s in shifts)
-        order = ring.order(tuple(v))
+        """The context of the shifts under v; a plain one is shared (`_memo_plain_ctx`)."""
+        shifts, v = tuple(tuple(s) for s in shifts), tuple(v)
+        if cls is ModuleCtx and not fields:
+            return _memo_plain_ctx(ring, shifts, v)
+        return cls._build(ring, shifts, v, **fields)
+
+    @classmethod
+    def _build(cls, ring: MultigradedRing, shifts, v, **fields) -> "ModuleCtx":
         wdegs = tuple(sum(a * b for a, b in zip(s, v)) for s in shifts)
-        return cls(ring, shifts, order, wdegs, **fields)
+        return cls(ring, shifts, ring.order(v), wdegs, **fields)
 
     @property
     def rank(self) -> int:
@@ -191,6 +197,13 @@ class ModuleCtx:
         """Whether the term coded lead divides the term coded t."""
         e, g = self.exponents, self.guards
         return self.comp(lead) == self.comp(t) and ((t & e | g) - (lead & e)) & g == g
+
+
+# Contexts are frozen, so callers under one (ring, shifts, v) share one; a
+# Schreyer context carries its level's leads and is built each time.
+@lru_cache(maxsize=256)
+def _memo_plain_ctx(ring: MultigradedRing, shifts, v) -> ModuleCtx:
+    return ModuleCtx._build(ring, shifts, v)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,24 @@
 H_X(d) is the dimension of V_d, the space of degree-d forms evaluated at
 fixed affine representatives (first nonzero coordinate scaled to one) as
 vectors in k^X.  V_0 is spanned by the constants, and V_d is the span of the
-coordinatewise products of V_{d-e_f} with the coordinates of factor f, so
-one sweep of such products serves every degree of a box.  The vanishing
-ideal is one intersection of the per-point linear ideals.
+coordinatewise products of V_{d-e_f} with the coordinates of factor f, the
+first factor where d_f > 0.  Every H_X value is read from one table per
+point set and field (`_memo_spaces`), which keeps the V_d grown so far, so
+the generic check, the region, the projections and single values share them.
+
+Each degree is clamped to |X| - 1 in every factor before the lookup.  Some
+linear form of factor f vanishes at no point (over the algebraic closure,
+where the ranks are the same), so it is a nonzerodivisor on S/I_X: H_X does
+not decrease along f, and once it fails to rise it stays constant.  Rising
+from at least 1 to at most |X|, it stops by d_f = |X| - 1.  So the table
+holds at most |X|^r spaces, and a huge degree costs no more than that.  The
+vanishing ideal is one intersection of the per-point linear ideals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, prod
 
@@ -134,6 +144,14 @@ def _coordinate_values(X: PointSet, K: FieldDescriptor):
     return [list(zip(*(pt[f] for pt in reps))) for f in range(len(X.dims))]
 
 
+# One entry: every caller asks one point set several times in a row.
+@lru_cache(maxsize=1)
+def _memo_spaces(X: PointSet, K: FieldDescriptor):
+    """The evaluation table of X over K: the coordinate vectors of each factor,
+    and the echelon bases {degree: V_d} grown so far, from V_0 on."""
+    return _coordinate_values(X, K), {(0,) * len(X.dims): {0: [K.one] * len(X)}}
+
+
 def _times_linear_forms(space: dict, columns, K: FieldDescriptor) -> dict:
     """Echelon basis {pivot: row} of the span of c * v over the columns c and
     the rows v of space, products taken coordinatewise.  A full space maps to
@@ -158,29 +176,39 @@ def _times_linear_forms(space: dict, columns, K: FieldDescriptor) -> dict:
     return out
 
 
+def _hilbert_values(X: PointSet, degrees, K: FieldDescriptor) -> list[int]:
+    """H_X over K at each of the degrees, read from X's table.  A degree is
+    clamped to |X| - 1 in each factor first (module docstring); a missing
+    V_d is V_{d-e_f} times the linear forms of the first factor f where
+    d_f > 0, so its chain back to a known degree is grown and stored."""
+    values_of, spaces = _memo_spaces(X, K)
+    top = len(X) - 1
+    out = []
+    for deg in degrees:
+        deg = tuple(min(d, top) for d in deg)
+        chain = []
+        while deg not in spaces:
+            f = next(k for k, d in enumerate(deg) if d)
+            chain.append((deg, f))
+            deg = deg[:f] + (deg[f] - 1,) + deg[f + 1:]
+        space = spaces[deg]
+        for deg, f in reversed(chain):
+            space = spaces[deg] = _times_linear_forms(space, values_of[f], K)
+        out.append(len(space))
+    return out
+
+
 def _hilbert_sweep(X: PointSet, box, ring: MultigradedRing) -> dict:
-    """H_X over ring.field at every degree of the box, in product order: V_d is
-    V_{d-e_f} times the linear forms of the first factor f where d_f > 0."""
-    K = ring.field
-    values_of = _coordinate_values(X, K)
-    spaces = {}
-    for deg in product(*(range(b + 1) for b in box)):
-        f = next((k for k, d in enumerate(deg) if d), None)
-        spaces[deg] = {0: [K.one] * len(X)} if f is None else _times_linear_forms(
-            spaces[deg[:f] + (deg[f] - 1,) + deg[f + 1:]], values_of[f], K)
-    return {deg: len(space) for deg, space in spaces.items()}
+    """H_X over ring.field at every degree of the box, in product order."""
+    degrees = list(product(*(range(b + 1) for b in box)))
+    return dict(zip(degrees, _hilbert_values(X, degrees, ring.field)))
 
 
 def hilbert_function_points(X: PointSet, deg, ring: MultigradedRing) -> int:
     """H_X(deg) over ring.field: the dimension of the degree-deg evaluations
-    in k^X, grown one linear form at a time from the constants along a chain."""
+    in k^X."""
     deg = _checked_degree(X, deg)
-    K = ring.field
-    space = {0: [K.one] * len(X)}
-    for f, values_of in enumerate(_coordinate_values(X, K)):
-        for _ in range(deg[f]):
-            space = _times_linear_forms(space, values_of, K)
-    return len(space)
+    return _hilbert_values(X, (deg,), ring.field)[0]
 
 
 def point_ideal(X: PointSet, ring: MultigradedRing,
@@ -250,10 +278,10 @@ def b_regularity_region(X: PointSet, box, ring: MultigradedRing) -> DegreeRegion
 
 def res_reg_vector_points(X: PointSet, ring: MultigradedRing) -> Multidegree:
     """t_i = least t with H_X(t e_i) equal to the distinct i-th projections."""
-    reps = X.normalized(ring.field)
+    values_of, _ = _memo_spaces(X, ring.field)
     out = []
     for f in range(len(X.dims)):
-        proj = {pt[f] for pt in reps}
+        proj = set(zip(*values_of[f]))
         ray = tuple(len(X) + 1 if k == f else 0 for k in range(len(X.dims)))
         values = _hilbert_sweep(X, ray, ring)
         out.append(next((deg[f] for deg, h in values.items() if h == len(proj)), None))

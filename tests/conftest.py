@@ -11,6 +11,7 @@ import random
 import pytest
 
 import mreg.localcoh
+import mreg.points
 import mreg.resolution
 from mreg.groebner import reduce_vec
 from mreg import (
@@ -78,12 +79,13 @@ def normal_form(ctx, f, basis, lts):
 
 
 def clear_memos():
-    """Empty the resolution, Ext, Hochster, region and basis memos, so the next call starts cold."""
+    """Empty the resolution, Ext, Hochster, region, basis and evaluation memos, so the next call starts cold."""
     mreg.resolution._memo_resolution.cache_clear()
     mreg.localcoh._memo_ext_modules.cache_clear()
     mreg.regularity._memo_region.cache_clear()
     mreg.regularity._memo_hochster_supports.cache_clear()
     mreg.groebner._memo_basis.cache_clear()
+    mreg.points._memo_spaces.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -564,6 +564,15 @@ def test_large_prime_fields_are_decided_at_once():
     assert json.loads(proc.stdout)["positive"] is True
 
 
+def test_a_huge_hilbert_degree_is_answered_at_once():
+    # H_X is constant along a factor from degree |X| - 1 on; walking every
+    # step up to 10^9 took hours
+    argv = ["points", "hilbert", "--degree", "1000000000,0", "problems/eight-points.json"]
+    proc = run_process("mreg", argv, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"degree": [1000000000, 0], "value": 5}
+
+
 def test_a_large_least_vector_is_found_at_once(tmp_path):
     # the least vector has L1 norm 24 in Z^4; sorting every box up to 21
     # before the answer took over a minute

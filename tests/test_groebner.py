@@ -15,6 +15,7 @@ import random
 import pytest
 
 from mreg import (
+    GradingError,
     HomogeneityError,
     InputError,
     ModuleCtx,
@@ -31,7 +32,7 @@ from mreg import (
     vec_component,
 )
 from mreg.cli import run
-from mreg.groebner import _minimal_colon, buchberger, element_degree
+from mreg.groebner import SchreyerCtx, _minimal_colon, buchberger, element_degree
 from mreg.linalg import matrix_rank
 from mreg.poly import mono_div, mono_divides, mono_lcm, monomials_of_weight
 from tests.conftest import mono_mul, normal_form
@@ -576,6 +577,20 @@ def test_relations_are_checked_to_map_into_the_modulo_span(p1p1, monkeypatch):
     with pytest.raises(ArithmeticError,
                        match="^relation does not map into the span of the modulo elements$"):
         relations(ctx, [column], [poly_to_vec(p1p1.parse("x0"))])
+
+
+def test_plain_contexts_are_built_once(p1p1):
+    ctx = ModuleCtx.for_vector(p1p1, ((0, 0), (1, 0)), (1, 1))
+    assert ModuleCtx.for_vector(p1p1, [[0, 0], [1, 0]], [1, 1]) is ctx
+    assert ModuleCtx.for_vector(p1p1, ((0, 0), (1, 0)), (1, 2)) is not ctx
+    # a Schreyer context carries its level's leads, so it is never shared
+    leads = ((0, (1, 0, 0, 0)),)
+    schreyer = [SchreyerCtx.for_vector(p1p1, ((0, 0), (1, 0)), (1, 1), below=ctx, leads=leads)
+                for _ in range(2)]
+    assert schreyer[0] is not schreyer[1] and schreyer[0] == schreyer[1]
+    for _ in range(2):  # a failed build stores nothing
+        with pytest.raises(GradingError, match="is not a positive coarsening"):
+            ModuleCtx.for_vector(p1p1, ((0, 0),), (1, -1))
 
 
 def test_relations_dimension_modulo(p1p1):

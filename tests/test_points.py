@@ -33,7 +33,6 @@ from mreg import (
     resolution_regularity_vector,
 )
 from mreg.groebner import buchberger
-from mreg.linalg import matrix_rank
 from mreg.poly import QQ, FieldDescriptor
 from tests.conftest import clear_memos, normal_form
 
@@ -84,16 +83,58 @@ def test_hilbert_rejects_a_degree_of_the_wrong_length(eight_points, p1p1, deg):
 
 
 def test_hilbert_respects_the_field():
-    # (1,0,0), (1,1,1), (1,2,7) span a plane over QQ but lie on a line mod 5
+    # (1,0,0), (1,1,1), (1,2,7) span a plane over QQ but lie on a line mod 5;
+    # asked alternately, so the table of one field never answers for the other
     X = PointSet((2,), (((1, 0, 0),), ((1, 1, 1),), ((1, 2, 7),)))
-    assert hilbert_function_points(X, (1,), multiproj_ring((2,), FieldDescriptor("prime", 5))) == 2
-    assert hilbert_function_points(X, (1,), multiproj_ring((2,), QQ)) == 3
+    gf5, qq = multiproj_ring((2,), FieldDescriptor("prime", 5)), multiproj_ring((2,), QQ)
+    assert [hilbert_function_points(X, (1,), ring) for ring in (gf5, qq, gf5, qq)] == [2, 3, 2, 3]
 
 
 def test_hilbert_far_along_one_factor(eight_points, p1p1):
-    # H(t, 0) counts the distinct x-projections for large t; the degree walk
-    # is a loop, so a degree this large needs no deep recursion
+    # H(t, 0) counts the distinct x-projections for large t; every degree is
+    # clamped to |X| - 1 in each factor, so a huge one costs no more than that
     assert hilbert_function_points(eight_points, (2000, 0), p1p1) == 5
+    assert hilbert_function_points(eight_points, (10**9, 10**9), p1p1) == 8
+
+
+def test_the_evaluation_table_is_bounded_by_the_clamp(eight_points, p1p1):
+    clear_memos()
+    assert hilbert_function_points(eight_points, (10**9, 10**9), p1p1) == 8
+    _, spaces = mreg.points._memo_spaces(eight_points, p1p1.field)
+    assert len(spaces) <= len(eight_points) ** 2
+
+
+def test_points_not_distinct_over_the_field_raise_on_every_call():
+    # (1:0) and (1:5) are one point mod 5, two over QQ
+    X = PointSet((1,), (((1, 0),), ((1, 5),)))
+    gf5 = multiproj_ring((1,), FieldDescriptor("prime", 5))
+    for _ in range(2):
+        with pytest.raises(InputError, match="one entry per factor"):
+            hilbert_function_points(X, (3, 1), gf5)
+        with pytest.raises(InputError, match="not pairwise distinct over the field"):
+            hilbert_function_points(X, (3,), gf5)
+        with pytest.raises(InputError, match="not pairwise distinct over the field"):
+            generic_position_check(X, (2,), gf5)
+    assert hilbert_function_points(X, (3,), multiproj_ring((1,), QQ)) == 2
+
+
+def test_generic_check_grows_each_clamped_degree_once(count_calls):
+    # the box (n+1, n+1) clamps to the n x n degrees below (n, n), and the
+    # graded pieces a points report asks after the check are all among them
+    rng = random.Random(11)
+    n = 5
+    X = PointSet((1, 1), tuple(((1, rng.randint(1, 31000)), (1, rng.randint(1, 31000)))
+                               for _ in range(n)))
+    ring = multiproj_ring((1, 1))
+    clear_memos()
+    products = count_calls(mreg.points, "_times_linear_forms")
+    generic_position_check(X, (n + 1, n + 1), ring)
+    assert 0 < len(products) <= n * n - 1
+    products.clear()
+    for m in (1, 2, 3):
+        for i in range(m + 1):
+            hilbert_function_points(X, (i, m - i), ring)
+    assert products == []
 
 
 # -- the evaluation-matrix oracle ----------------------------------------------
@@ -102,20 +143,43 @@ def test_hilbert_far_along_one_factor(eight_points, p1p1):
 # one degree at a time: an independent route to every value of the sweep.
 
 def oracle_hilbert(X, deg, K):
+    points = X.normalized(K)
     blocks = [[e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d]
               for d, n in zip(deg, X.dims)]
-    rows = []
-    for pt in X.normalized(K):
-        row = []
-        for exps in product(*blocks):
-            val = K.one
-            for coords, e in zip(pt, exps):
-                for c, k in zip(coords, e):
+    # values[f][p][i]: the i-th degree-d_f monomial of factor f at point p
+    values = []
+    for f, block in enumerate(blocks):
+        values.append([])
+        for pt in points:
+            row = []
+            for e in block:
+                val = K.one
+                for c, k in zip(pt[f], e):
                     for _ in range(k):
                         val = K.mul(val, c)
-            row.append(val)
-        rows.append(row)
-    return matrix_rank(rows, K)
+                row.append(val)
+            values[-1].append(row)
+    # the rank of the columns, one monomial at a time, stopping at full rank;
+    # each kept row is zero at the pivots of the rows kept before it
+    rows = {}
+    for idx in product(*(range(len(b)) for b in blocks)):
+        w = []
+        for p in range(len(points)):
+            val = K.one
+            for f, i in enumerate(idx):
+                val = K.mul(val, values[f][p][i])
+            w.append(val)
+        for pivot, row in rows.items():
+            if w[pivot]:
+                c = w[pivot]
+                w = [K.sub(a, K.mul(c, b)) for a, b in zip(w, row)]
+        pivot = next((p for p, a in enumerate(w) if a), None)
+        if pivot is not None:
+            inv = K.inv(w[pivot])
+            rows[pivot] = [K.mul(a, inv) for a in w]
+            if len(rows) == len(points):
+                break
+    return len(rows)
 
 
 def oracle_region(X, box, K):
@@ -176,6 +240,34 @@ def test_sweep_matches_the_evaluation_matrix_oracle(dims, field):
         assert (outcome(lambda: b_regularity_region(X, box, ring).bases)
                 == outcome(oracle_region, X, box, K))
         assert outcome(generic_position_check, X, box, ring) == outcome(oracle_generic, X, box, K)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+@pytest.mark.parametrize("dims", [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)], ids=str)
+def test_table_matches_the_oracle_past_the_clamp(dims, field):
+    # every degree of a box reaching |X| + 2 in each factor, so past the
+    # clamp at |X| - 1: one degree at a time in a shuffled order, then the
+    # whole box as one sweep, each from a cold table
+    K = ORACLE_FIELDS[field]
+    ring = multiproj_ring(dims, K)
+    rng = random.Random(f"clamp:{dims}:{field}")
+    for count in range(1, 8):
+        for _ in range(20):  # draw until distinct over K, if K has that many points
+            pts = tuple(tuple(tuple(rng.randint(0, 3) for _ in range(n + 1)) for n in dims)
+                        for _ in range(count))
+            X = PointSet(dims, tuple(pt for pt in pts if all(map(any, pt)))
+                         or (tuple((1,) + (0,) * n for n in dims),))
+            if not isinstance(outcome(X.normalized, K), tuple):
+                break
+        box = (len(X) + 2,) * len(dims)
+        degrees = list(product(*(range(b + 1) for b in box)))
+        expected = {deg: outcome(oracle_hilbert, X, deg, K) for deg in degrees}
+        clear_memos()
+        rng.shuffle(degrees)
+        assert {deg: outcome(hilbert_function_points, X, deg, ring) for deg in degrees} == expected
+        clear_memos()
+        assert outcome(mreg.points._hilbert_sweep, X, box, ring) == (
+            next((e for e in expected.values() if isinstance(e, tuple)), expected))
 
 
 def test_point_ideal_examples(four_points, p1p1):

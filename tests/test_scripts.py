@@ -150,3 +150,30 @@ def test_bench_pairs_aggregates_canned_runs():
     tight = bench["summarize"](pairs, better, {"wall_s": 0.05, "peak_rss_mb": 0.0})
     assert not tight["metrics"]["wall_s"]["resolved"]
     assert tight["metrics"]["peak_rss_mb"]["resolved"]  # no spread at all
+
+
+def test_bench_pairs_records_per_operation_medians(tmp_path):
+    bench = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+
+    def canned_run(side, seed, times):
+        # a record file as perfbench/run.py writes it: passes of named, scaled ops
+        record = tmp_path / side / "perfbench" / "out" / f"run-points-qq-seed{seed}-trace0.json"
+        record.parent.mkdir(parents=True, exist_ok=True)
+        passes = [{"ops": [{"name": name, "t": t, "t_raw": 2 * t} for name, t in p]} for p in times]
+        record.write_text(json.dumps({"detail": {}, "passes": passes}))
+        details = {"seed": seed, "commit": side, "src_lines": 90,
+                   "record_file": str(record.relative_to(tmp_path / side))}
+        result = {"attempted": 4, "failed": 0, "metrics": {"wall_s": {"value": 0.1, "unit": "s"}}}
+        details["op_times"] = bench["op_times"](tmp_path / side, details)
+        return details, result
+
+    runs = {"parent": [[[("gen4", 0.02), ("L4", 0.05)], [("gen4", 0.04), ("L4", 0.07)]],
+                       [[("gen4", 0.03), ("L4", 0.06)]]],
+            "change": [[[("gen4", 0.01), ("L4", 0.05)]], [[("gen4", 0.03), ("L4", 0.04)]]]}
+    pairs = [{side: canned_run(side, seed, runs[side][seed]) for side in ("parent", "change")}
+             for seed in range(2)]
+    assert pairs[0]["parent"][0]["op_times"] == {"gen4": [0.02, 0.04], "L4": [0.05, 0.07]}
+    out = bench["summarize"](pairs, {"wall_s": "lower"}, {"wall_s": 0.25})
+    # pooled over both runs of a side: the median of 0.02, 0.04, 0.03 and so on
+    assert out["parent"]["op_medians"] == {"L4": pytest.approx(0.06), "gen4": pytest.approx(0.03)}
+    assert out["change"]["op_medians"] == {"L4": pytest.approx(0.045), "gen4": pytest.approx(0.02)}
