@@ -11,8 +11,10 @@ checkout holds a `__pycache__` under `src/`, which would spare one side
 that work.  Pair k runs the parent first when k is even and the
 change first when k is odd.  Per workload, the file records, for every
 end-to-end metric, the per-pair values of both sides, each side's median
-and quartiles, and the number of pairs the change won (ties count for
-neither side); per side it records `failed`/`attempted` of every run, the
+and quartiles, the `ratio` of the change's median to the parent's (None
+when the parent's median is 0), and the number of pairs the change won
+(ties count for neither side); one stderr line per workload gives every
+metric's ratio and pairs won.  Per side it records `failed`/`attempted` of every run, the
 `commit` and `src_lines` read from perfbench's details line, and
 `op_medians`: per operation name, the median scaled time of that
 operation over all of the side's runs, read from the record file each
@@ -105,11 +107,21 @@ def summarize(pairs, better: dict, bounds: dict) -> dict:
             "unit": pairs[0]["parent"][1]["metrics"][name]["unit"],
             "better": direction,
             **sides,
+            "ratio": sides["change"]["median"] / parent["median"] if parent["median"] else None,
             "change_won": won,
             "parent_spread": rel,
             "resolved": rel <= bounds[name],
         }
     return out
+
+
+def ratio_line(workload: str, summary: dict) -> str:
+    """One line: every metric's change/parent median ratio and the pairs the change won."""
+    parts = []
+    for name, m in summary["metrics"].items():
+        ratio = "-" if m["ratio"] is None else f"{m['ratio']:.3f}"
+        parts.append(f"{name} x{ratio} won {m['change_won']}/{summary['pairs']}")
+    return f"{workload}: " + ", ".join(parts)
 
 
 def main(argv=None):
@@ -141,6 +153,7 @@ def main(argv=None):
             print(f"{workload} seed {seed}: wall_s parent {wall['parent']:.4f} "
                   f"change {wall['change']:.4f}", file=sys.stderr)
         report["workloads"][workload] = summary = summarize(pairs, better, bounds)
+        print(ratio_line(workload, summary), file=sys.stderr)
         for name, metric in summary["metrics"].items():
             if not metric["resolved"]:
                 print(f"{workload} {name}: unresolved, the parent's quartiles span "

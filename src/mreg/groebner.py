@@ -23,10 +23,15 @@ linear in the exponents, so multiplying by x^q adds the code step of q, a
 reducer led by l that divides t maps its term u to u + (t - l), and l
 divides t exactly when subtracting l's exponent fields from t's borrows
 from none of the guard bits set above them.  A coarse degree whose terms
-the fields cannot hold raises ResourceLimitError.  Callers of the core
-(Buchberger, relations, the Schreyer division, image checks and
-minimalize_complex) encode inputs and decode results once; presentations,
-complexes and the CLI hold (component, monomial) dicts.
+the fields cannot hold raises ResourceLimitError.  Inside the engine,
+module elements stay code dicts from stage to stage: the basis memo, the
+Schreyer frame, the Ext kernels and minimalization hand codes on, and
+_rebase is the one place that moves codes between contexts.  Elements are
+encoded where a public value enters (buchberger, relations,
+kernel_of_map, minimalize_complex, minimalize_presentation) and decoded
+where one leaves: their results, the resolutions and Ext presentations
+returned to callers, and the point ideal; presentations, complexes and the
+CLI hold (component, monomial) dicts.
 
 Every basis reduce_vec divides by is monic: _degree_ordered_basis scales
 each element to lead coefficient one as it enters, the one place a basis is
@@ -154,6 +159,18 @@ class ModuleCtx:
     def vec_degree(self, f: Vec) -> Multidegree:
         """Fine multidegree of a nonzero homogeneous element; see element_degree."""
         return element_degree(self.ring, self.shifts, f)
+
+    def code_degree(self, code: int) -> Multidegree:
+        """Fine multidegree of the term coded code, so of a homogeneous element with it."""
+        comp, mono = self.term(code)
+        return tuple(map(add, self.ring.mono_degree(mono), self.shifts[comp]))
+
+    def code_wdeg(self, code: int) -> int:
+        """Coarse degree of the term coded code: its weighted-degree field lies below
+        its component origin's by the weight of its monomial."""
+        comp = self.comp(code)
+        return self.shift_wdegs[comp] + ((self.origins[comp] - code)
+                                         >> self.low + CODE_WIDTH * (self.ring.n + 1))
 
     # -- term codes ----------------------------------------------------------
     def check_code_degree(self, degree: int) -> None:
@@ -291,16 +308,32 @@ def _isub_shifted(out: dict, g: dict, step: int, c, K) -> dict:
     return out
 
 
+def _rebase(src: ModuleCtx, dst: ModuleCtx, comps, fs) -> list[dict]:
+    """The code dicts fs of src, each term moved from component c to comps[c] of dst.
+
+    Terms of a component that comps does not map are dropped.  Both contexts
+    order monomials under one vector, so a term's offset from its
+    component's origin changes only by the factor 2^(dst.low - src.low).
+    This is the one move of codes between contexts: a frame level's
+    syzygies into the plain context that minimalization uses and into the
+    next level's SchreyerCtx, a kernel's relations into its source context,
+    and minimalization's renumbering of the generators it keeps.
+    """
+    comp, src_origins = src.comp, src.origins
+    if src.low == dst.low:
+        moved = {c: dst.origins[k] - src_origins[c] for c, k in comps.items()}
+        return [{u + moved[c]: a for u, a in f.items() if (c := comp(u)) in moved} for f in fs]
+    low, dst_low, origins = src.low, dst.low, {c: dst.origins[k] for c, k in comps.items()}
+    return [{origins[c] + ((u - src_origins[c]) >> low << dst_low): a
+             for u, a in f.items() if (c := comp(u)) in origins} for f in fs]
+
+
 def poly_to_vec(f: PolyDict, comp: int = 0) -> Vec:
     return {(comp, m): c for m, c in f.items()}
 
 
 def vec_component(f: Vec, comp: int) -> PolyDict:
     return {m: c for (j, m), c in f.items() if j == comp}
-
-
-def leading_term(ctx: ModuleCtx, f: Vec):
-    return min(f, key=ctx.code)
 
 
 # -- reduction -----------------------------------------------------------------
@@ -367,9 +400,14 @@ def buchberger(ctx: ModuleCtx, gens, limits: Limits = NO_LIMITS):
     The generators are not checked: callers pass homogeneous elements of
     ctx's free module, checked by an entry point or a ModulePresentation.
     """
-    basis, lts, _ = _degree_ordered_basis(ctx, gens, limits)
-    basis, lts = _autoreduce(ctx, basis, lts)
+    basis, lts = _reduced_basis(ctx, [ctx.encode(g) for g in gens], limits)
     return [ctx.decode(g) for g in basis], [ctx.term(t) for t in lts]
+
+
+def _reduced_basis(ctx: ModuleCtx, gens, limits: Limits):
+    """buchberger's coded core: the basis of the code dicts gens, and its lead codes."""
+    basis, lts, _ = _degree_ordered_basis(ctx, gens, limits)
+    return _autoreduce(ctx, basis, lts)
 
 
 def _minimal_colon(lts, a, others):
@@ -398,8 +436,8 @@ def _minimal_colon(lts, a, others):
 def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     """Unreduced monic Groebner basis, its lead codes, and which generators entered it.
 
-    The generators are encoded once, here, and the basis comes back as code
-    dicts.  Every element is scaled to lead coefficient one as it enters.
+    The generators and the basis are code dicts.  Every element is scaled
+    to lead coefficient one as it enters.
     Element j is paired with the earlier elements _minimal_colon picks for
     it; a pair the product criterion covers still counts in that choice but
     is never queued.  Generators and S-pairs are popped by coarse degree; at
@@ -423,9 +461,8 @@ def _degree_ordered_basis(ctx: ModuleCtx, gens, limits: Limits):
     gens = list(gens)
     # (coarse degree, 0 for the S-pair (i, j) | 1 for the generator gens[i],
     #  tie-break: pair creation order | generator index, i, j)
-    heap = [(ctx.term_wdeg(next(iter(g))), 1, idx, idx, -1) for idx, g in enumerate(gens) if g]
+    heap = [(ctx.code_wdeg(next(iter(g))), 1, idx, idx, -1) for idx, g in enumerate(gens) if g]
     heapq.heapify(heap)
-    gens = [ctx.encode(g) for g in gens]
 
     def add(g):
         nonlocal seq
@@ -505,36 +542,46 @@ def relations(ctx: ModuleCtx, cols, modulo=(), limits: Limits = NO_LIMITS) -> li
     for g in modulo:
         ctx.vec_degree(g)
     degrees = tuple(ctx.vec_degree(c) for c in cols)
-    K = ctx.ring.field
-    rank, zero = ctx.rank, (0,) * ctx.ring.n
-    aug = ModuleCtx(
-        ctx.ring,
-        ctx.shifts + degrees,
-        ctx.order,
-        ctx.shift_wdegs + tuple(ctx.term_wdeg(next(iter(c))) for c in cols),
-    )
-    gens = [{**c, (rank + j, zero): K.one} for j, c in enumerate(cols)] + modulo
+    aug, rels = _relation_codes(ctx, [ctx.encode(c) for c in cols], degrees,
+                                [ctx.encode(g) for g in modulo], limits)
+    rank = ctx.rank
+    return [{(comp - rank, m): c for (comp, m), c in aug.decode(g).items()} for g in rels]
+
+
+def _relation_codes(ctx: ModuleCtx, cols, degrees, modulo, limits: Limits):
+    """relations' coded core, on code dicts of the plain context ctx.
+
+    The columns are nonzero and `degrees` are their fine degrees.  Returns
+    (aug, rels): aug is ctx's module extended by one trailing component per
+    column, and each relation is a code dict of aug in those components,
+    checked, on codes, to map into span(modulo).
+    """
+    rank, one = ctx.rank, ctx.ring.field.one
+    aug = ModuleCtx(ctx.ring, ctx.shifts + tuple(degrees), ctx.order,
+                    ctx.shift_wdegs + tuple(ctx.code_wdeg(next(iter(c))) for c in cols))
+    gens = [{**c, aug.origins[rank + j]: one} for j, c in enumerate(cols)] + modulo
     basis, lts, _ = _degree_ordered_basis(aug, gens, limits)
     trailing = [i for i, t in enumerate(lts) if aug.comp(t) >= rank]
-    basis, _ = _autoreduce(aug, [basis[i] for i in trailing], [lts[i] for i in trailing])
-    out = [{(comp - rank, m): c for (comp, m), c in aug.decode(g).items()} for g in basis]
+    rels, _ = _autoreduce(aug, [basis[i] for i in trailing], [lts[i] for i in trailing])
 
     # exactness check: each relation maps into span(modulo), an empty modulo
     # being its own basis
-    mod_basis, mod_lts = buchberger(ctx, modulo, limits) if modulo else ([], [])
-    mod_basis, mod_lts = [ctx.encode(g) for g in mod_basis], [ctx.code(t) for t in mod_lts]
-    cols = [ctx.encode(c) for c in cols]
-    if any(reduce_vec(ctx, residual(ctx, {}, cols, a), mod_basis, mod_lts) for a in out):
+    mod_basis, mod_lts = _reduced_basis(ctx, modulo, limits) if modulo else ([], [])
+    images = dict(enumerate(cols, rank))
+    if any(reduce_vec(ctx, residual(ctx, {}, images, aug, a), mod_basis, mod_lts) for a in rels):
         raise ArithmeticError("relation does not map into the span of the modulo elements")
-    return out
+    return aug, rels
 
 
-def residual(ctx: ModuleCtx, target: dict, cols, a: Vec) -> dict:
-    """target - sum of c * x^m * cols[j] over the terms ((j, m), c) of a: {} iff a maps
-    to target.  target and the columns are code dicts of ctx."""
-    out = dict(target)
-    for (j, m), c in a.items():
-        _isub_shifted(out, cols[j], ctx.shift(m), c, ctx.ring.field)
+def residual(ctx: ModuleCtx, target: dict, cols, src: ModuleCtx, a: dict) -> dict:
+    """target - sum of c * x^m * cols[j] over the terms c x^m e_j of a: {} iff a maps
+    to target.  target and the columns are code dicts of ctx, and a is one of the
+    context src, whose component j maps to cols[j]; both order monomials under one
+    vector and have their exponent fields lowest (a plain context, say)."""
+    out, comp, origins, K = dict(target), src.comp, src.origins, ctx.ring.field
+    for u, c in a.items():
+        j = comp(u)
+        _isub_shifted(out, cols[j], u - origins[j], c, K)
     return out
 
 
@@ -548,7 +595,7 @@ def prune_to_minimal_generators(ctx: ModuleCtx, cols, limits: Limits = NO_LIMITS
     indices (in processing order).  Like buchberger, it trusts its callers
     to pass homogeneous columns.
     """
-    return _degree_ordered_basis(ctx, cols, limits)[2]
+    return _degree_ordered_basis(ctx, [ctx.encode(c) for c in cols], limits)[2]
 
 
 def kernel_generators(ctx: ModuleCtx, cols, limits: Limits = NO_LIMITS):
@@ -574,15 +621,27 @@ def kernel_of_map(ctx_target: ModuleCtx, cols, limits: Limits = NO_LIMITS) -> li
     the free module whose q-th generator maps to cols[q].  All-zero columns,
     such as those of a map into the zero module, make no Groebner basis.
     """
-    K = ctx_target.ring.field
-    zero = (0,) * ctx_target.ring.n
-    out: list[Vec] = [
-        {(q, zero): K.one} for q, c in enumerate(cols) if not c
-    ]
+    cols = list(cols)
+    degrees, wdegs = [(0,) * ctx_target.ring.r] * len(cols), [0] * len(cols)
+    for q, c in enumerate(cols):
+        if c:
+            degrees[q], wdegs[q] = ctx_target.vec_degree(c), ctx_target.term_wdeg(next(iter(c)))
+    src = ModuleCtx(ctx_target.ring, tuple(degrees), ctx_target.order, tuple(wdegs))
+    kernel = _kernel_codes(ctx_target, src, [ctx_target.encode(c) for c in cols], limits)
+    return [src.decode(g) for g in kernel]
+
+
+def _kernel_codes(target: ModuleCtx, src: ModuleCtx, cols, limits: Limits) -> list[dict]:
+    """kernel_of_map's coded core: cols are code dicts of the plain context target,
+    and src is the plain context whose q-th generator maps to cols[q], shifted by
+    its degree; the kernel comes back as code dicts of src."""
+    one = target.ring.field.one
+    out = [{src.origins[q]: one} for q, c in enumerate(cols) if not c]
     nonzero = [q for q, c in enumerate(cols) if c]
     if nonzero:
-        for s in relations(ctx_target, [cols[q] for q in nonzero], limits=limits):
-            out.append({(nonzero[j], m): c for (j, m), c in s.items()})
+        aug, rels = _relation_codes(target, [cols[q] for q in nonzero],
+                                    [src.shifts[q] for q in nonzero], [], limits)
+        out += _rebase(aug, src, {target.rank + j: q for j, q in enumerate(nonzero)}, rels)
     return out
 
 
@@ -638,7 +697,13 @@ def graded_piece_dimension(P, v, m: int, limits: Limits = NO_LIMITS) -> int:
 # One entry: a resolution and the graded pieces after it ask one (P, v) in a row.
 @lru_cache(maxsize=1)
 def _memo_basis(P, v, limits):
-    """The reduced Groebner basis of P's relations under v and its leading
-    terms, as tuples; every caller only reads them."""
-    basis, lts = buchberger(ModuleCtx.for_vector(P.ring, P.shifts, v), P.relations, limits)
-    return tuple(basis), tuple(lts)
+    """The reduced Groebner basis of P's relations under v, as code dicts of
+    the plain context over P.shifts, and its lead terms, as tuples.
+
+    The entry is shared: the Schreyer frame copies the elements before it
+    hands them to minimalization, which edits columns in place, and every
+    other caller only reads them.
+    """
+    ctx = ModuleCtx.for_vector(P.ring, P.shifts, v)
+    basis, lts = buchberger(ctx, P.relations, limits)
+    return tuple(ctx.encode(g) for g in basis), tuple(lts)

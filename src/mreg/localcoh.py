@@ -7,7 +7,9 @@ minimal generators: dim H^i(M)_p = dim E^{n-i}_{-p} with E^j the j-th
 cohomology of Hom(F, omega).  E^j = ker d_{j+1}^T / im d_j^T is presented
 by one Schreyer level over a Groebner basis of the kernel
 (resolution._cohomology_presentation): the basis's Schreyer syzygies, and
-the quotients of each image column divided by the basis.
+the quotients of each image column divided by the basis.  Each dual column
+is encoded once; the kernel (groebner._kernel_codes), the presentation and
+its minimalization run on codes, and only the minimal E^j is decoded.
 E^j vanishes for j < codim M (the grade of M; Bruns-Herzog, 1.2 and 2.1)
 and for j past the resolution's length, so only codim M <= j <= length are
 built; codim M is read off the Betti table, and E^codim must come out
@@ -31,7 +33,7 @@ from functools import lru_cache
 
 from .errors import NO_LIMITS, InputError, Limits, ZeroModuleError
 from .grading import find_positive_coarsening_vector
-from .groebner import ModuleCtx, graded_piece_dimension, kernel_of_map
+from .groebner import ModuleCtx, _kernel_codes, graded_piece_dimension
 from .linalg import matrix_rank
 from .poly import FieldDescriptor, MultigradedRing
 from .resolution import (
@@ -41,7 +43,6 @@ from .resolution import (
     cached_minimal_resolution,
     codimension,
     coarsen_resolution,
-    minimalize_presentation,
 )
 
 NEG_INFINITY = None
@@ -113,13 +114,15 @@ def _memo_ext_modules(P, limits):
 
     out: list[ModulePresentation | None] = [None] * (ring.n + 1)
     codim = codimension(betti_table(coarsen_resolution(F, v0)))
+    # the columns of dual[i] as code dicts of G_i's plain context, for i >= codim
+    ctxs = {i: ModuleCtx.for_vector(ring, dual_shifts[i], v0) for i in range(codim, F.length + 2)}
+    coded = {i: [ctx.encode(col) for col in dual[i]] for i, ctx in ctxs.items()}
     for j in range(codim, F.length + 1):
-        ctx_next = ModuleCtx.for_vector(ring, dual_shifts[j + 1], v0)
-        kernel = kernel_of_map(ctx_next, dual[j + 1], limits)
+        kernel = _kernel_codes(ctxs[j + 1], ctxs[j], coded[j + 1], limits)
         if kernel:
-            pres = _cohomology_presentation(ring, dual_shifts[j], v0, kernel, dual[j], limits)
             try:
-                out[j] = minimalize_presentation(pres, v0)
+                out[j] = _cohomology_presentation(ring, dual_shifts[j], v0, kernel, coded[j],
+                                                  limits)
             except ZeroModuleError:
                 pass
     if out[codim] is None:

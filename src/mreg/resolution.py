@@ -14,13 +14,22 @@ syzygy per minimal generator of each colon ideal (lt_b : b > a) : lt_a is
 then a Groebner basis of the syzygies, so a level needs reductions only, no
 Buchberger run; each S-vector must reduce to zero, and the quotients give
 its syzygy.  The frame is a free resolution of length at most the number of
-variables, but not minimal.  Second, minimalize_complex cancels its constant
+variables, but not minimal.  Second, minimalization cancels its constant
 entries on plain term codes.  The minimality assert and the d o d = 0 check,
 on those codes, run on the result rather than being trusted.
 
+The levels stay code dicts from the basis memo to the minimal resolution:
+the frame copies the memo's codes, moves each level's syzygies into the
+plain context that minimalization uses and into the next level's
+SchreyerCtx (groebner._rebase), and the result is decoded once.
+minimalize_complex and minimalize_presentation encode their input and run
+the same coded core.
+
 The Ext route presents span(kernel) / span(image) by one more such level:
 the division that yields the kernel basis's syzygies also divides the image
-columns, and their quotients are the other relations.
+columns, and their quotients are the other relations.  It takes the kernel
+and the image as codes, minimalizes on codes, and decodes only the
+minimal presentation.
 """
 
 from __future__ import annotations
@@ -46,8 +55,8 @@ from .groebner import (
     _isub_shifted,
     _memo_basis,
     _minimal_colon,
+    _rebase,
     element_degree,
-    leading_term,
     poly_to_vec,
     reduce_vec,
     residual,
@@ -64,14 +73,14 @@ class ModulePresentation:
     relation is a homogeneous module element over them, a dict mapping
     (generator index, exponent tuple) to a coefficient.  Construction checks
     every relation once and keeps its degree in `relation_degrees` (None
-    for a zero relation), and hashes the cache key once, for the memos.
+    for a zero relation).  The memos hash the cache key, once, on the first
+    hash() call.
     """
 
     ring: MultigradedRing
     shifts: tuple[Multidegree, ...]
     relations: tuple[Vec, ...] = ()
     relation_degrees: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(tuple(s) for s in self.shifts))
@@ -85,14 +94,17 @@ class ModulePresentation:
             element_degree(self.ring, self.shifts, rel) if rel else None
             for rel in self.relations
         ))
-        object.__setattr__(self, "_hash", hash(self.cache_key()))
 
     def cache_key(self):
         rels = tuple(tuple(sorted(rel.items())) for rel in self.relations)
         return (self.ring, self.shifts, rels)
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.cache_key()))
+            return self._hash
 
     @classmethod
     def quotient_by_ideal(cls, ring: MultigradedRing, gens) -> "ModulePresentation":
@@ -163,18 +175,27 @@ def minimalize_presentation(P: ModulePresentation, v=None) -> ModulePresentation
     The length-one case of minimalize_complex, run under v: each pivot
     removes one redundant ambient generator and one relation, the cokernel
     is unchanged, and relations that become zero are dropped.  A P with no
-    constant entry and no zero relation is minimal and returned as it is.
+    constant entry and no zero relation is minimal and returned as it is;
+    any other is encoded and handed to the coded core, _minimal_presentation.
     """
     if all(P.relations) and all(any(m) for rel in P.relations for _, m in rel):
         return P
-    nonzero = [j for j, d in enumerate(P.relation_degrees) if d is not None]
-    F = FreeResolution(P.ring, [P.shifts, tuple(P.relation_degrees[j] for j in nonzero)],
-                       [[P.relations[j] for j in nonzero]])
-    M = minimalize_complex(F, v)
+    v = v or find_positive_coarsening_vector(P.ring.degrees)
+    ctx = ModuleCtx.for_vector(P.ring, P.shifts, v)
+    return _minimal_presentation(ctx, [ctx.encode(rel) for rel in P.relations])
+
+
+def _minimal_presentation(ctx: ModuleCtx, rels) -> ModulePresentation:
+    """The minimal presentation of the cokernel of the code dicts rels of the plain
+    context ctx: minimalized on codes, and only the result decoded.  Each
+    relation's degree is read off its lead term."""
+    rels = [rel for rel in rels if rel]
+    shifts = [ctx.shifts, tuple(ctx.code_degree(min(rel)) for rel in rels)]
+    M = _decoded(ctx.ring, [ctx], *_minimalize_codes(ctx.ring, shifts, [ctx], [rels]))
     if not M.shifts[0]:
         raise ZeroModuleError("presentation minimalized to the zero module")
     rels = M.differentials[0] if M.differentials else ()
-    return ModulePresentation(P.ring, M.shifts[0], tuple(c for c in rels if c))
+    return ModulePresentation(ctx.ring, M.shifts[0], tuple(c for c in rels if c))
 
 
 def cached_minimal_resolution(P: ModulePresentation,
@@ -199,13 +220,14 @@ def minimal_free_resolution(P: ModulePresentation, v=None,
                             limits: Limits = NO_LIMITS) -> FreeResolution:
     """Minimal Z^r-graded free resolution of coker(P).
 
-    The Schreyer frame is minimalized by minimalize_complex; the length cap
-    applies to the minimal resolution, not to the frame.
+    The Schreyer frame is minimalized by minimalize_complex's coded core;
+    the length cap applies to the minimal resolution, not to the frame.
     """
     if v is None:
         v = find_positive_coarsening_vector(P.ring.degrees)
     v = tuple(v)
-    F = minimalize_complex(_schreyer_frame(minimalize_presentation(P, v), v, limits), v)
+    shifts, ctxs, diffs = _schreyer_frame(minimalize_presentation(P, v), v, limits)
+    F = _decoded(P.ring, ctxs, *_minimalize_codes(P.ring, shifts, ctxs, diffs))
     limits.check_length(F.length)
     return _degree_sorted(F, v)
 
@@ -224,16 +246,19 @@ def _degree_sorted(F: FreeResolution, v) -> FreeResolution:
     return FreeResolution(F.ring, shifts, diffs)
 
 
-def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution:
+def _schreyer_frame(P0: ModulePresentation, v, limits: Limits):
     """A free resolution of coker(P0) whose differentials are Schreyer Groebner bases.
 
     Every element of the frame is monic: buchberger returns a monic basis,
-    and so does _frame_syzygies.  The first level is the basis
-    graded_piece_dimension memoizes.
+    and so does _frame_syzygies.  The first level copies the basis that
+    graded_piece_dimension memoizes.  Returns (shifts, ctxs, diffs): the
+    levels' shifts, and d_{i+1} as code dicts of ctxs[i], the plain context
+    of F_i, ready to be minimalized in place.
     """
     ring = P0.ring
-    elems, leads = _memo_basis(P0, v, limits)
-    shifts, diffs = [P0.shifts], []
+    basis, leads = _memo_basis(P0, v, limits)
+    elems = [dict(g) for g in basis]
+    shifts, ctxs, diffs = [P0.shifts], [ModuleCtx.for_vector(ring, P0.shifts, v)], []
     below, below_leads = None, None
     while elems:
         if len(diffs) == ring.n:
@@ -243,12 +268,16 @@ def _schreyer_frame(P0: ModulePresentation, v, limits: Limits) -> FreeResolution
         diffs.append(elems)
         shifts.append(level)
         if below is None:
+            # plain contexts share the codes of their common components
             ctx = ModuleCtx.for_vector(ring, src + level, v)
         else:
             ctx = SchreyerCtx.for_vector(ring, src + level, v, below=below, leads=below_leads)
+            elems = _rebase(ctxs[-1], ctx, {c: c for c in range(len(src))}, elems)
         below, below_leads = ctx, leads
         elems, leads = _frame_syzygies(ctx, elems, leads, (), limits)
-    return FreeResolution(ring, shifts, diffs)
+        ctxs.append(ModuleCtx.for_vector(ring, level, v))
+        elems = _rebase(ctx, ctxs[-1], {len(src) + c: c for c in range(len(level))}, elems)
+    return shifts, ctxs[:-1], diffs
 
 
 def _frame_level(ring: MultigradedRing, shifts, elems, leads):
@@ -262,65 +291,69 @@ def _frame_level(ring: MultigradedRing, shifts, elems, leads):
 def _frame_syzygies(ctx: ModuleCtx, elems, leads, image, limits: Limits):
     """The next frame level: one syzygy per minimal colon generator, by reduction.
 
-    `ctx` is F_{k-1} (+) F_k; the elements are the monic columns of d_k and
-    `leads` their lead terms under ctx.  Each element enters the reduction
-    with its own F_k generator attached, so reducing an S-vector to zero
-    leaves the syzygy in the F_k components.  The syzygies come out with
-    lead terms x^q e_a, per a in order and q lexicographically descending,
-    and these lead terms are returned too.  Each syzygy is monic: x^q e_a is
-    the S-vector's first term, since on the tied lead the lower index wins,
-    and every quotient term is smaller.  Each `image` column of F_{k-1} is then
-    divided the same way, and the negated F_k part of its remainder, which
-    maps to the column, is appended; a remainder in F_{k-1} raises.  The
-    Ext route passes a kernel basis in place of d_k, with its image.  The
-    elements and image columns are encoded once, here, and each remainder
-    is decoded once.
+    `ctx` is F_{k-1} (+) F_k; the elements are the monic columns of d_k, as
+    code dicts of ctx, and `leads` their lead terms under ctx.  Each element
+    enters the reduction with its own F_k generator attached, so reducing
+    an S-vector to zero leaves the syzygy in the F_k components.  The
+    syzygies come out with lead terms x^q e_a, per a in order and q
+    lexicographically descending, and these lead terms are returned too.
+    Each syzygy is monic: x^q e_a is the S-vector's first term, since on the
+    tied lead the lower index wins, and every quotient term is smaller.
+    Each `image` column of F_{k-1}, a code dict of ctx, is then divided the
+    same way, and the negated F_k part of its remainder, which maps to the
+    column, is appended; a remainder in F_{k-1} raises.  The Ext route
+    passes a kernel basis in place of d_k, with its image.  The syzygies and
+    quotients are code dicts of ctx in its F_k components.
     """
     K = ctx.ring.field
     base = ctx.rank - len(elems)
-    zero = (0,) * ctx.ring.n
-    aug = [ctx.encode({**g, (base + i, zero): K.one}) for i, g in enumerate(elems)]
+    aug = [{**g, ctx.origins[base + i]: K.one} for i, g in enumerate(elems)]
     lts = [ctx.code(t) for t in leads]
     out, out_leads = [], []
+    # every code of F_{k-1} is below every code of F_k, so a remainder has a
+    # term in F_{k-1} exactly when its lead term lies there
     for a, (ca, ma) in enumerate(leads):
         for q, b in sorted(_minimal_colon(leads, a, range(a + 1, len(leads))), reverse=True):
             deg = ctx.term_wdeg((ca, ma)) + ctx.order.wdeg(q)
             limits.check_degree("S-pair of coarse degree", deg)
             ctx.check_code_degree(deg)
-            rem = ctx.decode(reduce_vec(ctx, s_vector(ctx, aug[a], ma, aug[b], leads[b][1]),
-                                        aug, lts))
-            if any(comp < base for comp, _ in rem):
+            rem = reduce_vec(ctx, s_vector(ctx, aug[a], ma, aug[b], leads[b][1]), aug, lts)
+            if ctx.comp(min(rem)) < base:
                 raise ArithmeticError("frame S-vector does not reduce to zero")
-            out.append({(comp - base, m): c for (comp, m), c in rem.items()})
+            out.append(rem)
             out_leads.append((a, q))
     for col in image:
-        rem = ctx.decode(reduce_vec(ctx, ctx.encode(col), aug, lts))
-        if any(comp < base for comp, _ in rem):
+        rem = reduce_vec(ctx, col, aug, lts)
+        if rem and ctx.comp(min(rem)) < base:
             raise ArithmeticError("image column does not lie in the kernel")
-        out.append({(comp - base, m): K.neg(c) for (comp, m), c in rem.items()})
+        out.append({u: K.neg(c) for u, c in rem.items()})
     return out, out_leads
 
 
 def _cohomology_presentation(ring, shifts, v, kernel, image, limits: Limits):
-    """span(kernel) / span(image) presented by one Schreyer level.
+    """The minimal presentation of span(kernel) / span(image), by one Schreyer level.
 
     `kernel` is a monic Groebner basis in the position-over-term order of
     the free module with these shifts under v, and the image columns are
-    elements of that module.  The relations are the basis's Schreyer
-    syzygies and each nonzero image column's division quotients, both from
-    _frame_syzygies; each is checked to map to zero, or to its column.
+    elements of that module, all code dicts of its plain context.  The
+    relations are the basis's Schreyer syzygies and each nonzero image
+    column's division quotients, both from _frame_syzygies; each is checked,
+    on codes, to map to zero, or to its column.  They are minimalized on
+    codes (_minimal_presentation), which raises ZeroModuleError for the zero
+    module.
     """
-    ctx = ModuleCtx.for_vector(ring, shifts, v)
-    elems, leads, gens = _frame_level(ring, shifts, kernel,
-                                      [leading_term(ctx, g) for g in kernel])
+    src = ModuleCtx.for_vector(ring, shifts, v)
+    elems, leads, gens = _frame_level(ring, shifts, kernel, [src.term(min(g)) for g in kernel])
     image = [col for col in image if col]
+    # plain contexts share the codes of their common components
     ctx = ModuleCtx.for_vector(ring, shifts + gens, v)
     rels, _ = _frame_syzygies(ctx, elems, leads, image, limits)
-    cols = [ctx.encode(g) for g in elems]
-    targets = [{}] * (len(rels) - len(image)) + [ctx.encode(col) for col in image]
-    if any(residual(ctx, target, cols, rel) for rel, target in zip(rels, targets)):
+    gens_ctx = ModuleCtx.for_vector(ring, gens, v)
+    rels = _rebase(ctx, gens_ctx, {len(shifts) + c: c for c in range(len(gens))}, rels)
+    targets = [{}] * (len(rels) - len(image)) + image
+    if any(residual(ctx, target, elems, gens_ctx, rel) for rel, target in zip(rels, targets)):
         raise ArithmeticError("Ext relation does not map to its image")
-    return ModulePresentation(ring, gens, tuple(rels))
+    return _minimal_presentation(gens_ctx, rels)
 
 
 def _assert_resolution_sane(F: FreeResolution, coded=None):
@@ -333,9 +366,10 @@ def _assert_resolution_sane(F: FreeResolution, coded=None):
     if coded is None:
         v = find_positive_coarsening_vector(F.ring.degrees)
         ctxs = [ModuleCtx.for_vector(F.ring, level, v) for level in F.shifts[:-1]]
-        coded = ctxs, [[c.encode(col) for col in d] for c, d in zip(ctxs, F.differentials[:-1])]
-    if any(residual(ctx, {}, prev, col)
-           for ctx, prev, cur in zip(*coded, F.differentials[1:]) for col in cur):
+        coded = ctxs, [[c.encode(col) for col in d] for c, d in zip(ctxs, F.differentials)]
+    ctxs, codes = coded
+    if any(residual(ctx, {}, prev, src, col)
+           for ctx, prev, src, cur in zip(ctxs, codes, ctxs[1:], codes[1:]) for col in cur):
         raise MregError("differentials do not compose to zero")
 
 
@@ -408,6 +442,25 @@ def codimension(Bz: BettiTable) -> int:
 def minimalize_complex(F: FreeResolution, v=None) -> FreeResolution:
     """Cancel constant entries of a (possibly non-minimal) complex.
 
+    d_i is encoded once in F_{i-1}'s plain context under v (default: the
+    least coarsening vector; v decides which degrees fit, not the result)
+    and handed to the coded core, _minimalize_codes; the result is decoded
+    once, and d o d = 0 checked on its codes.
+    """
+    ring = F.ring
+    v = v or find_positive_coarsening_vector(ring.degrees)
+    ctxs = [ModuleCtx.for_vector(ring, level, v) for level in F.shifts[:-1]]
+    diffs = [[ctx.encode(col) for col in diff] for ctx, diff in zip(ctxs, F.differentials)]
+    return _decoded(ring, ctxs, *_minimalize_codes(ring, F.shifts, ctxs, diffs))
+
+
+def _minimalize_codes(ring: MultigradedRing, shifts, ctxs, diffs):
+    """minimalize_complex's coded core: (shifts, codes) of the minimal complex.
+
+    `diffs[i]` holds the columns of d_{i+1} as code dicts of ctxs[i], the
+    plain context of the level shifts[i]; they are edited in place, and the
+    result's columns are code dicts of the same contexts.
+
     Gaussian elimination on the complex: a constant c in row q of column p
     of d_i pairs generator p of F_i with generator q of F_{i-1}; removing
     both replaces d_i by its Schur complement, drops row p of d_{i+1} and
@@ -418,20 +471,14 @@ def minimalize_complex(F: FreeResolution, v=None) -> FreeResolution:
     (col_s[q] / c) * pivot from a column s of d_i, which has a constant
     term only if col_s[q] is constant; so a column the sweep has passed stays
     free of constants.  A row index per level lets a pivot visit only the
-    columns with a term in its row, still in ascending order.  It runs on
-    codes, d_i encoded once in F_{i-1}'s plain context under v (default:
-    the least coarsening vector; v decides which degrees fit, not the
-    result): row q's terms are the codes in component_codes(q), its
-    constant is origins[q], and a term u there subtracts the pivot shifted
-    by u - origins[q].  Removed generators keep their indices and leftover
-    entries until one renumbering at the end moves row j's codes to row k's
-    origin; the result is decoded once, and d o d = 0 checked on its codes.
+    columns with a term in its row, still in ascending order.  Row q's
+    terms are the codes in component_codes(q), its constant is origins[q],
+    and a term u there subtracts the pivot shifted by u - origins[q].
+    Removed generators keep their indices and leftover entries until one
+    renumbering at the end moves row j's codes to row k's origin.
     """
-    ring, K = F.ring, F.ring.field
-    v = v or find_positive_coarsening_vector(ring.degrees)
-    ctxs = [ModuleCtx.for_vector(ring, level, v) for level in F.shifts[:-1]]
-    diffs = [[ctx.encode(col) for col in diff] for ctx, diff in zip(ctxs, F.differentials)]
-    dead = [set() for _ in F.shifts]  # the removed generators of each F_i
+    K = ring.field
+    dead = [set() for _ in shifts]  # the removed generators of each F_i
     for ctx, diff, rows_dead, cols_dead in zip(ctxs, diffs, dead, dead[1:]):
         comp, origins = ctx.comp, ctx.origins
         constant = {o: r for r, o in enumerate(origins)}
@@ -455,17 +502,18 @@ def minimalize_complex(F: FreeResolution, v=None) -> FreeResolution:
                     _isub_shifted(col, pivot, u - origins[q], K.mul(a, inv), K)
                     for r in pivot_rows:
                         rows[r].add(s)
-    keep = [[j for j in range(len(level)) if j not in gone] for level, gone in zip(F.shifts, dead)]
-    shifts = [tuple(level[j] for j in idx) for level, idx in zip(F.shifts, keep)]
-    codes = []
-    for ctx, diff, live_rows, live_cols in zip(ctxs, diffs, keep, keep[1:]):
-        comp, origins = ctx.comp, ctx.origins
-        moved = {j: origins[k] - origins[j] for k, j in enumerate(live_rows)}
-        codes.append([{u + moved[comp(u)]: c for u, c in diff[p].items() if comp(u) in moved}
-                      for p in live_cols])
+    keep = [[j for j in range(len(level)) if j not in gone] for level, gone in zip(shifts, dead)]
+    shifts = [tuple(level[j] for j in idx) for level, idx in zip(shifts, keep)]
+    codes = [_rebase(ctx, ctx, {j: k for k, j in enumerate(rows)}, [diff[p] for p in cols])
+             for ctx, diff, rows, cols in zip(ctxs, diffs, keep, keep[1:])]
     while codes and not shifts[-1]:
         shifts.pop()
         codes.pop()
+    return shifts, codes
+
+
+def _decoded(ring: MultigradedRing, ctxs, shifts, codes) -> FreeResolution:
+    """The complex of _minimalize_codes's result, decoded once and checked on its codes."""
     out = FreeResolution(ring, shifts, [[ctx.decode(col) for col in diff]
                                         for ctx, diff in zip(ctxs, codes)])
     _assert_resolution_sane(out, (ctxs, codes))

@@ -72,6 +72,11 @@ def pmul(f, g, K):
     return out
 
 
+def leading_term(ctx, f):
+    """The leading (component, monomial) term of f under ctx: the least code."""
+    return min(f, key=ctx.code)
+
+
 def normal_form(ctx, f, basis, lts):
     """reduce_vec on (component, monomial) dicts: the inputs are encoded, the normal form decoded."""
     codes = [ctx.encode(g) for g in basis]

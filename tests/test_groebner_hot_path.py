@@ -31,9 +31,9 @@ from mreg import (
     multiproj_ring,
     quotient_presentation,
 )
-from mreg.groebner import CODE_WIDTH, SchreyerCtx, buchberger, leading_term, prune_to_minimal_generators
+from mreg.groebner import CODE_WIDTH, SchreyerCtx, buchberger, prune_to_minimal_generators
 from mreg.poly import QQ, DEFAULT_FIELD, mono_div, mono_divides, monomials_of_weight
-from tests.conftest import clear_memos, mono_mul, normal_form
+from tests.conftest import clear_memos, leading_term, mono_mul, normal_form
 
 
 def reference_reduce(ctx, f, basis, lts):
@@ -372,3 +372,39 @@ def test_point_resolution_and_ext_do_the_same_work():
     assert [F.rank(i) for i in range(F.length + 1)] == [1, 9, 12, 4]
     # every S-vector formed is reduced, in Buchberger runs and in the frame
     assert calls == {"reduce_vec": 367, "s_vector": 203}
+
+
+def test_point_resolution_and_ext_cross_the_code_boundary_once(monkeypatch):
+    """Work guard: the engine's stages hand term codes on, so an element is encoded
+    where it enters and decoded where it leaves, and one presentation is built per
+    nonzero E^j."""
+    rng = random.Random(6)
+    pts = tuple(((1, rng.randint(1, 32002)), (1, rng.randint(1, 32002))) for _ in range(6))
+    P = quotient_presentation(PointSet((1, 1), pts), multiproj_ring((1, 1)))
+    calls = {"encode": 0, "decode": 0, "presentations": 0}
+    encode, decode = ModuleCtx.encode, ModuleCtx.decode
+    post_init = mreg.ModulePresentation.__post_init__
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ModuleCtx, "encode", counted("encode", encode))
+    monkeypatch.setattr(ModuleCtx, "decode", counted("decode", decode))
+    monkeypatch.setattr(mreg.ModulePresentation, "__post_init__", counted("presentations", post_init))
+    clear_memos()
+    try:
+        F = cached_minimal_resolution(P)
+        ext = ext_modules(P)
+    finally:
+        clear_memos()
+    assert [F.rank(i) for i in range(F.length + 1)] == [1, 9, 12, 4]
+    assert [(len(E.shifts), len(E.relations)) for E in ext if E is not None] == [(6, 19), (4, 12)]
+    # encoded: P's 11 relations entering buchberger, its 11 basis elements
+    # entering the basis memo, and the 9 + 12 + 4 columns of d_2^T, d_3^T
+    # and d_4^T entering the Ext route; decoded: the 11 basis elements
+    # leaving buchberger, the 9 + 12 + 4 columns of the resolution, and the
+    # 19 + 12 relations of E^2 and E^3, and one of E^2 that minimalizes to zero
+    assert calls == {"encode": 11 + 11 + 25, "decode": 11 + 25 + 32, "presentations": 2}

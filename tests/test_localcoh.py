@@ -246,12 +246,13 @@ def test_ext_relations_are_checked_to_map_to_their_image(monkeypatch):
 
 def test_ext_at_codim_is_checked_to_be_nonzero(monkeypatch):
     """E^codim minimalizing to zero contradicts the Betti table and raises."""
-    import mreg.localcoh
+    import mreg.resolution
 
-    def zero(pres, v=None):
+    def zero(ctx, rels):
         raise ZeroModuleError("presentation minimalized to the zero module")
 
-    monkeypatch.setattr(mreg.localcoh, "minimalize_presentation", zero)
+    # the Ext route minimalizes each E^j on codes, in minimalize_presentation's core
+    monkeypatch.setattr(mreg.resolution, "_minimal_presentation", zero)
     clear_memos()
     with pytest.raises(ArithmeticError, match=r"^Ext\^codim minimalizes to zero$"):
         ext_modules(_nine_generic_points())

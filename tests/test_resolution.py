@@ -34,10 +34,10 @@ from mreg import (
 )
 from mreg.grading import find_positive_coarsening_vector
 from mreg.errors import NO_LIMITS
-from mreg.groebner import buchberger, leading_term
+from mreg.groebner import buchberger
 from mreg.poly import DEFAULT_FIELD, QQ
 from mreg.resolution import FreeResolution, _assert_resolution_sane, first_syzygy_presentation
-from tests.conftest import clear_memos, mono_mul
+from tests.conftest import clear_memos, leading_term, mono_mul
 
 
 def test_koszul_resolution(koszul_module):
@@ -375,7 +375,7 @@ def test_every_reducer_is_monic(monkeypatch):
     """reduce_vec subtracts without dividing, so every basis it divides by must be monic:
     Buchberger's bases, the relations kernels hand on, and the frame's syzygies."""
     bases = _record_everywhere(monkeypatch, mreg.groebner, "buchberger")
-    rels = _record_everywhere(monkeypatch, mreg.groebner, "relations")
+    rels = _record_everywhere(monkeypatch, mreg.groebner, "_relation_codes")
     syzygies = _record_everywhere(monkeypatch, mreg.resolution, "_frame_syzygies")
     for P in _monic_corpus():
         clear_memos()
@@ -384,13 +384,15 @@ def test_every_reducer_is_monic(monkeypatch):
     for (ctx, *_), (basis, lts) in bases:
         one = ctx.ring.field.one
         assert all(t == leading_term(ctx, g) and g[t] == one for g, t in zip(basis, lts))
-    for (ctx, cols, *_), out in rels:
-        # term codes read no shifts, so a context with one component per
-        # column orders the relation module as relations does
-        src = ModuleCtx(ctx.ring, ((0,) * ctx.ring.r,) * len(cols), ctx.order, (0,) * len(cols))
-        assert all(a[leading_term(src, a)] == ctx.ring.field.one for a in out)
-    for (ctx, *_), (out, leads) in syzygies:
-        assert all(s[lead] == ctx.ring.field.one for s, lead in zip(out, leads))
+    for (ctx, *_), (aug, out) in rels:
+        # the relations are code dicts in aug's trailing components, which
+        # term codes order as the relation module, shifts aside
+        assert all(a[min(a)] == ctx.ring.field.one for a in out)
+    for (ctx, elems, *_), (out, leads) in syzygies:
+        # the syzygies are code dicts of ctx in the components after elems' own
+        base = ctx.rank - len(elems)
+        assert all(s[ctx.code((base + a, q))] == ctx.ring.field.one
+                   for s, (a, q) in zip(out, leads))
 
 
 def test_schreyer_frame_runs_one_groebner_basis(monkeypatch):
@@ -415,10 +417,12 @@ def test_resolution_and_graded_pieces_share_one_basis(monkeypatch):
     # nine generic points: H_X(a, b) = min(9, (a + 1)(b + 1)), summed over a + b = m
     assert [graded_piece_dimension(P, (1, 1), m) for m in (1, 2, 3)] == [4, 10, 20]
     assert calls["_degree_ordered_basis"] == 1
-    # every caller only reads the shared basis: it still equals a fresh run's
+    # the shared basis holds plain codes, which the frame copies before
+    # minimalizing in place: decoded, it still equals a fresh run's
+    ctx = ModuleCtx.for_vector(P.ring, P.shifts, (1, 1))
     basis, lts = mreg.groebner._memo_basis(P, (1, 1), NO_LIMITS)
-    fresh = buchberger(ModuleCtx.for_vector(P.ring, P.shifts, (1, 1)), P.relations)
-    assert (list(basis), list(lts)) == fresh
+    fresh = buchberger(ctx, P.relations)
+    assert ([ctx.decode(g) for g in basis], list(lts)) == fresh
     # the limits are part of the key
     assert graded_piece_dimension(P, (1, 1), 3, Limits(max_degree=50)) == 20
     assert calls["_degree_ordered_basis"] == 3
@@ -434,7 +438,18 @@ def test_presentation_hash_is_its_cache_key_hash(p1p1, count_calls):
         assert P == Q and hash(P) == hash(Q) == hash(P.cache_key())
     calls = count_calls(ModulePresentation, "cache_key")
     hash(P)
-    assert calls == []  # hashed once, at construction
+    assert calls == []  # hashed once, on the first hash() call
+
+
+def test_an_unhashed_presentation_never_builds_its_cache_key(p1p1, count_calls):
+    """The cache key sorts every relation, so only a presentation a memo hashes builds it."""
+    calls = count_calls(ModulePresentation, "cache_key")
+    gens = [p1p1.parse("x0*y1 - x1*y0"), p1p1.parse("y0^2 - y1^2")]
+    P = ModulePresentation.quotient_by_ideal(p1p1, gens)
+    Q = ModulePresentation.quotient_by_ideal(p1p1, gens[::-1])
+    assert P.relation_degrees == ((1, 1), (0, 2)) and P != Q
+    assert calls == []
+    assert hash(P) == hash(ModulePresentation.quotient_by_ideal(p1p1, gens)) and len(calls) == 2
 
 
 def test_ext_modules_run_one_groebner_basis_per_index(monkeypatch):
@@ -443,16 +458,16 @@ def test_ext_modules_run_one_groebner_basis_per_index(monkeypatch):
     clear_memos()
     cached_minimal_resolution(P)
     calls = {}
-    for name in ("_degree_ordered_basis", "relations"):
+    for name in ("_degree_ordered_basis", "_relation_codes"):
         _count_everywhere(monkeypatch, calls, mreg.groebner, name)
     _count_everywhere(monkeypatch, calls, ModuleCtx, "vec_degree")
     ext_modules(P)
     # nine points have codim 2 and length 3, so E^0 and E^1 are never built
-    # and E^3 needs no kernel: one Buchberger run, for the kernel_of_map of
-    # E^2, its relations' basis (the exactness check of an empty modulo needs
-    # none); the vec_degree calls are kernel_of_map checking the 17 columns
-    # of d_3^T
-    assert calls == {"_degree_ordered_basis": 1, "relations": 1, "vec_degree": 17}
+    # and E^3 needs no kernel: one Buchberger run, for the kernel of E^2, its
+    # relations' basis (the exactness check of an empty modulo needs none);
+    # the kernel's coded core reads the 17 columns of d_3^T's degrees off the
+    # dual shifts, so no element is checked again
+    assert calls == {"_degree_ordered_basis": 1, "_relation_codes": 1, "vec_degree": 0}
 
 
 def test_element_degrees_are_checked_once(monkeypatch):
@@ -483,6 +498,22 @@ def test_frame_s_pairs_obey_the_degree_cap(p1p1):
         minimal_free_resolution(P, limits=Limits(max_degree=2))
     assert "_frame_syzygies" in {entry.name for entry in info.traceback}
     assert minimal_free_resolution(P, limits=Limits(max_degree=3)).length == 3
+
+
+def test_frame_s_vectors_are_checked_to_reduce_to_zero(p1p1, monkeypatch):
+    """A remainder with a term left in F_{k-1} makes the frame raise: the check reads
+    the remainder's lead code, which lies in F_{k-1} whenever any of its terms does."""
+    real = mreg.resolution.reduce_vec
+
+    def leaky(ctx, f, basis, lts):
+        # add the lead term of the first reducer, a term of F_{k-1}
+        return {**real(ctx, f, basis, lts), lts[0]: ctx.ring.field.one}
+
+    monkeypatch.setattr(mreg.resolution, "reduce_vec", leaky)
+    P = ModulePresentation.quotient_by_ideal(p1p1, [p1p1.parse(g) for g in ("x0", "x1", "y0")])
+    clear_memos()
+    with pytest.raises(ArithmeticError, match="^frame S-vector does not reduce to zero$"):
+        minimal_free_resolution(P)
 
 
 def test_degree_cap_judges_the_s_pairs_the_criteria_keep():
@@ -588,7 +619,16 @@ def full_scan_minimalize_complex(F: FreeResolution, scans: list):
 def test_minimalize_complex_visits_only_the_pivot_rows_columns(monkeypatch):
     """The row index gives the full scan's complexes, term order included, on seeded
     Ext presentations and frames over GF(32003) and QQ, and visits far fewer columns."""
-    frames = _record_everywhere(monkeypatch, mreg.resolution, "_schreyer_frame")
+    # every complex the coded core is handed, frames and Ext presentations,
+    # decoded before the core edits its columns in place
+    complexes, core = [], mreg.resolution._minimalize_codes
+
+    def recording(ring, shifts, ctxs, diffs):
+        complexes.append(FreeResolution(ring, list(shifts), [[ctx.decode(col) for col in diff]
+                                                             for ctx, diff in zip(ctxs, diffs)]))
+        return core(ring, shifts, ctxs, diffs)
+
+    monkeypatch.setattr(mreg.resolution, "_minimalize_codes", recording)
     ext = _record_everywhere(monkeypatch, mreg.resolution, "_cohomology_presentation")
     point_sets = []
     for seed, n in ((7, 12), (8, 10), (9, 6)):
@@ -605,12 +645,8 @@ def test_minimalize_complex_visits_only_the_pivot_rows_columns(monkeypatch):
         P = quotient_presentation(PointSet((1, 1), pts), multiproj_ring((1, 1), K))
         clear_memos()
         ext_modules(P)
-    assert {F.ring.field for _, F in frames} == {DEFAULT_FIELD, QQ}
-    complexes = [F for _, F in frames]
-    for _, pres in ext:
-        nonzero = [j for j, d in enumerate(pres.relation_degrees) if d is not None]
-        complexes.append(FreeResolution(pres.ring, [pres.shifts, tuple(
-            pres.relation_degrees[j] for j in nonzero)], [[pres.relations[j] for j in nonzero]]))
+    monkeypatch.setattr(mreg.resolution, "_minimalize_codes", core)
+    assert {F.ring.field for F in complexes} == {DEFAULT_FIELD, QQ}
     assert len(ext) >= 3
     # minimalize_complex's one sorted() call lists the columns a pivot visits
     visits = []

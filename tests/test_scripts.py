@@ -150,6 +150,17 @@ def test_bench_pairs_aggregates_canned_runs():
     tight = bench["summarize"](pairs, better, {"wall_s": 0.05, "peak_rss_mb": 0.0})
     assert not tight["metrics"]["wall_s"]["resolved"]
     assert tight["metrics"]["peak_rss_mb"]["resolved"]  # no spread at all
+    # the change's median over the parent's: 0.335 / 0.455
+    assert wall["ratio"] == pytest.approx(0.335 / 0.455)
+    assert out["metrics"]["peak_rss_mb"]["ratio"] == 1.0
+    assert bench["ratio_line"]("points-gf", out) == \
+        "points-gf: wall_s x0.736 won 3/4, peak_rss_mb x1.000 won 0/4"
+    # a parent median of 0 has no ratio
+    zero = [{side: (d, {**r, "metrics": {"wall_s": {"value": 0.0, "unit": "s"}}})
+             for side, (d, r) in p.items()} for p in pairs]
+    none = bench["summarize"](zero, {"wall_s": "lower"}, {"wall_s": 0.25})
+    assert none["metrics"]["wall_s"]["ratio"] is None
+    assert bench["ratio_line"]("points-gf", none) == "points-gf: wall_s x- won 0/4"
 
 
 def test_bench_pairs_records_per_operation_medians(tmp_path):
