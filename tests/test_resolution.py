@@ -465,7 +465,7 @@ def test_ext_modules_run_one_groebner_basis_per_index(monkeypatch):
     # nine points have codim 2 and length 3, so E^0 and E^1 are never built
     # and E^3 needs no kernel: one Buchberger run, for the kernel of E^2, its
     # relations' basis (the exactness check of an empty modulo needs none);
-    # the kernel's coded core reads the 17 columns of d_3^T's degrees off the
+    # the kernel's coded core reads the degrees of d_3^T's 17 columns off the
     # dual shifts, so no element is checked again
     assert calls == {"_degree_ordered_basis": 1, "_relation_codes": 1, "vec_degree": 0}
 
